@@ -1,6 +1,6 @@
 // Replay engine benchmark: the calendar-queue core (sim/replay.cc) against
-// the retired std::priority_queue engine (sim/replay_legacy.cc), plus the
-// parallel sweep driver's thread scaling.
+// the retired std::priority_queue engine (sim/replay_legacy.cc), FIFO cost
+// under saturation, plus the parallel sweep driver's thread scaling.
 //
 // Single-replay scenario: a 1M-task day-long synthetic trace shaped like
 // the paper's FB workloads after task-cap merging - tens of thousands of
@@ -8,7 +8,7 @@
 // once. This is exactly the regime the rebuild targets: the legacy engine
 // rescans every active job on each grant round (O(active) per event, even
 // with nothing runnable) and pays a log-depth heap sift per batch, where
-// the new engine's incremental runnable lists and calendar queue make both
+// the new engine's incremental runnable sets and calendar queue make both
 // O(1). Both engines replay the same trace; their ReplayResults are
 // required to match exactly (latencies to the last bit) before timing
 // counts - disagreement is a correctness bug, not a perf result.
@@ -26,13 +26,24 @@
 // replayed through the legacy priority_queue engine and must match
 // bit-for-bit.
 //
+// Saturation scenario: FIFO on an FB-2010 trace of 200k jobs at ~31% and
+// ~75% utilization. Saturation deepens the runnable backlog by orders of
+// magnitude; with the submit-ordered runnable index a FIFO pick reads a
+// heap head, so the cost per event may grow only by the heap's log
+// factor. A third run makes every task straggle (--stragglers 1 at 600
+// nodes), the case that used to scan a backlog of thousands per grant
+// and ran for minutes.
+//
 // --json <path> emits {name, jobs_per_sec, threads, median_seconds,
-// repeats, warmups} rows (jobs or configs per second). Hard gates:
-// calendar engine >= 4x legacy on the 1M-task replay (ISSUE 5), template
-// sweep >= 1.15x the per-cell baseline (hardware-independent), and
-// sweep/parallel8 >= 3x sweep/serial - the latter only enforced when the
-// host has >= 4 cores (CI runners do; a 1-core dev box cannot scale by
-// fiat and reports SKIPPED instead).
+// repeats, warmups} rows (jobs, events or configs per second; the
+// saturation/per_event_ratio row carries a ratio). Hard gates: calendar
+// engine >= 4x legacy on the 1M-task replay, FIFO time per event at ~75%
+// utilization <= 2x that at ~31%, the all-stragglers FIFO replay within
+// 30 s, template sweep >= 1.15x the per-cell baseline (all
+// hardware-independent or far from the limit), and sweep/parallel8 >= 3x
+// sweep/serial - the latter only enforced when the host has >= 4 cores
+// (CI runners do; a 1-core dev box cannot scale by fiat and reports
+// SKIPPED instead).
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -261,11 +272,65 @@ int main(int argc, char** argv) {
   json.Add("sweep/serial", serial, 1);
   json.Add("sweep/parallel8", parallel, 8);
 
+  // -- FIFO under saturation: cost per event as the backlog deepens --
+  bench::Banner("FIFO under saturation: FB-2010, 200k jobs");
+  const trace::Trace fb = bench::BenchTrace("FB-2010", 200000);
+  struct SaturationCase {
+    const char* name;
+    int nodes;
+    double straggler_probability;
+    int repeats;
+  };
+  const SaturationCase saturation_cases[] = {
+      {"saturation/fifo_600_nodes", 600, 0.0, 3},
+      {"saturation/fifo_250_nodes", 250, 0.0, 3},
+      {"saturation/fifo_600_nodes_stragglers1", 600, 1.0, 1},
+  };
+  double seconds[std::size(saturation_cases)] = {};
+  double seconds_per_event[std::size(saturation_cases)] = {};
+  for (size_t c = 0; c < std::size(saturation_cases); ++c) {
+    const SaturationCase& scenario = saturation_cases[c];
+    sim::ReplayOptions fifo;
+    fifo.cluster.nodes = scenario.nodes;
+    fifo.scheduler = "fifo";
+    fifo.straggler_probability = scenario.straggler_probability;
+    StatusOr<sim::ReplayResult> result = InvalidArgumentError("not run");
+    bench::BenchTiming timing =
+        bench::MedianOpsPerSec(0, 0, scenario.repeats, [&] {
+          result = sim::ReplayTrace(fb, fifo);
+          SWIM_CHECK_OK(result.status());
+        });
+    const sim::EngineCounters& engine = result->engine;
+    seconds[c] = timing.median_seconds;
+    seconds_per_event[c] =
+        timing.median_seconds / static_cast<double>(engine.events);
+    timing.ops_per_sec =
+        static_cast<double>(engine.events) / timing.median_seconds;
+    std::printf(
+        "  %-40s %6.1f%% util  %8.3fs  %6.1f ns/event  peak runnable "
+        "maps %lld\n",
+        scenario.name, 100.0 * result->utilization, timing.median_seconds,
+        1e9 * seconds_per_event[c],
+        static_cast<long long>(engine.peak_runnable_maps));
+    json.Add(scenario.name, timing, 1);
+  }
+  const double per_event_ratio = seconds_per_event[1] / seconds_per_event[0];
+  const double stragglers_seconds = seconds[2];
+  std::printf("  time per event at 250 vs 600 nodes: %.2fx\n",
+              per_event_ratio);
+  json.Add("saturation/per_event_ratio_250_vs_600_nodes", per_event_ratio, 1);
+
   bench::Banner("Speedup summary");
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.1fx", speedup);
   bench::PaperVsMeasured("calendar engine vs priority_queue (1M tasks)",
                          ">= 4x", buffer);
+  std::snprintf(buffer, sizeof(buffer), "%.2fx", per_event_ratio);
+  bench::PaperVsMeasured("FIFO time/event, ~75% vs ~31% utilization",
+                         "<= 2x", buffer);
+  std::snprintf(buffer, sizeof(buffer), "%.2fs", stragglers_seconds);
+  bench::PaperVsMeasured("FIFO, every task straggling (200k jobs)", "<= 30s",
+                         buffer);
   std::snprintf(buffer, sizeof(buffer), "%.2fx", template_speedup);
   bench::PaperVsMeasured("template+arena sweep vs per-cell replay (10k)",
                          ">= 1.15x", buffer);
@@ -277,11 +342,26 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
     return 1;
   }
-  // Hard gates. The first two are engine-vs-engine in one binary, so
-  // hardware-independent; the lane-scaling gate needs real cores and is
-  // skipped (loudly) on boxes that cannot physically scale.
+  // Hard gates. The engine-vs-engine, per-event-ratio and template gates
+  // compare runs in one binary, so they are hardware-independent; the
+  // straggler gate sits an order of magnitude above the measured time;
+  // the lane-scaling gate needs real cores and is skipped (loudly) on
+  // boxes that cannot physically scale.
   if (speedup < 4.0) {
     std::printf("\nFAIL: replay speedup %.1fx below the 4x gate\n", speedup);
+    return 1;
+  }
+  if (per_event_ratio > 2.0) {
+    std::printf(
+        "\nFAIL: FIFO time per event at ~75%% utilization is %.2fx that at "
+        "~31%%, above the 2x gate\n",
+        per_event_ratio);
+    return 1;
+  }
+  if (stragglers_seconds > 30.0) {
+    std::printf(
+        "\nFAIL: all-stragglers FIFO replay took %.1fs, above the 30s gate\n",
+        stragglers_seconds);
     return 1;
   }
   if (template_speedup < 1.15) {

@@ -10,14 +10,16 @@
 //   - Events flow through a calendar queue (sim/event_queue.h): amortized
 //     O(1) enqueue/dequeue with a d-ary-heap fallback for sparse tails,
 //     FIFO tie-break on the same seq counter the heap used.
-//   - The runnable set is maintained incrementally: jobs enter/leave
-//     per-kind runnable lists at their state transitions (arrival, batch
-//     launch, batch completion/failure, parent finish, retry backoff,
-//     job kill), so a grant round touches only genuinely runnable jobs.
-//     Scheduler tie-breaks are pinned to (submit time, job index) - see
-//     scheduler.cc - so list order cannot leak into policy decisions.
+//   - The runnable set is maintained incrementally: jobs enter/leave a
+//     per-kind RunnableSet (sim/runnable_set.h) at their state
+//     transitions (arrival, batch launch, batch completion/failure,
+//     parent finish, retry backoff, job kill), so a grant round touches
+//     only genuinely runnable jobs. Each set is two submit-ordered heaps,
+//     one per tier, so FIFO and two-tier picks read a heap head in O(1)
+//     however deep the backlog; ties are pinned to (submit time, job
+//     index), so heap layout cannot leak into policy decisions.
 //   - Jobs waiting out a retry backoff are parked in a small time-ordered
-//     heap and re-enter the runnable lists exactly when the grant round
+//     heap and re-enter the runnable sets exactly when the grant round
 //     reaches retry_ready_time, replacing the per-grant timestamp check.
 //   - The active-job list (node-loss victim order) is an intrusive
 //     doubly-linked list in arrival order: O(1) unlink instead of the
@@ -36,9 +38,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <type_traits>
 
+#include "common/checksum.h"
 #include "common/random.h"
 #include "sim/event_queue.h"
+#include "sim/runnable_set.h"
 #include "stats/descriptive.h"
 
 namespace swim::sim {
@@ -114,11 +121,28 @@ class OccupancyMeter {
   }
 
   double busy_slot_seconds() const { return busy_slot_seconds_; }
+  double last_time() const { return last_time_; }
 
  private:
   double last_time_ = 0.0;
   double busy_slot_seconds_ = 0.0;
 };
+
+/// Busy slot-seconds over the capacity of the makespan window. Attempts
+/// of killed jobs can hold slots past the last finish; only where that
+/// pushes the ratio past 1 does the window stretch to the last event,
+/// which no busy interval outlasts (clamped against rounding), so every
+/// other run keeps the makespan definition bit for bit.
+double Utilization(const OccupancyMeter& meter, int64_t total_slots,
+                   double makespan, double first_submit) {
+  const double slots = static_cast<double>(total_slots);
+  const double window = std::max(makespan, 1.0);
+  const double utilization = meter.busy_slot_seconds() / (slots * window);
+  if (utilization <= 1.0) return utilization;
+  const double busy_window =
+      std::max(window, meter.last_time() - first_submit);
+  return std::min(1.0, meter.busy_slot_seconds() / (slots * busy_window));
+}
 
 Status ValidateFailureOptions(const FailureOptions& failures) {
   if (failures.task_failure_probability < 0.0 ||
@@ -139,6 +163,20 @@ Status ValidateFailureOptions(const FailureOptions& failures) {
   if (failures.retry_backoff_seconds < 0.0 ||
       !std::isfinite(failures.retry_backoff_seconds)) {
     return InvalidArgumentError("retry_backoff_seconds must be >= 0");
+  }
+  return Status::Ok();
+}
+
+Status ValidateStragglerOptions(const ReplayOptions& options) {
+  // A probability above 1 makes llround(surviving * p) stragglers exceed
+  // the surviving tasks, so more tasks complete than were launched.
+  if (!(options.straggler_probability >= 0.0 &&
+        options.straggler_probability <= 1.0)) {
+    return InvalidArgumentError("straggler_probability must be in [0, 1]");
+  }
+  if (!(options.straggler_factor >= 1.0) ||
+      !std::isfinite(options.straggler_factor)) {
+    return InvalidArgumentError("straggler_factor must be finite and >= 1");
   }
   return Status::Ok();
 }
@@ -167,11 +205,11 @@ Status ValidateSlaOptions(const SlaOptions& sla) {
 /// everything below is a pure function of (template, options); the event
 /// order equals the retired priority-queue engine's order, the RNG
 /// streams are consumed at the same call sites, and scheduler decisions
-/// are independent of runnable list order (pinned tie-breaks), so
+/// are independent of runnable heap layout (pinned tie-breaks), so
 /// results match ReplayTraceLegacy bit for bit.
 ///
 /// Every per-run container draws from `arena` (heap fallback when null):
-/// the job table copy, both runnable lists and their position indexes,
+/// the job table copy, both runnable sets and their position indexes,
 /// the parked-job heap, the active-list links, the occupancy buckets,
 /// and the calendar queue's heap and bucket ring. The ReplayResult
 /// handed back owns plain heap memory so it survives the lane's
@@ -195,10 +233,8 @@ class ReplayEngine {
         occupancy_slot_seconds_(ArenaAllocator<double>(arena)),
         arrived_(ArenaAllocator<uint8_t>(arena)),
         parked_(ArenaAllocator<uint8_t>(arena)),
-        map_pos_(ArenaAllocator<size_t>(arena)),
-        reduce_pos_(ArenaAllocator<size_t>(arena)),
-        runnable_maps_(ArenaAllocator<size_t>(arena)),
-        runnable_reduces_(ArenaAllocator<size_t>(arena)),
+        runnable_maps_(arena),
+        runnable_reduces_(arena),
         in_active_(ArenaAllocator<uint8_t>(arena)),
         active_prev_(ArenaAllocator<size_t>(arena)),
         active_next_(ArenaAllocator<size_t>(arena)),
@@ -218,34 +254,16 @@ class ReplayEngine {
   // not parked on a retry backoff, has no unfinished parents, and has
   // unlaunched tasks of that kind (reduces additionally wait for the map
   // stage). Membership only changes at the transition points below, each
-  // of which calls Refresh - an idempotent O(1) resync of both lists.
-
-  void SetMembership(ArenaVector<size_t>& list, ArenaVector<size_t>& pos,
-                     size_t i, bool want) {
-    const bool have = pos[i] != kNone;
-    if (want == have) return;
-    if (want) {
-      pos[i] = list.size();
-      list.push_back(i);
-    } else {
-      const size_t p = pos[i];
-      const size_t last = list.back();
-      list[p] = last;
-      pos[last] = p;
-      list.pop_back();
-      pos[i] = kNone;
-    }
-  }
+  // of which calls Refresh - an idempotent resync of both sets, O(1) when
+  // nothing changed and O(log runnable) when a job enters or leaves.
 
   void Refresh(size_t i) {
     const SimJob& job = jobs_[i];
     const bool base = arrived_[i] != 0 && !job.failed && parked_[i] == 0 &&
                       job.unfinished_parents == 0 && !job.admission_parked;
-    SetMembership(runnable_maps_, map_pos_, i,
-                  base && job.maps_launched < job.maps_total);
-    SetMembership(runnable_reduces_, reduce_pos_, i,
-                  base && job.maps_done() &&
-                      job.reduces_launched < job.reduces_total);
+    runnable_maps_.Set(i, base && job.maps_launched < job.maps_total);
+    runnable_reduces_.Set(i, base && job.maps_done() &&
+                                 job.reduces_launched < job.reduces_total);
   }
 
   // --- Active list (arrival order, for node-loss victim selection) ----
@@ -337,10 +355,8 @@ class ReplayEngine {
 
   ArenaVector<uint8_t> arrived_;
   ArenaVector<uint8_t> parked_;
-  ArenaVector<size_t> map_pos_;
-  ArenaVector<size_t> reduce_pos_;
-  ArenaVector<size_t> runnable_maps_;
-  ArenaVector<size_t> runnable_reduces_;
+  RunnableSet runnable_maps_;
+  RunnableSet runnable_reduces_;
 
   ArenaVector<uint8_t> in_active_;
   ArenaVector<size_t> active_prev_;
@@ -552,23 +568,15 @@ bool ReplayEngine::PreemptKind(TaskKind kind, double now) {
   int64_t& free_slots =
       kind == TaskKind::kMap ? free_map_slots_ : free_reduce_slots_;
   if (free_slots > 0) return false;
-  const ArenaVector<size_t>& runnable =
-      kind == TaskKind::kMap ? runnable_maps_ : runnable_reduces_;
   // Earliest-submitted interactive job with unlaunched tasks of `kind`
-  // (ties to lowest index, like every policy).
-  int want = -1;
-  double want_submit = std::numeric_limits<double>::max();
-  for (size_t index : runnable) {
-    const SimJob& job = jobs_[index];
-    if (!job.is_small) continue;
-    if (want < 0 || job.submit_time < want_submit ||
-        (job.submit_time == want_submit &&
-         index < static_cast<size_t>(want))) {
-      want_submit = job.submit_time;
-      want = static_cast<int>(index);
-    }
-  }
-  if (want < 0) return false;
+  // (ties to lowest index, like every policy): the interactive tier's
+  // heap head.
+  const Span<size_t> interactive_tier =
+      (kind == TaskKind::kMap ? runnable_maps_ : runnable_reduces_)
+          .view()
+          .small;
+  if (interactive_tier.empty()) return false;
+  const size_t want = interactive_tier[0];
   // Victim: the large job with the most remaining work among those with
   // revocable running tasks of the kind (running minus tasks already
   // reserved by node-loss kills or earlier revocations). Ties break to
@@ -602,7 +610,7 @@ bool ReplayEngine::PreemptKind(TaskKind kind, double now) {
     }
   }
   if (victim == kNone) return false;
-  SimJob& interactive = jobs_[static_cast<size_t>(want)];
+  SimJob& interactive = jobs_[want];
   SimJob& elephant = jobs_[victim];
   const int64_t need =
       kind == TaskKind::kMap
@@ -634,7 +642,7 @@ bool ReplayEngine::PreemptKind(TaskKind kind, double now) {
   ++result_.sla.preemption_rounds;
   preempt_budget_left_ -= revoke;
   Refresh(victim);
-  LaunchBatch(static_cast<size_t>(want), kind, now, revoke);
+  LaunchBatch(want, kind, now, revoke);
   return true;
 }
 
@@ -667,8 +675,8 @@ bool ReplayEngine::GrantKind(TaskKind kind, double now) {
   int64_t& free_slots =
       kind == TaskKind::kMap ? free_map_slots_ : free_reduce_slots_;
   if (free_slots <= 0) return false;
-  const ArenaVector<size_t>& runnable =
-      kind == TaskKind::kMap ? runnable_maps_ : runnable_reduces_;
+  const RunnableView runnable =
+      (kind == TaskKind::kMap ? runnable_maps_ : runnable_reduces_).view();
   if (runnable.empty()) return false;
   int64_t total_slots =
       kind == TaskKind::kMap ? total_map_slots_ : total_reduce_slots_;
@@ -689,6 +697,7 @@ bool ReplayEngine::GrantKind(TaskKind kind, double now) {
       batch, scheduler_->BatchLimit(jobs_, pick, kind,
                                     static_cast<int>(total_slots), context_));
   if (batch < 1) return false;
+  ++result_.engine.grants;
   LaunchBatch(static_cast<size_t>(pick), kind, now, batch);
   return true;
 }
@@ -696,7 +705,7 @@ bool ReplayEngine::GrantKind(TaskKind kind, double now) {
 void ReplayEngine::ScheduleLoop(double now) {
   context_.now = now;
   // Unpark every job whose retry backoff has expired before granting, so
-  // the runnable lists equal the retired engine's per-grant
+  // the runnable sets equal the retired engine's per-grant
   // retry_ready_time <= now filter even when the expiry coincides with
   // another event at the same timestamp.
   while (!parked_heap_.empty() && parked_heap_.front().first <= now) {
@@ -743,6 +752,8 @@ StatusOr<ReplayResult> ReplayEngine::Run() {
       options_.cluster.reduce_slots_per_node < 0) {
     return InvalidArgumentError("invalid cluster configuration");
   }
+  Status straggler_status = ValidateStragglerOptions(options_);
+  if (!straggler_status.ok()) return straggler_status;
   Status failure_status = ValidateFailureOptions(failures_);
   if (!failure_status.ok()) return failure_status;
   Status sla_status = ValidateSlaOptions(options_.sla);
@@ -761,15 +772,11 @@ StatusOr<ReplayResult> ReplayEngine::Run() {
   const size_t n = jobs_.size();
   arrived_.assign(n, 0);
   parked_.assign(n, 0);
-  map_pos_.assign(n, kNone);
-  reduce_pos_.assign(n, kNone);
   in_active_.assign(n, 0);
   active_prev_.assign(n, kNone);
   active_next_.assign(n, kNone);
-  // Worst-case capacity up front: growth inside a monotonic arena would
-  // abandon the old buffer until the lane resets.
-  runnable_maps_.reserve(n);
-  runnable_reduces_.reserve(n);
+  runnable_maps_.Reset(jobs_, tpl_.small_job_count());
+  runnable_reduces_.Reset(jobs_, tpl_.small_job_count());
 
   if (options_.sla.admission_enabled()) {
     admitted_.assign(n, 0);
@@ -1007,10 +1014,17 @@ StatusOr<ReplayResult> ReplayEngine::Run() {
   for (double slot_seconds : occupancy_slot_seconds_) {
     result_.hourly_occupancy.push_back(slot_seconds / 3600.0);
   }
-  double capacity =
-      static_cast<double>(total_map_slots_ + total_reduce_slots_) *
-      std::max(result_.makespan, 1.0);
-  result_.utilization = meter_.busy_slot_seconds() / capacity;
+  result_.utilization = Utilization(
+      meter_, total_map_slots_ + total_reduce_slots_, result_.makespan,
+      first_submit);
+  // Every event pushed was popped: the loop above drains the queue.
+  result_.engine.events = static_cast<int64_t>(seq_);
+  result_.engine.peak_runnable_maps =
+      static_cast<int64_t>(runnable_maps_.peak_size());
+  result_.engine.peak_runnable_reduces =
+      static_cast<int64_t>(runnable_reduces_.peak_size());
+  Status postcondition = CheckReplayResult(result_, n);
+  if (!postcondition.ok()) return postcondition;
   return std::move(result_);
 }
 
@@ -1046,6 +1060,86 @@ size_t ReplayResult::CountJobs(bool small_jobs) const {
     if (o.is_small == small_jobs) ++count;
   }
   return count;
+}
+
+namespace {
+
+/// Appends fixed-width raw bit patterns; the byte stream ReplayResultDigest
+/// hashes.
+class CanonicalBytes {
+ public:
+  template <typename T>
+  CanonicalBytes& Add(T value) {
+    static_assert(std::is_arithmetic_v<T>);
+    if constexpr (std::is_same_v<T, bool>) {
+      bytes_.push_back(value ? 1 : 0);
+    } else if constexpr (std::is_integral_v<T>) {
+      AppendRaw(static_cast<uint64_t>(value));
+    } else {
+      AppendRaw(static_cast<double>(value));
+    }
+    return *this;
+  }
+  CanonicalBytes& Add(const std::string& text) {
+    Add(text.size());
+    bytes_.append(text);
+    return *this;
+  }
+  uint64_t Digest() const { return Checksum64(bytes_.data(), bytes_.size()); }
+
+ private:
+  template <typename T>
+  void AppendRaw(T value) {
+    char raw[sizeof(T)];
+    std::memcpy(raw, &value, sizeof(T));
+    bytes_.append(raw, sizeof(T));
+  }
+
+  std::string bytes_;
+};
+
+}  // namespace
+
+Status CheckReplayResult(const ReplayResult& result, size_t jobs) {
+  if (result.outcomes.size() + result.unfinished_jobs != jobs) {
+    return InternalError(
+        "replay postcondition: " + std::to_string(result.outcomes.size()) +
+        " outcomes + " + std::to_string(result.unfinished_jobs) +
+        " unfinished != " + std::to_string(jobs) + " jobs");
+  }
+  if (!(result.utilization >= 0.0 && result.utilization <= 1.0)) {
+    return InternalError("replay postcondition: utilization " +
+                         std::to_string(result.utilization) +
+                         " outside [0, 1]");
+  }
+  return Status::Ok();
+}
+
+uint64_t ReplayResultDigest(const ReplayResult& result) {
+  CanonicalBytes bytes;
+  bytes.Add(result.scheduler).Add(result.outcomes.size());
+  for (const JobOutcome& o : result.outcomes) {
+    bytes.Add(o.job_id).Add(o.submit_time).Add(o.latency).Add(o.ideal_latency)
+        .Add(o.is_small).Add(o.retries).Add(o.deadline).Add(o.missed_sla)
+        .Add(o.tenant).Add(o.preempted_tasks).Add(o.admission_delay);
+  }
+  const FailureStats& f = result.failures;
+  bytes.Add(result.unfinished_jobs).Add(f.task_failures).Add(f.node_losses)
+      .Add(f.tasks_lost_to_nodes).Add(f.retries).Add(f.failed_jobs)
+      .Add(f.failed_task_seconds);
+  const SlaStats& s = result.sla;
+  bytes.Add(s.small_jobs_with_deadline).Add(s.large_jobs_with_deadline)
+      .Add(s.small_misses).Add(s.large_misses).Add(s.preemption_rounds)
+      .Add(s.preempted_tasks).Add(s.admission_parked_jobs)
+      .Add(s.total_admission_delay).Add(s.tenants.size());
+  for (const TenantStats& t : s.tenants) {
+    bytes.Add(t.tenant).Add(t.jobs).Add(t.parked_jobs)
+        .Add(t.total_admission_delay).Add(t.max_admission_delay);
+  }
+  bytes.Add(result.hourly_occupancy.size());
+  for (double hour : result.hourly_occupancy) bytes.Add(hour);
+  bytes.Add(result.makespan).Add(result.utilization);
+  return bytes.Digest();
 }
 
 namespace {
@@ -1111,6 +1205,7 @@ StatusOr<ReplayTemplate> ReplayTemplate::Build(const trace::Trace& trace,
       job.tenant_id = static_cast<int>(
           record.job_id % static_cast<uint64_t>(base.sla.tenants));
     }
+    if (job.is_small) ++tpl.small_job_count_;
     tpl.jobs_.push_back(job);
   }
   tpl.first_submit_ = tpl.jobs_.front().submit_time;

@@ -225,6 +225,22 @@ struct SlaStats {
   }
 };
 
+/// What a run cost the calendar engine, as opposed to what it computed:
+/// the counters that explain replay time. ReplayResultDigest and every
+/// bit-identity comparison leave them out; ReplayTraceLegacy leaves them
+/// zero.
+struct EngineCounters {
+  /// Events popped off the event queue.
+  int64_t events = 0;
+  /// Slot grants: task batches the grant loop launched, one PickJob
+  /// decision each (preemption launches are counted in SlaStats).
+  int64_t grants = 0;
+  /// Largest number of jobs runnable at once, per task kind. Saturation
+  /// shows up here first: the backlog a PickJob has to rank.
+  int64_t peak_runnable_maps = 0;
+  int64_t peak_runnable_reduces = 0;
+};
+
 struct ReplayResult {
   std::string scheduler;
   std::vector<JobOutcome> outcomes;
@@ -241,8 +257,13 @@ struct ReplayResult {
   /// slots").
   std::vector<double> hourly_occupancy;
   double makespan = 0.0;
-  /// Busy slot-seconds / (total slots x makespan).
+  /// Busy slot-seconds / (total slots x makespan), in [0, 1]. Where
+  /// attempts of killed jobs hold slots so long after the last finish
+  /// that the ratio would exceed 1, the window runs to the last event
+  /// instead.
   double utilization = 0.0;
+  /// Engine work counters; not part of the results (see EngineCounters).
+  EngineCounters engine;
 
   /// Sort-once latency view over small or large jobs: filter + sort the
   /// outcomes once, then read any number of quantiles/moments in O(1).
@@ -256,6 +277,20 @@ struct ReplayResult {
   double MeanSlowdown(bool small_jobs) const;
   size_t CountJobs(bool small_jobs) const;
 };
+
+/// The engine's postcondition on a finished run over `jobs` jobs: every
+/// job is either an outcome or unfinished, and utilization lies in
+/// [0, 1]. Both engines return its InternalError instead of a result that
+/// breaks it.
+Status CheckReplayResult(const ReplayResult& result, size_t jobs);
+
+/// Canonical digest of a replay's results: the scheduler name, every
+/// JobOutcome field, unfinished_jobs, FailureStats, SlaStats (tenants
+/// included), hourly occupancy, makespan and utilization, serialized in
+/// that fixed order as raw bit patterns and hashed with XXH64
+/// (common/checksum.h). Equal digests mean bit-identical results; golden
+/// digest tables in the tests pin the engine's output with it.
+uint64_t ReplayResultDigest(const ReplayResult& result);
 
 /// The per-trace build product of a replay, computed once and shared
 /// immutably across every configuration of a sweep: SimJob skeletons
@@ -280,7 +315,7 @@ class ReplayTemplate {
   /// One configuration run against the shared skeletons, bit-identical
   /// to ReplayTrace(trace, options) for compatible options. `arena`,
   /// when non-null, backs every per-run container (job table, runnable
-  /// lists, event-queue buckets, ...); between runs the owning lane
+  /// sets, event-queue buckets, ...); between runs the owning lane
   /// calls arena->Reset() and the next run re-carves the same blocks, so
   /// a warm lane replays a configuration with ~zero heap mallocs. The
   /// returned ReplayResult owns ordinary heap memory and outlives any
@@ -294,6 +329,8 @@ class ReplayTemplate {
   bool Compatible(const ReplayOptions& options) const;
 
   size_t job_count() const { return jobs_.size(); }
+  /// Jobs in the interactive tier (SimJob::is_small).
+  size_t small_job_count() const { return small_job_count_; }
 
   // --- Engine-facing accessors (read-only shared state) ---------------
   const std::vector<SimJob>& jobs() const { return jobs_; }
@@ -313,6 +350,7 @@ class ReplayTemplate {
   std::vector<uint32_t> child_offsets_;
   std::vector<uint32_t> child_index_;
   double first_submit_ = 0.0;
+  size_t small_job_count_ = 0;
 
   // Captured template-relevant options (Compatible()).
   int64_t max_tasks_per_job_ = 0;

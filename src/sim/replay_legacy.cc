@@ -75,6 +75,7 @@ class OccupancyMeter {
   }
 
   double busy_slot_seconds() const { return busy_slot_seconds_; }
+  double last_time() const { return last_time_; }
 
  private:
   double last_time_ = 0.0;
@@ -100,6 +101,20 @@ Status ValidateFailureOptions(const FailureOptions& failures) {
   if (failures.retry_backoff_seconds < 0.0 ||
       !std::isfinite(failures.retry_backoff_seconds)) {
     return InvalidArgumentError("retry_backoff_seconds must be >= 0");
+  }
+  return Status::Ok();
+}
+
+Status ValidateStragglerOptions(const ReplayOptions& options) {
+  // A probability above 1 makes llround(surviving * p) stragglers exceed
+  // the surviving tasks, so more tasks complete than were launched.
+  if (!(options.straggler_probability >= 0.0 &&
+        options.straggler_probability <= 1.0)) {
+    return InvalidArgumentError("straggler_probability must be in [0, 1]");
+  }
+  if (!(options.straggler_factor >= 1.0) ||
+      !std::isfinite(options.straggler_factor)) {
+    return InvalidArgumentError("straggler_factor must be finite and >= 1");
   }
   return Status::Ok();
 }
@@ -136,6 +151,8 @@ StatusOr<ReplayResult> ReplayTraceLegacy(const trace::Trace& trace,
   if (options.max_tasks_per_job < 1) {
     return InvalidArgumentError("max_tasks_per_job must be >= 1");
   }
+  Status straggler_status = ValidateStragglerOptions(options);
+  if (!straggler_status.ok()) return straggler_status;
   Status failure_status = ValidateFailureOptions(options.failures);
   if (!failure_status.ok()) return failure_status;
   Status sla_status = ValidateSlaOptions(options.sla);
@@ -458,8 +475,9 @@ StatusOr<ReplayResult> ReplayTraceLegacy(const trace::Trace& trace,
       }
     }
     if (runnable.empty()) return false;
-    int pick = scheduler->PickJob(jobs, runnable, kind,
-                                  static_cast<int>(total_slots), context);
+    int pick = scheduler->PickJob(jobs, MakeRunnableView(jobs, runnable),
+                                  kind, static_cast<int>(total_slots),
+                                  context);
     if (pick < 0) return false;
     SimJob& job = jobs[pick];
     int64_t remaining = kind == TaskKind::kMap
@@ -646,10 +664,18 @@ StatusOr<ReplayResult> ReplayTraceLegacy(const trace::Trace& trace,
   for (double slot_seconds : occupancy_slot_seconds) {
     result.hourly_occupancy.push_back(slot_seconds / 3600.0);
   }
-  double capacity =
-      static_cast<double>(total_map_slots + total_reduce_slots) *
-      std::max(result.makespan, 1.0);
-  result.utilization = meter.busy_slot_seconds() / capacity;
+  // Same definition as the calendar engine's Utilization().
+  const double slots =
+      static_cast<double>(total_map_slots + total_reduce_slots);
+  const double window = std::max(result.makespan, 1.0);
+  result.utilization = meter.busy_slot_seconds() / (slots * window);
+  if (result.utilization > 1.0) {
+    result.utilization = std::min(
+        1.0, meter.busy_slot_seconds() /
+                 (slots * std::max(window, meter.last_time() - first_submit)));
+  }
+  Status postcondition = CheckReplayResult(result, jobs.size());
+  if (!postcondition.ok()) return postcondition;
   return result;
 }
 

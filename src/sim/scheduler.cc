@@ -1,5 +1,6 @@
 #include "sim/scheduler.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/string_util.h"
@@ -7,12 +8,12 @@
 namespace swim::sim {
 namespace {
 
-/// Pinned tie-break shared by every policy: candidate `index` beats the
-/// incumbent `best` iff its submit time is strictly earlier, or equal
-/// with a lower job index. This makes PickJob a pure function of the
-/// runnable *set* - the order jobs happen to sit in the runnable list
-/// (arrival order in the legacy engine, swap-remove order in the
-/// incremental one) can never leak into scheduling decisions.
+/// Pinned tie-break shared by the scanning policies: candidate `index`
+/// beats the incumbent `best` (submitted at `best_submit`; -1 = none yet)
+/// iff it submits first - SubmitsBefore with the incumbent's submit time
+/// passed in rather than reloaded. This makes PickJob a pure function of
+/// the runnable *set* - the order jobs happen to sit in the tier heaps can
+/// never leak into scheduling decisions.
 bool BeatsOnSubmit(Span<SimJob> jobs, size_t index, int best,
                    double best_submit) {
   if (best < 0) return true;
@@ -21,29 +22,56 @@ bool BeatsOnSubmit(Span<SimJob> jobs, size_t index, int best,
   return index < static_cast<size_t>(best);
 }
 
-}  // namespace
-
-int FifoScheduler::PickJob(Span<SimJob> jobs, Span<size_t> runnable,
-                           TaskKind /*kind*/, int /*total_slots_of_kind*/,
-                           const SchedulerContext& /*context*/) {
-  int best = -1;
-  double earliest = std::numeric_limits<double>::max();
-  for (size_t index : runnable) {
-    if (BeatsOnSubmit(jobs, index, best, earliest)) {
-      earliest = jobs[index].submit_time;
-      best = static_cast<int>(index);
-    }
-  }
-  return best;
+/// Visits every runnable job, interactive tier first.
+template <typename Visit>
+void ForEachRunnable(const RunnableView& runnable, Visit visit) {
+  for (size_t index : runnable.small) visit(index);
+  for (size_t index : runnable.large) visit(index);
 }
 
-int FairScheduler::PickJob(Span<SimJob> jobs, Span<size_t> runnable,
+}  // namespace
+
+RunnableView MakeRunnableView(Span<SimJob> jobs,
+                              std::vector<size_t>& runnable) {
+  const auto large_begin =
+      std::partition(runnable.begin(), runnable.end(),
+                     [&](size_t index) { return jobs[index].is_small; });
+  // std::make_heap keeps the comparator's greatest element at [0]; order
+  // by "submits later" so that element is the earliest submitter.
+  const auto later = [&](size_t a, size_t b) {
+    return SubmitsBefore(jobs, b, a);
+  };
+  std::make_heap(runnable.begin(), large_begin, later);
+  std::make_heap(large_begin, runnable.end(), later);
+  const size_t small_count =
+      static_cast<size_t>(large_begin - runnable.begin());
+  return {Span<size_t>(runnable.data(), small_count),
+          Span<size_t>(runnable.data() + small_count,
+                       runnable.size() - small_count)};
+}
+
+int FifoScheduler::PickJob(Span<SimJob> jobs, const RunnableView& runnable,
+                           TaskKind /*kind*/, int /*total_slots_of_kind*/,
+                           const SchedulerContext& /*context*/) {
+  // Each tier's heap head is its earliest submitter; the earlier of the
+  // two heads is the whole set's.
+  if (runnable.small.empty()) {
+    return runnable.large.empty() ? -1 : static_cast<int>(runnable.large[0]);
+  }
+  if (runnable.large.empty() ||
+      SubmitsBefore(jobs, runnable.small[0], runnable.large[0])) {
+    return static_cast<int>(runnable.small[0]);
+  }
+  return static_cast<int>(runnable.large[0]);
+}
+
+int FairScheduler::PickJob(Span<SimJob> jobs, const RunnableView& runnable,
                            TaskKind /*kind*/, int /*total_slots_of_kind*/,
                            const SchedulerContext& /*context*/) {
   int best = -1;
   int64_t fewest = std::numeric_limits<int64_t>::max();
   double earliest = std::numeric_limits<double>::max();
-  for (size_t index : runnable) {
+  ForEachRunnable(runnable, [&](size_t index) {
     const SimJob& job = jobs[index];
     int64_t held = job.running_tasks();
     if (held < fewest ||
@@ -52,39 +80,25 @@ int FairScheduler::PickJob(Span<SimJob> jobs, Span<size_t> runnable,
       earliest = job.submit_time;
       best = static_cast<int>(index);
     }
-  }
+  });
   return best;
 }
 
-int TwoTierScheduler::PickJob(Span<SimJob> jobs, Span<size_t> runnable,
-                              TaskKind kind, int total_slots_of_kind,
+int TwoTierScheduler::PickJob(Span<SimJob> /*jobs*/,
+                              const RunnableView& runnable, TaskKind kind,
+                              int total_slots_of_kind,
                               const SchedulerContext& context) {
-  // Small tier first, FIFO within tier.
-  int best_small = -1;
-  int best_large = -1;
-  double earliest_small = std::numeric_limits<double>::max();
-  double earliest_large = std::numeric_limits<double>::max();
-  int64_t large_running = context.LargeRunning(kind);
-  for (size_t index : runnable) {
-    const SimJob& job = jobs[index];
-    if (job.is_small) {
-      if (BeatsOnSubmit(jobs, index, best_small, earliest_small)) {
-        earliest_small = job.submit_time;
-        best_small = static_cast<int>(index);
-      }
-    } else if (BeatsOnSubmit(jobs, index, best_large, earliest_large)) {
-      earliest_large = job.submit_time;
-      best_large = static_cast<int>(index);
-    }
-  }
-  if (best_small >= 0) return best_small;
+  // Small tier first, FIFO within tier: both are heap heads.
+  if (!runnable.small.empty()) return static_cast<int>(runnable.small[0]);
   int64_t large_cap = static_cast<int64_t>(
       large_share_ * static_cast<double>(total_slots_of_kind));
   // Tiny pools truncate the cap to 0 (1 slot x 0.7 share); with no small
   // job wanting the pool the capacity tier must still get >= 1 slot or
   // large jobs starve forever on 1-slot clusters.
   if (large_cap < 1) large_cap = 1;
-  if (best_large >= 0 && large_running < large_cap) return best_large;
+  if (!runnable.large.empty() && context.LargeRunning(kind) < large_cap) {
+    return static_cast<int>(runnable.large[0]);
+  }
   return -1;
 }
 
@@ -101,13 +115,13 @@ int64_t TwoTierScheduler::BatchLimit(Span<SimJob> jobs, int picked,
   return std::max<int64_t>(0, cap - context.LargeRunning(kind));
 }
 
-int SrptScheduler::PickJob(Span<SimJob> jobs, Span<size_t> runnable,
+int SrptScheduler::PickJob(Span<SimJob> jobs, const RunnableView& runnable,
                            TaskKind /*kind*/, int /*total_slots_of_kind*/,
                            const SchedulerContext& /*context*/) {
   int best = -1;
   double least_work = std::numeric_limits<double>::max();
   double earliest = std::numeric_limits<double>::max();
-  for (size_t index : runnable) {
+  ForEachRunnable(runnable, [&](size_t index) {
     double work = jobs[index].RemainingWork();
     if (work < least_work ||
         (work == least_work && BeatsOnSubmit(jobs, index, best, earliest))) {
@@ -115,18 +129,19 @@ int SrptScheduler::PickJob(Span<SimJob> jobs, Span<size_t> runnable,
       earliest = jobs[index].submit_time;
       best = static_cast<int>(index);
     }
-  }
+  });
   return best;
 }
 
-int DeadlineScheduler::PickJob(Span<SimJob> jobs, Span<size_t> runnable,
+int DeadlineScheduler::PickJob(Span<SimJob> jobs,
+                               const RunnableView& runnable,
                                TaskKind /*kind*/,
                                int /*total_slots_of_kind*/,
                                const SchedulerContext& context) {
   // Two ranked pools scanned in one pass: overdue jobs (deadline already
   // passed at context.now) ordered by least remaining work, then on-time
   // jobs ordered by earliest deadline (no deadline ranks as +inf). Both
-  // orderings are pure functions of the runnable set, so list order never
+  // orderings are pure functions of the runnable set, so heap order never
   // leaks into the pick.
   int best_overdue = -1;
   double overdue_work = std::numeric_limits<double>::max();
@@ -134,7 +149,7 @@ int DeadlineScheduler::PickJob(Span<SimJob> jobs, Span<size_t> runnable,
   int best_ontime = -1;
   double ontime_deadline = std::numeric_limits<double>::max();
   double ontime_submit = std::numeric_limits<double>::max();
-  for (size_t index : runnable) {
+  ForEachRunnable(runnable, [&](size_t index) {
     const SimJob& job = jobs[index];
     const bool has_deadline = job.deadline >= 0.0;
     if (has_deadline && job.deadline < context.now) {
@@ -157,7 +172,7 @@ int DeadlineScheduler::PickJob(Span<SimJob> jobs, Span<size_t> runnable,
         best_ontime = static_cast<int>(index);
       }
     }
-  }
+  });
   return best_overdue >= 0 ? best_overdue : best_ontime;
 }
 

@@ -4,6 +4,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/span.h"
 #include "common/statusor.h"
@@ -31,16 +32,47 @@ struct SchedulerContext {
   }
 };
 
-/// Slot-granting policy: given the job table and the indices of jobs with
-/// a runnable task of `kind`, returns the index (into `jobs`) of the job to
-/// grant the next free slot, or -1 to leave the slot idle. Called once per
-/// grant, so policies can be stateful.
+/// Submit order, the tie-break every built-in policy pins to: job `a`
+/// precedes job `b` iff its submit time is earlier, or equal with a lower
+/// job index.
+inline bool SubmitsBefore(Span<SimJob> jobs, size_t a, size_t b) {
+  const double submit_a = jobs[a].submit_time;
+  const double submit_b = jobs[b].submit_time;
+  if (submit_a != submit_b) return submit_a < submit_b;
+  return a < b;
+}
+
+/// The jobs with a runnable task of one kind, split by tier: `small`
+/// holds the interactive tier (SimJob::is_small), `large` the capacity
+/// tier. Each is a binary min-heap array in SubmitsBefore order, so
+/// `small[0]` and `large[0]` are the tiers' FIFO heads; beyond the heap
+/// property the element order is unspecified.
+struct RunnableView {
+  Span<size_t> small;
+  Span<size_t> large;
+
+  size_t size() const { return small.size() + large.size(); }
+  bool empty() const { return small.empty() && large.empty(); }
+};
+
+/// Builds a RunnableView over a flat list of runnable job indices (the
+/// legacy engine and tests keep one): partitions `runnable` in place,
+/// interactive jobs first, and heap-orders each tier. The view borrows
+/// `runnable` and is valid until it is next modified.
+RunnableView MakeRunnableView(Span<SimJob> jobs,
+                              std::vector<size_t>& runnable);
+
+/// Slot-granting policy: given the job table and the jobs with a runnable
+/// task of `kind`, returns the index (into `jobs`) of the job to grant the
+/// next free slot, or -1 to leave the slot idle. Called once per grant, so
+/// policies can be stateful.
 ///
-/// Determinism contract: PickJob must be a pure function of the runnable
-/// *set*, never of the order indices appear in `runnable` (the engine
-/// maintains that list incrementally and its order is an implementation
-/// detail). All built-in policies pin ties to (earliest submit time, then
-/// lowest job index).
+/// Contract: `runnable` is the two-tier view above, so FIFO-ordered
+/// policies read the tier heads in O(1) (fifo, two-tier) while ranked ones
+/// scan both spans (fair, srpt, deadline). PickJob must be a pure function
+/// of the runnable *set*, never of the element order inside the heaps,
+/// which depends on the insertion history. All built-in policies pin ties
+/// to (earliest submit time, then lowest job index) - SubmitsBefore.
 ///
 /// Tables are passed as Spans so the calendar engine's arena-backed
 /// vectors and the legacy engine's (and tests') std::vectors share one
@@ -49,7 +81,7 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
   virtual std::string name() const = 0;
-  virtual int PickJob(Span<SimJob> jobs, Span<size_t> runnable,
+  virtual int PickJob(Span<SimJob> jobs, const RunnableView& runnable,
                       TaskKind kind, int total_slots_of_kind,
                       const SchedulerContext& context) = 0;
 
@@ -68,8 +100,8 @@ class Scheduler {
 class FifoScheduler : public Scheduler {
  public:
   std::string name() const override { return "FIFO"; }
-  int PickJob(Span<SimJob> jobs, Span<size_t> runnable, TaskKind kind,
-              int total_slots_of_kind,
+  int PickJob(Span<SimJob> jobs, const RunnableView& runnable,
+              TaskKind kind, int total_slots_of_kind,
               const SchedulerContext& context) override;
 };
 
@@ -78,8 +110,8 @@ class FifoScheduler : public Scheduler {
 class FairScheduler : public Scheduler {
  public:
   std::string name() const override { return "Fair"; }
-  int PickJob(Span<SimJob> jobs, Span<size_t> runnable, TaskKind kind,
-              int total_slots_of_kind,
+  int PickJob(Span<SimJob> jobs, const RunnableView& runnable,
+              TaskKind kind, int total_slots_of_kind,
               const SchedulerContext& context) override;
 };
 
@@ -94,8 +126,8 @@ class TwoTierScheduler : public Scheduler {
   explicit TwoTierScheduler(double large_share = 0.7)
       : large_share_(large_share) {}
   std::string name() const override { return "TwoTier"; }
-  int PickJob(Span<SimJob> jobs, Span<size_t> runnable, TaskKind kind,
-              int total_slots_of_kind,
+  int PickJob(Span<SimJob> jobs, const RunnableView& runnable,
+              TaskKind kind, int total_slots_of_kind,
               const SchedulerContext& context) override;
   int64_t BatchLimit(Span<SimJob> jobs, int picked, TaskKind kind,
                      int total_slots_of_kind,
@@ -116,8 +148,8 @@ class TwoTierScheduler : public Scheduler {
 class SrptScheduler : public Scheduler {
  public:
   std::string name() const override { return "SRPT"; }
-  int PickJob(Span<SimJob> jobs, Span<size_t> runnable, TaskKind kind,
-              int total_slots_of_kind,
+  int PickJob(Span<SimJob> jobs, const RunnableView& runnable,
+              TaskKind kind, int total_slots_of_kind,
               const SchedulerContext& context) override;
 };
 
@@ -133,8 +165,8 @@ class SrptScheduler : public Scheduler {
 class DeadlineScheduler : public Scheduler {
  public:
   std::string name() const override { return "Deadline"; }
-  int PickJob(Span<SimJob> jobs, Span<size_t> runnable, TaskKind kind,
-              int total_slots_of_kind,
+  int PickJob(Span<SimJob> jobs, const RunnableView& runnable,
+              TaskKind kind, int total_slots_of_kind,
               const SchedulerContext& context) override;
 };
 

@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -8,6 +10,7 @@
 #include "common/units.h"
 #include "gtest/gtest.h"
 #include "sim/replay.h"
+#include "sim/runnable_set.h"
 #include "sim/scheduler.h"
 #include "trace/trace.h"
 
@@ -340,6 +343,70 @@ TEST(ReplayTest, RejectsBadInputs) {
   EXPECT_FALSE(ReplayTrace(t, options).ok());
 }
 
+TEST(ReplayTest, RejectsBadStragglerOptions) {
+  // A probability of 7 used to make llround(surviving * 7) stragglers out
+  // of `surviving` tasks: more completions than launches, a replay that
+  // "finished" fewer jobs than it was given and negative utilization.
+  trace::Trace t;
+  for (uint64_t id = 1; id <= 50; ++id) {
+    t.AddJob(SimpleJob(id, 10.0 * static_cast<double>(id), 40, 1200, 4, 160));
+  }
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (double probability : {7.0, 1.0 + 1e-9, -0.1, kNan, kInf}) {
+    ReplayOptions options;
+    options.straggler_probability = probability;
+    for (const auto& result :
+         {ReplayTrace(t, options), ReplayTraceLegacy(t, options)}) {
+      ASSERT_FALSE(result.ok()) << probability;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(result.status().message().find("straggler_probability"),
+                std::string::npos);
+    }
+  }
+  for (double factor : {0.5, 0.0, -2.0, kNan, kInf}) {
+    ReplayOptions options;
+    options.straggler_probability = 0.1;
+    options.straggler_factor = factor;
+    for (const auto& result :
+         {ReplayTrace(t, options), ReplayTraceLegacy(t, options)}) {
+      ASSERT_FALSE(result.ok()) << factor;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(result.status().message().find("straggler_factor"),
+                std::string::npos);
+    }
+  }
+  // The boundaries are valid: every task straggles, at factor 1 (a no-op).
+  ReplayOptions options;
+  options.straggler_probability = 1.0;
+  options.straggler_factor = 1.0;
+  auto result = ReplayTrace(t, options);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->outcomes.size(), 50u);
+}
+
+TEST(ReplayTest, PostconditionRejectsInconsistentResults) {
+  ReplayResult result;
+  result.outcomes.resize(8);
+  result.unfinished_jobs = 2;
+  result.utilization = 0.5;
+  EXPECT_TRUE(CheckReplayResult(result, 10).ok());
+  // Lost jobs: the shape of the unchecked --stragglers 7 replay.
+  Status lost = CheckReplayResult(result, 12);
+  EXPECT_EQ(lost.code(), StatusCode::kInternal);
+  EXPECT_NE(lost.message().find("8 outcomes + 2 unfinished != 12"),
+            std::string::npos)
+      << lost.message();
+  for (double utilization :
+       {-3048.72, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    result.utilization = utilization;
+    EXPECT_EQ(CheckReplayResult(result, 10).code(), StatusCode::kInternal)
+        << utilization;
+  }
+  result.utilization = 1.0;
+  EXPECT_TRUE(CheckReplayResult(result, 10).ok());
+}
+
 // --- Failure injection ------------------------------------------------------
 
 trace::Trace FailureFleet(int jobs = 40) {
@@ -456,6 +523,11 @@ TEST(FailureTest, CertainFailureKillsEveryJob) {
   EXPECT_GT(result->failures.failed_task_seconds, 0.0);
   // Wasted time never exceeds what the attempt budget allows.
   EXPECT_GT(result->failures.task_failures, 0);
+  // No job finished, so the makespan is 0 while the failed attempts kept
+  // slots busy: utilization is measured up to the last event instead of
+  // reporting a ratio far above 1.
+  EXPECT_GT(result->utilization, 0.0);
+  EXPECT_LE(result->utilization, 1.0);
 }
 
 TEST(FailureTest, FailuresSlowJobsDown) {
@@ -549,11 +621,41 @@ TEST(OccupancyTest, MultiYearGapStillExact) {
 
 // --- Scheduler tie-breaking -------------------------------------------------
 
+// The runnable set handed to PickJob is built incrementally, so the heap
+// layout inside each tier depends on insertion history. Each insertion
+// order below builds the same set twice - a flat list through
+// MakeRunnableView, and a RunnableSet filled in that order - and every
+// build must yield the same pick.
+const std::vector<std::vector<size_t>> kInsertionOrders = {
+    {0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0, 2}, {2, 0, 3, 1}};
+
+void ExpectPickUnderOrders(Scheduler& scheduler,
+                           const std::vector<SimJob>& jobs,
+                           const std::vector<std::vector<size_t>>& orders,
+                           const SchedulerContext& context, int want) {
+  const size_t small_jobs = static_cast<size_t>(
+      std::count_if(jobs.begin(), jobs.end(),
+                    [](const SimJob& job) { return job.is_small; }));
+  for (const std::vector<size_t>& order : orders) {
+    std::vector<size_t> flat = order;
+    EXPECT_EQ(scheduler.PickJob(jobs, MakeRunnableView(jobs, flat),
+                                TaskKind::kMap, 8, context),
+              want)
+        << scheduler.name() << " over a flat list";
+    RunnableSet set;
+    set.Reset(jobs, small_jobs);
+    for (size_t index : order) set.Insert(index);
+    EXPECT_EQ(
+        scheduler.PickJob(jobs, set.view(), TaskKind::kMap, 8, context),
+        want)
+        << scheduler.name() << " over a RunnableSet";
+  }
+}
+
 TEST(SchedulerTieBreakTest, EqualJobsResolveBySubmitThenIndex) {
-  // Four identical jobs, two submit-time groups. Every policy must pick
-  // the earliest submit, lowest index - regardless of the order the
-  // runnable list presents them (the engine maintains that list
-  // incrementally, so its order is arbitrary by contract).
+  // Four identical jobs, two submit-time groups, alternating tiers. Every
+  // policy must pick the earliest submit, lowest index - for FIFO that
+  // means comparing the two tier heads, which tie on submit time here.
   std::vector<SimJob> jobs(4);
   std::vector<trace::JobRecord> records(4);
   for (size_t i = 0; i < jobs.size(); ++i) {
@@ -561,29 +663,22 @@ TEST(SchedulerTieBreakTest, EqualJobsResolveBySubmitThenIndex) {
     jobs[i].record = &records[i];
     jobs[i].submit_time = records[i].submit_time;
     jobs[i].maps_total = 4;
-    jobs[i].is_small = true;
+    jobs[i].is_small = i % 2 == 0;
   }
   SchedulerContext context;
-  const std::vector<std::vector<size_t>> permutations = {
-      {0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0, 2}, {2, 0, 3, 1}};
   for (const char* policy : {"fifo", "fair", "two-tier", "srpt", "deadline"}) {
     auto scheduler = MakeScheduler(policy).value();
-    for (const auto& runnable : permutations) {
-      // Jobs 2 and 3 share submit 50 (earliest): index 2 must win.
-      EXPECT_EQ(scheduler->PickJob(jobs, runnable, TaskKind::kMap, 8,
-                                   context),
-                2)
-          << policy;
-    }
+    // Jobs 2 and 3 share submit 50 (earliest): index 2 must win.
+    ExpectPickUnderOrders(*scheduler, jobs, kInsertionOrders, context, 2);
     // With the earliest pair excluded, jobs 0/1 share submit 100: index 0.
-    for (const std::vector<size_t>& runnable :
-         {std::vector<size_t>{0, 1}, std::vector<size_t>{1, 0}}) {
-      EXPECT_EQ(scheduler->PickJob(jobs, runnable, TaskKind::kMap, 8,
-                                   context),
-                0)
-          << policy;
-    }
+    ExpectPickUnderOrders(*scheduler, jobs, {{0, 1}, {1, 0}}, context, 0);
   }
+  // Swap the tiers of jobs 2 and 3: the winner now sits in the capacity
+  // tier, and FIFO must prefer that tier's head over the interactive one.
+  jobs[2].is_small = false;
+  jobs[3].is_small = true;
+  FifoScheduler fifo;
+  ExpectPickUnderOrders(fifo, jobs, kInsertionOrders, context, 2);
 }
 
 TEST(SchedulerTieBreakTest, FairTieOnSlotCountsPinsToSubmitThenIndex) {
@@ -598,10 +693,7 @@ TEST(SchedulerTieBreakTest, FairTieOnSlotCountsPinsToSubmitThenIndex) {
   jobs[0].maps_launched = 2;  // holds more slots: loses despite index 0
   FairScheduler fair;
   SchedulerContext context;
-  for (const std::vector<size_t>& runnable :
-       {std::vector<size_t>{0, 1, 2}, std::vector<size_t>{2, 1, 0}}) {
-    EXPECT_EQ(fair.PickJob(jobs, runnable, TaskKind::kMap, 8, context), 1);
-  }
+  ExpectPickUnderOrders(fair, jobs, {{0, 1, 2}, {2, 1, 0}}, context, 1);
 }
 
 TEST(SchedulerTieBreakTest, SrptPicksLeastRemainingWorkUnderPermutation) {
@@ -617,18 +709,12 @@ TEST(SchedulerTieBreakTest, SrptPicksLeastRemainingWorkUnderPermutation) {
   }
   SrptScheduler srpt;
   SchedulerContext context;
-  const std::vector<std::vector<size_t>> permutations = {
-      {0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0, 2}, {2, 0, 3, 1}};
-  for (const auto& runnable : permutations) {
-    // FIFO would pick 0; SRPT must pick 3 regardless of list order.
-    EXPECT_EQ(srpt.PickJob(jobs, runnable, TaskKind::kMap, 8, context), 3);
-  }
+  // FIFO would pick 0; SRPT must pick 3 regardless of insertion order.
+  ExpectPickUnderOrders(srpt, jobs, kInsertionOrders, context, 3);
   // Finishing most of job 0's wave shrinks its key below everyone's: the
   // priority is *remaining* work, not total size.
   jobs[0].maps_finished = 3;  // remaining 1 x 100 = 100 < job 3's 160
-  for (const auto& runnable : permutations) {
-    EXPECT_EQ(srpt.PickJob(jobs, runnable, TaskKind::kMap, 8, context), 0);
-  }
+  ExpectPickUnderOrders(srpt, jobs, kInsertionOrders, context, 0);
 }
 
 TEST(SchedulerTieBreakTest, DeadlineRanksEdfAndEscalatesOverdue) {
@@ -648,26 +734,17 @@ TEST(SchedulerTieBreakTest, DeadlineRanksEdfAndEscalatesOverdue) {
   jobs[2].map_task_duration = 50.0;  // most remaining work
   DeadlineScheduler edf;
   SchedulerContext context;
-  const std::vector<std::vector<size_t>> permutations = {
-      {0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0, 2}, {2, 0, 3, 1}};
   // Nothing overdue yet: earliest deadline (job 2) wins.
   context.now = 100.0;
-  for (const auto& runnable : permutations) {
-    EXPECT_EQ(edf.PickJob(jobs, runnable, TaskKind::kMap, 8, context), 2);
-  }
+  ExpectPickUnderOrders(edf, jobs, kInsertionOrders, context, 2);
   // Jobs 2 and 3 are now overdue. Escalation ranks the overdue pool by
   // least remaining work - job 3 (40s) beats job 2 (200s) even though
   // job 2's deadline is earlier - and outranks the on-time job 1.
   context.now = 450.0;
-  for (const auto& runnable : permutations) {
-    EXPECT_EQ(edf.PickJob(jobs, runnable, TaskKind::kMap, 8, context), 3);
-  }
+  ExpectPickUnderOrders(edf, jobs, kInsertionOrders, context, 3);
   // With every deadline passed, the no-deadline job still ranks last.
   context.now = 600.0;
-  for (const std::vector<size_t>& runnable :
-       {std::vector<size_t>{0, 1}, std::vector<size_t>{1, 0}}) {
-    EXPECT_EQ(edf.PickJob(jobs, runnable, TaskKind::kMap, 8, context), 1);
-  }
+  ExpectPickUnderOrders(edf, jobs, {{0, 1}, {1, 0}}, context, 1);
 }
 
 // --- Engine vs captured baseline -------------------------------------------
@@ -852,6 +929,290 @@ TEST(EngineBaselineTest, BitIdenticalToLegacyWithAdmissionControl) {
     ASSERT_TRUE(current.ok());
     ASSERT_TRUE(legacy.ok());
     ExpectBitIdentical(*current, *legacy, std::string(policy) + "+admission");
+  }
+}
+
+// --- Golden replay digests --------------------------------------------------
+
+// ReplayResultDigest of policy x scenario on fixed FB-2010-style traces.
+// The table was produced by the engine that scanned flat runnable lists
+// in every PickJob, and cross-checked once against ReplayTraceLegacy for
+// every scenario the legacy engine supports (all but preemption). Every
+// later engine must reproduce it unchanged: a differing entry is a change
+// in replay results, never a table to regenerate casually.
+
+struct GoldenScenario {
+  const char* name;
+  trace::Trace trace;
+  ReplayOptions options;
+};
+
+std::vector<GoldenScenario> GoldenScenarios() {
+  std::vector<GoldenScenario> scenarios;
+  {
+    ReplayOptions options;
+    options.cluster.nodes = 30;
+    scenarios.push_back({"plain", Fb2010Style(600, 2010), options});
+  }
+  {
+    ReplayOptions options;
+    options.cluster.nodes = 20;
+    options.straggler_probability = 0.1;
+    options.straggler_factor = 6.0;
+    options.speculative_execution = true;
+    options.failures.task_failure_probability = 0.08;
+    options.failures.node_loss_per_hour = 2.0;
+    options.failures.max_attempts = 3;
+    options.failures.retry_backoff_seconds = 20.0;
+    scenarios.push_back({"faults", Fb2010Style(400, 417), options});
+  }
+  {
+    ReplayOptions options;
+    options.cluster.nodes = 10;
+    for (uint64_t id = 6; id <= 200; id += 5) {
+      options.dependencies[id] = {id - 5};
+    }
+    scenarios.push_back({"dependencies", Fb2010Style(200, 88), options});
+  }
+  {
+    ReplayOptions options;
+    options.cluster.nodes = 1;
+    options.cluster.map_slots_per_node = 3;
+    options.cluster.reduce_slots_per_node = 2;
+    scenarios.push_back({"saturated", Fb2010Style(300, 7), options});
+  }
+  {
+    ReplayOptions options;
+    options.cluster.nodes = 4;
+    options.sla.preemption_budget = 300;
+    scenarios.push_back({"preemption", Fb2010Style(400, 31), options});
+  }
+  {
+    ReplayOptions options;
+    options.cluster.nodes = 10;
+    options.sla.tenants = 4;
+    options.sla.tenant_max_running = 2;
+    options.failures.task_failure_probability = 0.05;
+    options.failures.node_loss_per_hour = 1.0;
+    scenarios.push_back({"admission", Fb2010Style(300, 53), options});
+  }
+  return scenarios;
+}
+
+struct GoldenDigest {
+  const char* scenario;
+  const char* policy;
+  uint64_t digest;
+};
+
+constexpr GoldenDigest kGoldenDigests[] = {
+    {"plain", "fifo", 0x5a139dc714bde86f},
+    {"plain", "fair", 0xdd9707bde969eb14},
+    {"plain", "two-tier", 0xf7d6ee7653ec7369},
+    {"plain", "srpt", 0xa220004efa926e9b},
+    {"plain", "deadline", 0x302f6887e6a74d81},
+    {"faults", "fifo", 0x73bfe9164a9a66ed},
+    {"faults", "fair", 0xcc9149f182e1df74},
+    {"faults", "two-tier", 0x9103c5de739164c0},
+    {"faults", "srpt", 0x10ecdedf2a0c5c28},
+    {"faults", "deadline", 0x4fcf6a2c0d5b8e58},
+    {"dependencies", "fifo", 0xbde23ae48a991105},
+    {"dependencies", "fair", 0x9dac9eb55f870dfe},
+    {"dependencies", "two-tier", 0x7feb40077eb734c2},
+    {"dependencies", "srpt", 0x0fd4e7161cbeb184},
+    {"dependencies", "deadline", 0x60387304dc308e38},
+    {"saturated", "fifo", 0xa66ebdf9e3cc622b},
+    {"saturated", "fair", 0xa87163de244aca32},
+    {"saturated", "two-tier", 0x4b9195f748c30528},
+    {"saturated", "srpt", 0x52cd237c9fd1477f},
+    {"saturated", "deadline", 0x16f041406fff3e16},
+    {"preemption", "fifo", 0x19b0178ae2bbe6f0},
+    {"preemption", "fair", 0x2983bf998f06055d},
+    {"preemption", "two-tier", 0xa2343ff5038b587c},
+    {"preemption", "srpt", 0x6dd6464db4ec5ed8},
+    {"preemption", "deadline", 0xe1c70a405cf76df2},
+    {"admission", "fifo", 0x783f0056afea81ac},
+    {"admission", "fair", 0x8e3795d04cd745cb},
+    {"admission", "two-tier", 0xe7ef83c2104b2cda},
+    {"admission", "srpt", 0x1c017fab580446c2},
+    {"admission", "deadline", 0x65ffea4621101ff1},
+};
+
+TEST(GoldenReplayTest, DigestsMatchTable) {
+  const char* const policies[] = {"fifo", "fair", "two-tier", "srpt",
+                                  "deadline"};
+  size_t checked = 0;
+  for (const GoldenScenario& scenario : GoldenScenarios()) {
+    // Build + Replay is always the calendar engine, whatever
+    // SWIM_REPLAY_LEGACY routes ReplayTrace to.
+    auto tpl = ReplayTemplate::Build(scenario.trace, scenario.options);
+    ASSERT_TRUE(tpl.ok()) << scenario.name;
+    for (const char* policy : policies) {
+      ReplayOptions options = scenario.options;
+      options.scheduler = policy;
+      auto result = tpl->Replay(options);
+      ASSERT_TRUE(result.ok()) << scenario.name << "/" << policy;
+      const uint64_t digest = ReplayResultDigest(*result);
+      const GoldenDigest* want = nullptr;
+      for (const GoldenDigest& entry : kGoldenDigests) {
+        if (std::string(entry.scenario) == scenario.name &&
+            std::string(entry.policy) == policy) {
+          want = &entry;
+        }
+      }
+      char actual[32];
+      std::snprintf(actual, sizeof(actual), "0x%016llx",
+                    static_cast<unsigned long long>(digest));
+      if (want == nullptr) {
+        ADD_FAILURE() << "no golden entry: {\"" << scenario.name << "\", \""
+                      << policy << "\", " << actual << "},";
+        continue;
+      }
+      EXPECT_EQ(want->digest, digest)
+          << scenario.name << "/" << policy << " digest is " << actual;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, std::size(kGoldenDigests));
+}
+
+TEST(GoldenReplayTest, DigestCoversResultsButNotEngineCounters) {
+  auto result = ReplayTrace(Fb2010Style(100, 5), ReplayOptions());
+  ASSERT_TRUE(result.ok());
+  const uint64_t digest = ReplayResultDigest(*result);
+  ReplayResult counted = *result;
+  counted.engine.events += 1;
+  counted.engine.grants += 1;
+  counted.engine.peak_runnable_maps += 1;
+  EXPECT_EQ(ReplayResultDigest(counted), digest);
+  ReplayResult moved = *result;
+  moved.outcomes.back().latency =
+      std::nextafter(moved.outcomes.back().latency, 1e300);
+  EXPECT_NE(ReplayResultDigest(moved), digest);
+  ReplayResult missed = *result;
+  ++missed.sla.small_misses;
+  EXPECT_NE(ReplayResultDigest(missed), digest);
+  ReplayResult scheduler = *result;
+  scheduler.scheduler = "Fair";
+  EXPECT_NE(ReplayResultDigest(scheduler), digest);
+}
+
+// --- Runnable index ---------------------------------------------------------
+
+// Earliest member of one tier by a linear SubmitsBefore scan: the
+// reference each RunnableSet heap head must equal.
+int ScanHead(const std::vector<SimJob>& jobs,
+             const std::vector<uint8_t>& member, bool small) {
+  int best = -1;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    if (!member[i] || jobs[i].is_small != small) continue;
+    if (best < 0 || SubmitsBefore(jobs, i, static_cast<size_t>(best))) {
+      best = static_cast<int>(i);
+    }
+  }
+  return best;
+}
+
+int Head(Span<size_t> tier) {
+  return tier.empty() ? -1 : static_cast<int>(tier[0]);
+}
+
+// Every element of a tier is a member of that tier and never submits
+// before its heap parent. A broken sift can leave the head right for a
+// long time while the order below it is already wrong.
+void ExpectHeapOrdered(const std::vector<SimJob>& jobs,
+                       const std::vector<uint8_t>& member, Span<size_t> tier,
+                       bool small, int step) {
+  for (size_t i = 0; i < tier.size(); ++i) {
+    ASSERT_TRUE(member[tier[i]]) << "step " << step;
+    ASSERT_EQ(jobs[tier[i]].is_small, small) << "step " << step;
+    if (i > 0) {
+      ASSERT_FALSE(SubmitsBefore(jobs, tier[i], tier[(i - 1) / 2]))
+          << "step " << step << " position " << i;
+    }
+  }
+}
+
+TEST(RunnableSetTest, HeadsMatchLinearScanUnderRandomChurn) {
+  // Jobs deliberately out of submit order with heavy submit-time ties
+  // (five distinct values over 200 jobs), so the index order - not just
+  // the submit time - decides most comparisons.
+  Pcg32 rng(2012, /*stream=*/0x5e7);
+  std::vector<SimJob> jobs(200);
+  size_t small_jobs = 0;
+  for (SimJob& job : jobs) {
+    job.submit_time = 100.0 * static_cast<double>(rng.NextInt(0, 4));
+    job.is_small = rng.NextBernoulli(0.7);
+    if (job.is_small) ++small_jobs;
+  }
+  Arena arena;
+  RunnableSet set(&arena);
+  set.Reset(jobs, small_jobs);
+  std::vector<uint8_t> member(jobs.size(), 0);
+  size_t members = 0;
+  size_t peak = 0;
+  FifoScheduler fifo;
+  SchedulerContext context;
+  for (int step = 0; step < 20000; ++step) {
+    // Bias toward inserts early and erases late, so the set both fills
+    // up and drains; erased jobs are re-inserted as the walk continues.
+    const size_t job = rng.NextBounded(jobs.size());
+    const bool want = rng.NextBernoulli(step < 10000 ? 0.6 : 0.35);
+    set.Set(job, want);
+    if (want != (member[job] != 0)) members += want ? 1 : size_t(0) - 1;
+    member[job] = want ? 1 : 0;
+    peak = std::max(peak, members);
+
+    ASSERT_EQ(set.Contains(job), want) << "step " << step;
+    ASSERT_EQ(set.size(), members) << "step " << step;
+    const RunnableView view = set.view();
+    ASSERT_EQ(Head(view.small), ScanHead(jobs, member, true))
+        << "step " << step;
+    ASSERT_EQ(Head(view.large), ScanHead(jobs, member, false))
+        << "step " << step;
+    ExpectHeapOrdered(jobs, member, view.small, true, step);
+    ExpectHeapOrdered(jobs, member, view.large, false, step);
+    if (HasFatalFailure()) return;
+    // FIFO over the index equals FIFO over a flat list of the same set.
+    std::vector<size_t> flat;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+      if (member[i]) flat.push_back(i);
+    }
+    ASSERT_EQ(fifo.PickJob(jobs, view, TaskKind::kMap, 8, context),
+              fifo.PickJob(jobs, MakeRunnableView(jobs, flat),
+                           TaskKind::kMap, 8, context))
+        << "step " << step;
+  }
+  EXPECT_EQ(set.peak_size(), peak);
+  EXPECT_GT(peak, jobs.size() / 2);
+  // Reset empties the set and re-carves storage for the next run.
+  set.Reset(jobs, small_jobs);
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_EQ(set.peak_size(), 0u);
+  EXPECT_TRUE(set.view().empty());
+}
+
+TEST(RunnableSetTest, SaturatedFifoReportsDeepRunnableBacklog) {
+  // Same trace and policy on a cluster ten times smaller: the backlog
+  // FIFO has to rank grows by an order of magnitude, and the engine
+  // counters show it.
+  trace::Trace t = Fb2010Style(600, 2010);
+  ReplayOptions options;
+  options.cluster.nodes = 30;
+  auto unsaturated = ReplayTrace(t, options);
+  options.cluster.nodes = 3;
+  auto saturated = ReplayTrace(t, options);
+  ASSERT_TRUE(unsaturated.ok());
+  ASSERT_TRUE(saturated.ok());
+  EXPECT_GE(saturated->engine.peak_runnable_maps,
+            10 * unsaturated->engine.peak_runnable_maps);
+  EXPECT_GT(saturated->engine.peak_runnable_maps, 100);
+  for (const ReplayResult* result : {&*unsaturated, &*saturated}) {
+    EXPECT_GE(result->engine.peak_runnable_maps, 1);
+    EXPECT_GE(result->engine.peak_runnable_reduces, 1);
+    // Every job arrives (one event each) and launches at least one batch.
+    EXPECT_GE(result->engine.events, 600);
+    EXPECT_GE(result->engine.grants, 600);
   }
 }
 
