@@ -11,18 +11,14 @@
 //   stf1_open_cold     single-shot first open (includes page-cache faults)
 //   stf1_column_scan   zero-copy sum over one mmap'd double column
 //   stf1_load          full LoadTraceColumnar (checksums + materialize)
-//   stf1_write / csv_write / csv_write_legacy   serialization paths
+//   stf1_write / csv_write   serialization paths
 //
 // Hard gate (CI bench-smoke): stf1_open must be >= 20x faster than
 // csv_parse — the format exists so interactive tools stop paying the parse
-// tax on every run. The CSV-writer rewrite speedup is recorded as its own
-// JSON row (ratio in jobs_per_sec) but not gated: it is a satellite
-// optimization whose magnitude depends on the allocator.
-#include <cinttypes>
+// tax on every run.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <string>
 
 #include "bench_common.h"
@@ -33,58 +29,6 @@
 namespace {
 
 using namespace swim;
-
-/// The pre-rewrite CSV writer (ostringstream + per-field temporaries),
-/// replicated so the rewrite's speedup row measures against the real
-/// baseline rather than a strawman.
-std::string LegacyFormatDouble(double value) {
-  char buffer[64];
-  for (int precision : {12, 15, 17}) {
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
-    if (std::strtod(buffer, nullptr) == value) break;
-  }
-  return buffer;
-}
-
-std::string LegacyQuoteField(std::string_view field) {
-  if (field.find_first_of(",\"\n") == std::string_view::npos) {
-    return std::string(field);
-  }
-  std::string quoted = "\"";
-  for (char c : field) {
-    if (c == '"') {
-      quoted += "\"\"";
-    } else {
-      quoted.push_back(c);
-    }
-  }
-  quoted.push_back('"');
-  return quoted;
-}
-
-std::string LegacyTraceToCsv(const trace::Trace& t) {
-  std::ostringstream os;
-  const trace::TraceMetadata& meta = t.metadata();
-  if (!meta.name.empty()) os << "#name=" << meta.name << "\n";
-  if (meta.machines > 0) os << "#machines=" << meta.machines << "\n";
-  if (meta.year > 0) os << "#year=" << meta.year << "\n";
-  os << trace::kTraceCsvHeader << "\n";
-  char buffer[512];
-  for (const auto& job : t.jobs()) {
-    std::snprintf(buffer, sizeof(buffer), "%" PRIu64, job.job_id);
-    os << buffer << ',' << LegacyQuoteField(job.name) << ','
-       << LegacyFormatDouble(job.submit_time) << ','
-       << LegacyFormatDouble(job.duration) << ','
-       << LegacyFormatDouble(job.input_bytes) << ','
-       << LegacyFormatDouble(job.shuffle_bytes) << ','
-       << LegacyFormatDouble(job.output_bytes) << ',' << job.map_tasks << ','
-       << job.reduce_tasks << ',' << LegacyFormatDouble(job.map_task_seconds)
-       << ',' << LegacyFormatDouble(job.reduce_task_seconds) << ','
-       << LegacyQuoteField(job.input_path) << ','
-       << LegacyQuoteField(job.output_path) << "\n";
-  }
-  return os.str();
-}
 
 std::string TempPath(const char* name) {
   const char* dir = std::getenv("TMPDIR");
@@ -187,10 +131,6 @@ int main(int argc, char** argv) {
   // --- Serialization paths ------------------------------------------------
   bench::Banner("Write paths");
   size_t size_sink = 0;
-  auto csv_write_legacy = bench::MedianOpsPerSec(n, 1, 3, [&] {
-    size_sink += LegacyTraceToCsv(t).size();
-  });
-  json.Add("csv_write_legacy", csv_write_legacy, 1);
   auto csv_write = bench::MedianOpsPerSec(n, 1, 3, [&] {
     size_sink += trace::TraceToCsv(t).size();
   });
@@ -199,30 +139,22 @@ int main(int argc, char** argv) {
     size_sink += trace::TraceToColumnarBytes(t).size();
   });
   json.Add("stf1_write", stf1_write, 1);
-  std::printf("  csv_write_legacy: %.3f s, csv_write: %.3f s, "
-              "stf1_write: %.3f s\n",
-              csv_write_legacy.median_seconds, csv_write.median_seconds,
-              stf1_write.median_seconds);
+  std::printf("  csv_write: %.3f s, stf1_write: %.3f s\n",
+              csv_write.median_seconds, stf1_write.median_seconds);
 
   // --- Ratios -------------------------------------------------------------
   const double open_speedup =
       csv_parse.median_seconds / std::max(stf1_open.median_seconds, 1e-12);
   const double load_speedup =
       csv_parse.median_seconds / std::max(stf1_load.median_seconds, 1e-12);
-  const double writer_speedup = csv_write_legacy.median_seconds /
-                                std::max(csv_write.median_seconds, 1e-12);
   json.Add("stf1_open_speedup_vs_csv_parse", open_speedup, 1);
   json.Add("stf1_load_speedup_vs_csv_parse", load_speedup, 1);
-  json.Add("csv_write_speedup_vs_legacy", writer_speedup, 1);
 
   bench::Banner("Speedup summary");
   std::snprintf(buffer, sizeof(buffer), "%.0fx", open_speedup);
   bench::PaperVsMeasured("STF1 open vs CSV parse", ">= 20x", buffer);
   std::snprintf(buffer, sizeof(buffer), "%.2fx", load_speedup);
   bench::PaperVsMeasured("STF1 full load vs CSV parse", "> 1x", buffer);
-  std::snprintf(buffer, sizeof(buffer), "%.2fx", writer_speedup);
-  bench::PaperVsMeasured("CSV writer vs legacy ostringstream", "> 1x",
-                         buffer);
 
   if (!json.WriteTo(json_path)) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());

@@ -9,8 +9,8 @@ namespace swim {
 /// Read-only view over a contiguous sequence — the sliver of std::span
 /// (C++20) this codebase needs. Lets one interface accept both
 /// std::vector<T> and ArenaVector<T> without copying: the replay engine's
-/// hot-path containers are arena-backed while tests and the legacy engine
-/// use plain vectors, and Scheduler::PickJob must serve both.
+/// hot-path containers are arena-backed while tests use plain vectors,
+/// and Scheduler::PickJob must serve both.
 template <typename T>
 class Span {
  public:

@@ -121,7 +121,8 @@ StatusOr<WorkloadModel> ModelFromText(const std::string& text) {
     if (key == "source") {
       model.source_name = value;
     } else if (key == "span") {
-      if (!ParseDouble(value, &model.span_seconds)) {
+      if (!ParseDouble(value, &model.span_seconds) ||
+          !std::isfinite(model.span_seconds)) {
         return InvalidArgumentError("bad span");
       }
     } else if (key == "total_jobs") {
@@ -150,10 +151,14 @@ StatusOr<WorkloadModel> ModelFromText(const std::string& text) {
         return InvalidArgumentError("bad file_model values");
       }
       f.input_files = static_cast<size_t>(files);
+      Status valid = workloads::ValidateFilePopulation(f);
+      if (!valid.ok()) {
+        return InvalidArgumentError("bad file_model: " + valid.message());
+      }
     } else if (key == "envelope") {
       for (const auto& token : Split(value, ',')) {
         double v = 0.0;
-        if (!ParseDouble(token, &v)) {
+        if (!ParseDouble(token, &v) || !std::isfinite(v) || v < 0.0) {
           return InvalidArgumentError("bad envelope value: " + token);
         }
         model.hourly_envelope.push_back(v);

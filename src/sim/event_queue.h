@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -20,18 +19,12 @@ namespace swim::sim {
 ///   bool empty() / size_t size()
 ///
 /// The element type E only needs public `double time` and `uint64_t seq`
-/// members. DaryEventHeap and CalendarEventQueue additionally take an
-/// allocator (default std::allocator) so the replay engine can back every
-/// bucket and heap node with a per-lane Arena; HeapEventQueue stays
-/// allocator-free, frozen in its golden-oracle role. Three
-/// implementations:
+/// members. Both implementations below take an allocator (default
+/// std::allocator) so the replay engine can back every bucket and heap
+/// node with a per-lane Arena. Property tests drive them with the same
+/// event streams as a std::priority_queue reference and assert identical
+/// pop order. Two implementations:
 ///
-///   HeapEventQueue:     std::priority_queue, O(log n) - the engine the
-///                       simulator shipped with, retired to golden-oracle
-///                       duty (property tests drive it and CalendarEventQueue
-///                       with the same event stream and assert identical pop
-///                       order; -DSWIM_REPLAY_LEGACY rebuilds the whole
-///                       engine on it).
 ///   DaryEventHeap:      4-ary implicit heap, O(log n) with a ~2x better
 ///                       constant than the binary heap (shallower tree,
 ///                       cache-friendly sift-down over 4 children).
@@ -42,38 +35,12 @@ namespace swim::sim {
 ///                       at the end of a replay, tiny traces), switching
 ///                       representation with hysteresis.
 
-/// Strict weak ordering used by HeapEventQueue: `a` pops after `b`.
-template <typename E>
-struct EventAfter {
-  bool operator()(const E& a, const E& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  }
-};
-
 /// `a` pops before `b`: ascending (time, seq).
 template <typename E>
 inline bool EventBefore(const E& a, const E& b) {
   if (a.time != b.time) return a.time < b.time;
   return a.seq < b.seq;
 }
-
-/// The retired std::priority_queue engine, kept as the golden oracle.
-template <typename E>
-class HeapEventQueue {
- public:
-  bool empty() const { return queue_.empty(); }
-  size_t size() const { return queue_.size(); }
-  void Push(E event) { queue_.push(std::move(event)); }
-  E Pop() {
-    E event = queue_.top();
-    queue_.pop();
-    return event;
-  }
-
- private:
-  std::priority_queue<E, std::vector<E>, EventAfter<E>> queue_;
-};
 
 /// 4-ary implicit min-heap on (time, seq).
 template <typename E, typename Alloc = std::allocator<E>>

@@ -1,11 +1,10 @@
-// High-throughput discrete-event replay core. The engine that shipped
-// first (replay_legacy.cc, kept verbatim as a golden oracle) pushed every
-// task batch through a std::priority_queue, rebuilt the runnable set by
-// scanning all active jobs on each grant round, and advanced occupancy
-// buckets hour by hour. This rebuild keeps the simulation semantics
-// bit-identical - tests replay the same traces through both engines and
-// require equal results to the last bit - while removing every
-// per-event O(active) cost:
+// High-throughput discrete-event replay core: the repository's only
+// replay engine. The engine that shipped first pushed every task batch
+// through a std::priority_queue, rebuilt the runnable set by scanning all
+// active jobs on each grant round, and advanced occupancy buckets hour by
+// hour. This rebuild kept those simulation semantics bit-identical - the
+// golden ReplayResultDigest table in tests/sim_test.cc pins them - while
+// removing every per-event O(active) cost:
 //
 //   - Events flow through a calendar queue (sim/event_queue.h): amortized
 //     O(1) enqueue/dequeue with a d-ary-heap fallback for sparse tails,
@@ -27,13 +26,13 @@
 //   - OccupancyMeter jumps idle gaps in one step instead of looping
 //     bucket-by-bucket across hours where nothing was running.
 //
-// For sweep throughput the run is split in two phases (ISSUE 6): a
+// For sweep throughput the run is split in two phases: a
 // per-trace ReplayTemplate build (SimJob skeletons, dependency CSR, job
 // index — computed once, shared immutably across all configurations) and
 // a cheap per-config run whose every container is backed by a per-lane
 // Arena, so a warm sweep lane replays a configuration with ~zero heap
-// mallocs. ReplayTrace == Build + one Replay, so single runs, sweeps,
-// and the legacy oracle all agree bit for bit.
+// mallocs. ReplayTrace == Build + one Replay, so single runs and sweeps
+// agree bit for bit.
 #include "sim/replay.h"
 
 #include <algorithm>
@@ -80,9 +79,9 @@ struct Event {
 /// Integrates busy-slot counts into hourly buckets. An advance across H
 /// hours costs O(1) for the boundary slices plus one write per interior
 /// hour when slots are busy; an idle advance (busy_slots == 0) only
-/// extends the bucket vector. The hour arithmetic mirrors the retired
-/// per-slice loop exactly - same first-hour rounding, same exact
-/// (h+1)*3600 boundaries - so bucket contents stay bit-identical.
+/// extends the bucket vector. The hour arithmetic equals a per-hour
+/// slice loop exactly - same first-hour rounding, same exact (h+1)*3600
+/// boundaries - so bucket contents are bit-identical to stepping.
 class OccupancyMeter {
  public:
   void Advance(double now, int64_t busy_slots, ArenaVector<double>& buckets) {
@@ -91,7 +90,7 @@ class OccupancyMeter {
       return;
     }
     const size_t first_hour = static_cast<size_t>(last_time_ / 3600.0);
-    // Last hour the retired loop touched: the smallest h >= first_hour
+    // Last hour a per-hour loop would touch: the smallest h >= first_hour
     // with (h+1)*3600 >= now. Seed from the rounded division and settle
     // with exact-product comparisons (<= 2 steps).
     size_t last_hour = std::max(first_hour,
@@ -202,11 +201,11 @@ Status ValidateSlaOptions(const SlaOptions& sla) {
 }
 
 /// One replay run against a shared ReplayTemplate. Determinism contract:
-/// everything below is a pure function of (template, options); the event
-/// order equals the retired priority-queue engine's order, the RNG
-/// streams are consumed at the same call sites, and scheduler decisions
-/// are independent of runnable heap layout (pinned tie-breaks), so
-/// results match ReplayTraceLegacy bit for bit.
+/// everything below is a pure function of (template, options); events pop
+/// in (time, seq) order, the RNG streams are consumed at fixed call
+/// sites, and scheduler decisions are independent of runnable heap layout
+/// (pinned tie-breaks). The golden digests in tests/sim_test.cc pin the
+/// results bit for bit.
 ///
 /// Every per-run container draws from `arena` (heap fallback when null):
 /// the job table copy, both runnable sets and their position indexes,
@@ -506,10 +505,10 @@ void ReplayEngine::HandleAttemptFailure(size_t job_index, TaskKind kind,
   double ready =
       now + failures_.retry_backoff_seconds * static_cast<double>(attempt);
   if (ready > job.retry_ready_time) job.retry_ready_time = ready;
-  // The kWake event is pushed exactly as the retired engine did (even
-  // when a later wake already covers this job): it re-enters the grant
-  // loop at the backoff expiry, and skipping it would shift the shared
-  // seq counter and change FIFO tie-breaks downstream.
+  // The kWake event is always pushed (even when a later wake already
+  // covers this job): it re-enters the grant loop at the backoff expiry,
+  // and skipping it would shift the shared seq counter and change FIFO
+  // tie-breaks downstream.
   if (ready > now) {
     PushEvent(ready, Event::Kind::kWake, job_index, kind, 0, 1, 0.0);
   }
@@ -705,9 +704,9 @@ bool ReplayEngine::GrantKind(TaskKind kind, double now) {
 void ReplayEngine::ScheduleLoop(double now) {
   context_.now = now;
   // Unpark every job whose retry backoff has expired before granting, so
-  // the runnable sets equal the retired engine's per-grant
-  // retry_ready_time <= now filter even when the expiry coincides with
-  // another event at the same timestamp.
+  // the runnable sets hold exactly the jobs with retry_ready_time <= now,
+  // even when the expiry coincides with another event at the same
+  // timestamp.
   while (!parked_heap_.empty() && parked_heap_.front().first <= now) {
     std::pop_heap(parked_heap_.begin(), parked_heap_.end(),
                   std::greater<>());
@@ -1277,13 +1276,9 @@ StatusOr<ReplayResult> ReplayTemplate::Replay(const ReplayOptions& options,
 
 StatusOr<ReplayResult> ReplayTrace(const trace::Trace& trace,
                                    const ReplayOptions& options) {
-#ifdef SWIM_REPLAY_LEGACY
-  return ReplayTraceLegacy(trace, options);
-#else
   auto tpl = ReplayTemplate::Build(trace, options);
   if (!tpl.ok()) return tpl.status();
   return tpl->Replay(options, /*arena=*/nullptr);
-#endif
 }
 
 }  // namespace swim::sim

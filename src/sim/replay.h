@@ -75,7 +75,6 @@ struct SlaOptions {
   /// job and hand the slots to the interactive job. Revoked work re-joins
   /// the unlaunched pool via the relaunch-debt machinery (counted in
   /// FailureStats::retries at re-launch). 0 disables preemption.
-  /// Calendar-queue engine only; ReplayTraceLegacy rejects budgets > 0.
   int64_t preemption_budget = 0;
   /// Per-tenant admission control: tenants > 0 assigns each job to tenant
   /// job_id % tenants and caps concurrently admitted (running or queued-
@@ -225,10 +224,9 @@ struct SlaStats {
   }
 };
 
-/// What a run cost the calendar engine, as opposed to what it computed:
-/// the counters that explain replay time. ReplayResultDigest and every
-/// bit-identity comparison leave them out; ReplayTraceLegacy leaves them
-/// zero.
+/// What a run cost the engine, as opposed to what it computed: the
+/// counters that explain replay time. ReplayResultDigest and every
+/// bit-identity comparison leave them out.
 struct EngineCounters {
   /// Events popped off the event queue.
   int64_t events = 0;
@@ -280,7 +278,7 @@ struct ReplayResult {
 
 /// The engine's postcondition on a finished run over `jobs` jobs: every
 /// job is either an outcome or unfinished, and utilization lies in
-/// [0, 1]. Both engines return its InternalError instead of a result that
+/// [0, 1]. The engine returns its InternalError instead of a result that
 /// breaks it.
 Status CheckReplayResult(const ReplayResult& result, size_t jobs);
 
@@ -369,15 +367,6 @@ class ReplayTemplate {
 /// configurations should build the template once instead.
 StatusOr<ReplayResult> ReplayTrace(const trace::Trace& trace,
                                    const ReplayOptions& options = {});
-
-/// The engine ReplayTrace shipped with before the calendar-queue rebuild
-/// (replay_legacy.cc), kept verbatim as the golden oracle: a
-/// std::priority_queue event loop with per-grant runnable scans and
-/// hour-by-hour occupancy stepping. Semantics are frozen - tests replay
-/// traces through both engines and require bit-identical ReplayResults.
-/// Building with -DSWIM_REPLAY_LEGACY=ON routes ReplayTrace here.
-StatusOr<ReplayResult> ReplayTraceLegacy(const trace::Trace& trace,
-                                         const ReplayOptions& options = {});
 
 }  // namespace swim::sim
 

@@ -31,25 +31,6 @@ void ForEachRunnable(const RunnableView& runnable, Visit visit) {
 
 }  // namespace
 
-RunnableView MakeRunnableView(Span<SimJob> jobs,
-                              std::vector<size_t>& runnable) {
-  const auto large_begin =
-      std::partition(runnable.begin(), runnable.end(),
-                     [&](size_t index) { return jobs[index].is_small; });
-  // std::make_heap keeps the comparator's greatest element at [0]; order
-  // by "submits later" so that element is the earliest submitter.
-  const auto later = [&](size_t a, size_t b) {
-    return SubmitsBefore(jobs, b, a);
-  };
-  std::make_heap(runnable.begin(), large_begin, later);
-  std::make_heap(large_begin, runnable.end(), later);
-  const size_t small_count =
-      static_cast<size_t>(large_begin - runnable.begin());
-  return {Span<size_t>(runnable.data(), small_count),
-          Span<size_t>(runnable.data() + small_count,
-                       runnable.size() - small_count)};
-}
-
 int FifoScheduler::PickJob(Span<SimJob> jobs, const RunnableView& runnable,
                            TaskKind /*kind*/, int /*total_slots_of_kind*/,
                            const SchedulerContext& /*context*/) {

@@ -4,7 +4,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/span.h"
 #include "common/statusor.h"
@@ -55,13 +54,6 @@ struct RunnableView {
   bool empty() const { return small.empty() && large.empty(); }
 };
 
-/// Builds a RunnableView over a flat list of runnable job indices (the
-/// legacy engine and tests keep one): partitions `runnable` in place,
-/// interactive jobs first, and heap-orders each tier. The view borrows
-/// `runnable` and is valid until it is next modified.
-RunnableView MakeRunnableView(Span<SimJob> jobs,
-                              std::vector<size_t>& runnable);
-
 /// Slot-granting policy: given the job table and the jobs with a runnable
 /// task of `kind`, returns the index (into `jobs`) of the job to grant the
 /// next free slot, or -1 to leave the slot idle. Called once per grant, so
@@ -74,9 +66,8 @@ RunnableView MakeRunnableView(Span<SimJob> jobs,
 /// which depends on the insertion history. All built-in policies pin ties
 /// to (earliest submit time, then lowest job index) - SubmitsBefore.
 ///
-/// Tables are passed as Spans so the calendar engine's arena-backed
-/// vectors and the legacy engine's (and tests') std::vectors share one
-/// interface.
+/// Tables are passed as Spans so the engine's arena-backed vectors and
+/// tests' std::vectors share one interface.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;

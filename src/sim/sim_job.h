@@ -36,9 +36,9 @@ struct SimJob {
   // --- SLA tier (see ReplayOptions::sla) --------------------------------
 
   /// Absolute completion deadline: submit_time + IdealLatency() x the
-  /// per-class SLA multiplier. Populated by ReplayTemplate::Build (and the
-  /// legacy engine's job-build loop); < 0 means "no deadline". Consumed by
-  /// DeadlineScheduler and by the SLA-miss accounting in JobOutcome.
+  /// per-class SLA multiplier. Populated by ReplayTemplate::Build; < 0
+  /// means "no deadline". Consumed by DeadlineScheduler and by the
+  /// SLA-miss accounting in JobOutcome.
   double deadline = -1.0;
   /// Owning tenant for admission control: job_id % ReplayOptions::sla
   /// .tenants (0 when admission is disabled). Populated alongside

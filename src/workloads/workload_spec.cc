@@ -53,11 +53,15 @@ Status ValidateSpec(const WorkloadSpec& spec) {
       a.burst_autocorrelation >= 1.0) {
     return InvalidArgumentError("burst_autocorrelation must be in [0, 1)");
   }
-  const FilePopulationSpec& f = spec.files;
+  return ValidateFilePopulation(spec.files);
+}
+
+Status ValidateFilePopulation(const FilePopulationSpec& f) {
+  // Every comparison is written so NaN fails it.
   if (f.input_files == 0) {
     return InvalidArgumentError("input_files must be >= 1");
   }
-  if (f.zipf_slope < 0.0) {
+  if (!(f.zipf_slope >= 0.0)) {
     return InvalidArgumentError("zipf_slope must be >= 0");
   }
   if (!InUnitInterval(f.input_reaccess_fraction) ||
@@ -69,16 +73,17 @@ Status ValidateSpec(const WorkloadSpec& spec) {
     return InvalidArgumentError(
         "input + output re-access fractions exceed 1");
   }
-  if (f.recency_halflife_seconds <= 0.0) {
+  if (!(f.recency_halflife_seconds > 0.0)) {
     return InvalidArgumentError("recency_halflife_seconds must be positive");
   }
-  if (f.large_job_bytes <= 0.0) {
+  if (!(f.large_job_bytes > 0.0)) {
     return InvalidArgumentError("large_job_bytes must be positive");
   }
-  if (f.large_job_reaccess_scale <= 0.0 || f.large_job_reaccess_scale > 1.0) {
+  if (!(f.large_job_reaccess_scale > 0.0 &&
+        f.large_job_reaccess_scale <= 1.0)) {
     return InvalidArgumentError("large_job_reaccess_scale must be in (0, 1]");
   }
-  if (f.hot_output_max_bytes <= 0.0) {
+  if (!(f.hot_output_max_bytes > 0.0)) {
     return InvalidArgumentError("hot_output_max_bytes must be positive");
   }
   return Status::Ok();

@@ -121,6 +121,10 @@ struct WorkloadSpec {
 /// mixture; probabilities in range).
 Status ValidateSpec(const WorkloadSpec& spec);
 
+/// The file-population part of ValidateSpec, shared with every other
+/// reader of a FilePopulationSpec (.swim models). NaN fails every bound.
+Status ValidateFilePopulation(const FilePopulationSpec& files);
+
 }  // namespace swim::workloads
 
 #endif  // SWIM_WORKLOADS_WORKLOAD_SPEC_H_

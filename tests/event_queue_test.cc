@@ -1,10 +1,11 @@
 // Property tests for the replay engine's event queues (sim/event_queue.h):
 // the calendar queue and the 4-ary heap are driven with the same event
-// streams as the retired std::priority_queue (the golden oracle) and must
-// produce the exact same pop order - including FIFO order within
-// same-timestamp bursts, which is what the replay engine's determinism
-// contract hangs on.
+// streams as a std::priority_queue reference and must produce the exact
+// same pop order - including FIFO order within same-timestamp bursts,
+// which is what the replay engine's determinism contract hangs on.
 #include <cstdint>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -18,6 +19,31 @@ struct TestEvent {
   double time = 0.0;
   uint64_t seq = 0;
   uint32_t payload = 0;
+};
+
+/// The reference order: a std::priority_queue over ascending (time, seq),
+/// with its own comparator so it shares no ordering code with the queues
+/// under test.
+template <typename E>
+class HeapEventQueue {
+ public:
+  bool empty() const { return queue_.empty(); }
+  size_t size() const { return queue_.size(); }
+  void Push(E event) { queue_.push(std::move(event)); }
+  E Pop() {
+    E event = queue_.top();
+    queue_.pop();
+    return event;
+  }
+
+ private:
+  struct PopsAfter {
+    bool operator()(const E& a, const E& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.seq > b.seq;
+    }
+  };
+  std::priority_queue<E, std::vector<E>, PopsAfter> queue_;
 };
 
 template <typename Queue>

@@ -1,5 +1,7 @@
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/units.h"
 #include "core/synth/fidelity.h"
@@ -101,6 +103,44 @@ TEST(WorkloadModelTest, ParserRejectsGarbage) {
   EXPECT_FALSE(ModelFromText("not a model\n").ok());
   EXPECT_FALSE(ModelFromText("#swim-model v1\nspan=100\n").ok());
   EXPECT_FALSE(LoadModel("/nonexistent/model.txt").ok());
+}
+
+// `text` with the value of its `key=` line replaced by `value`.
+std::string WithField(std::string text, const std::string& key,
+                      const std::string& value) {
+  const size_t begin = text.find("\n" + key + "=") + key.size() + 2;
+  return text.replace(begin, text.find('\n', begin) - begin, value);
+}
+
+// Values that used to parse and then trip a SWIM_CHECK in the sampler
+// construction of SynthesizeTrace (swim_synth gen aborted instead of
+// reporting the bad model).
+TEST(WorkloadModelTest, ParserRejectsValuesTheSamplersCannotTake) {
+  auto model = BuildModel(SourceTrace(400));
+  ASSERT_TRUE(model.ok());
+  const std::string text = ModelToText(*model);
+  ASSERT_TRUE(ModelFromText(text).ok());
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"file_model", "100,nan,0.3,0.1,0.6,10800"},   // zipf_slope NaN
+      {"file_model", "100,-1,0.3,0.1,0.6,10800"},    // negative slope
+      {"file_model", "100,0.8,nan,0.1,0.6,10800"},   // NaN probability
+      {"file_model", "100,0.8,0.3,0.1,0.6,nan"},     // NaN half-life
+      {"envelope", "1,2,-3,4"},                      // negative entry
+      {"envelope", "1,nan,3"},                       // NaN entry
+      {"envelope", "1,inf,3"},                       // infinite entry
+      {"span", "inf"},
+      {"span", "nan"},
+  };
+  for (const auto& [key, value] : bad) {
+    auto parsed = ModelFromText(WithField(text, key, value));
+    ASSERT_FALSE(parsed.ok()) << key << "=" << value;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+        << key << "=" << value;
+  }
+  // The same fields with sane values still parse.
+  EXPECT_TRUE(
+      ModelFromText(WithField(text, "file_model", "100,0,0,0,0,1")).ok());
+  EXPECT_TRUE(ModelFromText(WithField(text, "envelope", "0,0,5")).ok());
 }
 
 // --- Synthesis --------------------------------------------------------------
