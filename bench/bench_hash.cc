@@ -1,7 +1,7 @@
 // Microbenchmark for the open-addressing FlatHashMap and StringInterner
 // against the std::unordered_map<std::string, ...> baseline they replaced
 // on the analysis/storage/replay hot paths. The key stream is Zipf-skewed
-// HDFS-style paths - the same shape ComputePopularity and the file caches
+// HDFS-style paths - the same shape the popularity analysis and file caches
 // see on real traces (Figure 2: file popularity is Zipf with slope ~5/6).
 //
 // Scenarios, each over the same generated key stream:
@@ -11,7 +11,7 @@
 //   count/flat:   FlatHashMap<string,double>     operator[] accumulate
 //   count/interned: dense-vector accumulate over the precomputed id
 //                 column - the post-change pattern (ids are assigned once
-//                 at trace load by Trace::EnsureIndexed, then every
+//                 at trace load by the Trace id-index build, then every
 //                 analysis pass runs id-indexed; the one-time intern cost
 //                 is reported separately as intern/build)
 //   lookup/std vs lookup/flat: read-only find() over a pre-built table,
@@ -21,13 +21,6 @@
 //                 integer probe stream (misses walk the most control
 //                 groups, so they isolate the 16-byte scan itself).
 //                 Gated >= 1.2x when this build has a SIMD group policy.
-//   concurrent_count/{shared,merge}/T{1,4,8}: T threads counting one
-//                 contended Zipf id stream — ConcurrentCounter updated in
-//                 place vs the partition-then-merge pattern (per-thread
-//                 FlatHashMaps + serial merge) it replaces. Gated
-//                 >= 1.3x at 8 threads on >= 4-core hosts (loud SKIP
-//                 below: thread timings on one core measure the scheduler,
-//                 not the table).
 //
 // --json <path> emits {name, jobs_per_sec, threads, median_seconds,
 // repeats, warmups} rows (ops/sec in the jobs_per_sec field, matching the
@@ -38,12 +31,10 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "bench_common.h"
-#include "common/concurrent_hash.h"
 #include "common/flat_hash.h"
 #include "common/interner.h"
 #include "common/random.h"
@@ -76,73 +67,6 @@ std::vector<std::string> MakeZipfPathStream(size_t distinct, size_t draws,
 
 double checksum_sink = 0.0;  // defeats dead-code elimination
 
-/// Zipf(s ~ 5/6) dense-id stream: the shape ComputePopularity sees after
-/// interning (integer ids, heavy head, long tail).
-std::vector<uint32_t> MakeZipfIdStream(size_t distinct, size_t draws,
-                                       swim::Pcg32& rng) {
-  std::vector<double> cumulative(distinct);
-  double total = 0.0;
-  for (size_t rank = 0; rank < distinct; ++rank) {
-    total += 1.0 / std::pow(static_cast<double>(rank + 1), 5.0 / 6.0);
-    cumulative[rank] = total;
-  }
-  std::vector<uint32_t> stream;
-  stream.reserve(draws);
-  for (size_t i = 0; i < draws; ++i) {
-    double u = rng.NextDouble() * total;
-    size_t rank =
-        static_cast<size_t>(std::lower_bound(cumulative.begin(),
-                                             cumulative.end(), u) -
-                            cumulative.begin());
-    if (rank >= distinct) rank = distinct - 1;
-    stream.push_back(static_cast<uint32_t>(rank));
-  }
-  return stream;
-}
-
-/// T threads count disjoint contiguous slices of `stream` into ONE shared
-/// ConcurrentCounter (reserved for the population: every Add lock-free).
-void CountShared(const std::vector<uint32_t>& stream, size_t distinct,
-                 int threads) {
-  swim::ConcurrentCounter<uint32_t> counter(distinct);
-  std::vector<std::thread> workers;
-  size_t per_thread = stream.size() / static_cast<size_t>(threads);
-  for (int t = 0; t < threads; ++t) {
-    size_t begin = static_cast<size_t>(t) * per_thread;
-    size_t end = t == threads - 1 ? stream.size() : begin + per_thread;
-    workers.emplace_back([&, begin, end] {
-      for (size_t i = begin; i < end; ++i) counter.Add(stream[i]);
-    });
-  }
-  for (auto& worker : workers) worker.join();
-  checksum_sink += static_cast<double>(counter.Distinct());
-}
-
-/// The partition-then-merge baseline this PR retires: T private
-/// FlatHashMaps built in parallel, then merged serially on the caller.
-void CountPartitionMerge(const std::vector<uint32_t>& stream, size_t distinct,
-                         int threads) {
-  std::vector<swim::FlatHashMap<uint32_t, uint64_t>> partials(
-      static_cast<size_t>(threads));
-  std::vector<std::thread> workers;
-  size_t per_thread = stream.size() / static_cast<size_t>(threads);
-  for (int t = 0; t < threads; ++t) {
-    size_t begin = static_cast<size_t>(t) * per_thread;
-    size_t end = t == threads - 1 ? stream.size() : begin + per_thread;
-    workers.emplace_back([&, begin, end, t] {
-      auto& local = partials[static_cast<size_t>(t)];
-      for (size_t i = begin; i < end; ++i) ++local[stream[i]];
-    });
-  }
-  for (auto& worker : workers) worker.join();
-  swim::FlatHashMap<uint32_t, uint64_t> merged;
-  merged.reserve(distinct);
-  for (const auto& partial : partials) {
-    for (const auto& [id, count] : partial) merged[id] += count;
-  }
-  checksum_sink += static_cast<double>(merged.size());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -163,7 +87,7 @@ int main(int argc, char** argv) {
       "%d warm-up\n\n",
       kDraws, kDistinct, kRepeats, kWarmups);
 
-  // -- Counting (the ComputePopularity access pattern) --
+  // -- Counting (the file-popularity access pattern) --
   bench::BenchTiming std_count = bench::MedianOpsPerSec(kDraws, kWarmups, kRepeats, [&] {
     std::unordered_map<std::string, double> counts;
     for (const std::string& key : stream) counts[key] += 1.0;
@@ -174,7 +98,7 @@ int main(int argc, char** argv) {
     for (const std::string& key : stream) counts[key] += 1.0;
     checksum_sink += static_cast<double>(counts.size());
   });
-  // One-time id assignment (what Trace::EnsureIndexed pays at load)...
+  // One-time id assignment (what the Trace id-index build pays at load)...
   StringInterner interner;
   std::vector<uint32_t> ids;
   bench::BenchTiming intern_build = bench::MedianOpsPerSec(kDraws, kWarmups, kRepeats, [&] {
@@ -271,42 +195,6 @@ int main(int argc, char** argv) {
   json.Add("probe/portable", portable_probe, 1);
   json.Add("probe/simd", simd_probe, 1);
 
-  // -- Concurrent counting vs partition-then-merge (contended Zipf ids) --
-  bench::Banner("Concurrent counting: shared table vs partition-then-merge");
-  const unsigned cores = std::thread::hardware_concurrency();
-  constexpr size_t kIdDistinct = 200000;
-  constexpr size_t kIdDraws = 2000000;
-  std::vector<uint32_t> id_stream =
-      MakeZipfIdStream(kIdDistinct, kIdDraws, rng);
-  std::printf(
-      "  %zu draws over %zu distinct ids, %u hardware threads detected\n\n",
-      kIdDraws, kIdDistinct, cores);
-  double shared8 = 0.0;
-  double merge8 = 0.0;
-  for (int threads : {1, 4, 8}) {
-    bench::BenchTiming shared_timing =
-        bench::MedianOpsPerSec(kIdDraws, kWarmups, kRepeats, [&] {
-          CountShared(id_stream, kIdDistinct, threads);
-        });
-    bench::BenchTiming merge_timing =
-        bench::MedianOpsPerSec(kIdDraws, kWarmups, kRepeats, [&] {
-          CountPartitionMerge(id_stream, kIdDistinct, threads);
-        });
-    char name[64];
-    std::snprintf(name, sizeof(name), "concurrent_count/shared/T%d", threads);
-    json.Add(name, shared_timing, threads);
-    std::printf("  %-26s %12.0f ops/s\n", name, shared_timing.ops_per_sec);
-    std::snprintf(name, sizeof(name), "concurrent_count/merge/T%d", threads);
-    json.Add(name, merge_timing, threads);
-    std::printf("  %-26s %12.0f ops/s   (shared %.2fx)\n", name,
-                merge_timing.ops_per_sec,
-                shared_timing.ops_per_sec / merge_timing.ops_per_sec);
-    if (threads == 8) {
-      shared8 = shared_timing.ops_per_sec;
-      merge8 = merge_timing.ops_per_sec;
-    }
-  }
-
   double best_count =
       std::max(flat_count.ops_per_sec, interned_count.ops_per_sec);
   double speedup = best_count / std_count.ops_per_sec;
@@ -322,10 +210,6 @@ int main(int argc, char** argv) {
   std::snprintf(buffer, sizeof(buffer), "%.2fx", probe_ratio);
   bench::PaperVsMeasured("SIMD group probe vs portable (miss-heavy)",
                          ">= 1.2x", buffer);
-  std::snprintf(buffer, sizeof(buffer), "%.2fx",
-                merge8 > 0.0 ? shared8 / merge8 : 0.0);
-  bench::PaperVsMeasured("shared counter vs partition-then-merge @8T",
-                         ">= 1.3x", buffer);
 
   if (!json.WriteTo(json_path)) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
@@ -347,22 +231,6 @@ int main(int argc, char** argv) {
     std::printf(
         "\nSKIP: SIMD probe gate — this build has no vector group policy "
         "(portable fallback), nothing to compare\n");
-  }
-  if (cores >= 4) {
-    double concurrent_ratio = merge8 > 0.0 ? shared8 / merge8 : 0.0;
-    if (concurrent_ratio < 1.3) {
-      std::printf(
-          "\nFAIL: shared counter %.2fx below the 1.3x gate vs "
-          "partition-then-merge at 8 threads\n",
-          concurrent_ratio);
-      return 1;
-    }
-  } else {
-    std::printf(
-        "\nSKIP: concurrent-counter gate needs >= 4 hardware threads "
-        "(found %u) — 8-thread timings on this host measure the scheduler, "
-        "not the table\n",
-        cores);
   }
   std::printf("\n(checksum %.0f)\n", checksum_sink > 0 ? 1.0 : 0.0);
   return 0;

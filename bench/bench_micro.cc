@@ -179,7 +179,7 @@ BENCHMARK(BM_TieredReads);
 
 void BM_BurstinessProfile(benchmark::State& state) {
   trace::Trace t = SharedTrace(20000);
-  auto series = t.HourlyTaskSeconds();
+  auto series = core::ComputeSubmissionSeries(t).task_seconds_per_hour;
   for (auto _ : state) {
     stats::BurstinessProfile profile(series);
     benchmark::DoNotOptimize(profile.PeakToMedian());

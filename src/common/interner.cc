@@ -61,43 +61,4 @@ std::string_view StringInterner::CopyToArena(std::string_view text) {
   return std::string_view(destination, text.size());
 }
 
-ShardedInterner::ShardedInterner(size_t expected_distinct)
-    : arenas_(std::make_unique<ShardArena[]>(map_.shard_count())) {
-  if (expected_distinct > 0) map_.Reserve(expected_distinct);
-}
-
-uint32_t ShardedInterner::Intern(std::string_view text) {
-  size_t shard = map_.ShardOf(text);
-  auto [id, inserted] = map_.GetOrEmplace(text, [&] {
-    // Runs under the shard's write latch, so the shard arena needs no
-    // locking of its own; the global id counter is atomic because shards
-    // draw from one dense id space.
-    std::string_view stored = arenas_[shard].Copy(text);
-    return std::make_pair(stored,
-                          next_id_.fetch_add(1, std::memory_order_relaxed));
-  });
-  return id;
-}
-
-std::vector<std::string_view> ShardedInterner::ViewsByProvisionalId() const {
-  std::vector<std::string_view> views(size());
-  map_.ForEach([&](std::string_view name, uint32_t id) { views[id] = name; });
-  return views;
-}
-
-std::string_view ShardedInterner::ShardArena::Copy(std::string_view text) {
-  if (text.empty()) return std::string_view("", 0);
-  constexpr size_t kShardBlockBytes = 1 << 14;  // 64 shards: smaller blocks
-  if (capacity == 0 || text.size() > capacity - used) {
-    size_t block_bytes = std::max(text.size(), kShardBlockBytes);
-    blocks.push_back(std::make_unique<char[]>(block_bytes));
-    used = 0;
-    capacity = block_bytes;
-  }
-  char* destination = blocks.back().get() + used;
-  std::memcpy(destination, text.data(), text.size());
-  used += text.size();
-  return std::string_view(destination, text.size());
-}
-
 }  // namespace swim

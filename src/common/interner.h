@@ -1,14 +1,12 @@
 #ifndef SWIM_COMMON_INTERNER_H_
 #define SWIM_COMMON_INTERNER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/concurrent_hash.h"
 #include "common/flat_hash.h"
 
 namespace swim {
@@ -63,56 +61,6 @@ class StringInterner {
 
   std::vector<std::string_view> names_;          // id -> arena bytes
   FlatHashMap<std::string_view, uint32_t> ids_;  // arena bytes -> id
-};
-
-/// Thread-safe in-place interner: many workers intern concurrently into ONE
-/// shared table (no per-worker tables, no serial merge). Built on
-/// ConcurrentHashMap with one arena per map shard, so a string's bytes are
-/// copied under the same write latch that first inserts it.
-///
-/// Ids returned by Intern() are PROVISIONAL: dense and unique, but assigned
-/// in interleaving order, so they differ run to run. Callers needing the
-/// deterministic first-appearance ids of StringInterner record provisional
-/// ids during the parallel pass, then run a serial post-pass over their rows
-/// in canonical order, mapping each provisional id to its first-appearance
-/// rank (Trace::EnsurePathIndex is the reference implementation). The
-/// distinct-string SET and the per-row id structure are
-/// interleaving-independent; only the numbering needs the post-pass.
-///
-/// Views returned by ViewsByProvisionalId() stay valid until destruction.
-/// size()/ViewsByProvisionalId() are quiescent-only (no concurrent Intern).
-class ShardedInterner {
- public:
-  /// `expected_distinct` pre-sizes the shards (optional but avoids rehash
-  /// latches mid-flight).
-  explicit ShardedInterner(size_t expected_distinct = 0);
-
-  ShardedInterner(const ShardedInterner&) = delete;
-  ShardedInterner& operator=(const ShardedInterner&) = delete;
-
-  /// Returns the provisional id for `text`, copying the bytes into the
-  /// owning shard's arena on first appearance. Thread-safe.
-  uint32_t Intern(std::string_view text);
-
-  /// Distinct strings interned so far. Exact at quiescence.
-  size_t size() const { return next_id_.load(std::memory_order_acquire); }
-
-  /// provisional id -> interned bytes, for the canonical post-pass.
-  /// Quiescent-only.
-  std::vector<std::string_view> ViewsByProvisionalId() const;
-
- private:
-  /// Per-shard bump arena; only touched under its shard's write latch.
-  struct ShardArena {
-    std::vector<std::unique_ptr<char[]>> blocks;
-    size_t used = 0;
-    size_t capacity = 0;
-    std::string_view Copy(std::string_view text);
-  };
-
-  ConcurrentHashMap<std::string_view, uint32_t> map_;
-  std::unique_ptr<ShardArena[]> arenas_;  // parallel to map_ shards
-  std::atomic<uint32_t> next_id_{0};
 };
 
 }  // namespace swim

@@ -7,6 +7,7 @@
 #include "common/parallel.h"
 #include "common/string_util.h"
 #include "common/units.h"
+#include "core/analysis/accumulators.h"
 #include "stats/kmeans.h"
 #include "stats/sampling.h"
 
@@ -47,70 +48,16 @@ double JobNameReport::TopTwoFrameworkJobShare() const {
   return shares[0] + shares[1];
 }
 
-uint32_t JobNameAccumulator::WordIdForName(std::string_view name) {
-  // Words are interned to dense ids in first-appearance order (only the
-  // short lowercased word is hashed per job, never the full name) and
-  // accumulated into an id-indexed vector — the emission order in Report()
-  // is deterministic by construction.
-  if (words_.empty()) words_.Reserve(64);
-  std::string word = FirstWordOfJobName(name);
-  if (word.empty()) word = "[identifier]";
-  return words_.Intern(word);
-}
-
-void JobNameAccumulator::ObserveWord(uint32_t word_id, double total_bytes,
-                                     double total_task_seconds) {
-  if (word_id >= by_word_.size()) by_word_.resize(words_.size());
-  Accumulator& acc = by_word_[word_id];
-  acc.jobs += 1.0;
-  acc.bytes += total_bytes;
-  acc.task_seconds += total_task_seconds;
-  total_jobs_ += 1.0;
-  total_bytes_ += total_bytes;
-  total_task_seconds_ += total_task_seconds;
-  ++named_jobs_;
-}
-
-void JobNameAccumulator::Observe(std::string_view name, double total_bytes,
-                                 double total_task_seconds) {
-  if (name.empty()) return;
-  ObserveWord(WordIdForName(name), total_bytes, total_task_seconds);
-}
-
-JobNameReport JobNameAccumulator::Report() const {
-  JobNameReport report;
-  report.named_jobs = named_jobs_;
-  if (total_jobs_ == 0.0) return report;
-
-  report.words.reserve(by_word_.size());
-  for (uint32_t w = 0; w < by_word_.size(); ++w) {
-    const Accumulator& acc = by_word_[w];
-    std::string_view word = words_.NameOf(w);
-    NameShare share;
-    share.word = std::string(word);
-    share.framework = trace::ClassifyFramework(share.word);
-    share.by_jobs = acc.jobs / total_jobs_;
-    share.by_bytes = total_bytes_ > 0.0 ? acc.bytes / total_bytes_ : 0.0;
-    share.by_task_seconds = total_task_seconds_ > 0.0
-                                ? acc.task_seconds / total_task_seconds_
-                                : 0.0;
-    int fw = static_cast<int>(share.framework);
-    report.framework_by_jobs[fw] += share.by_jobs;
-    report.framework_by_bytes[fw] += share.by_bytes;
-    report.framework_by_task_seconds[fw] += share.by_task_seconds;
-    report.words.push_back(std::move(share));
-  }
-  std::sort(report.words.begin(), report.words.end(),
-            [](const NameShare& a, const NameShare& b) {
-              return a.by_jobs > b.by_jobs;
-            });
-  return report;
-}
-
 JobNameReport AnalyzeJobNames(const trace::Trace& trace) {
   JobNameAccumulator accumulator;
-  for (const auto& job : trace.jobs()) {
-    accumulator.Observe(job.name, job.TotalBytes(), job.TotalTaskSeconds());
+  const std::vector<trace::JobRecord>& jobs = trace.jobs();
+  const std::vector<uint32_t>& name_ids = trace.name_ids();
+  const StringInterner& names = trace.name_interner();
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    if (name_ids[i] == kNoStringId) continue;
+    accumulator.ObserveNameId(
+        name_ids[i], [&](uint32_t id) { return names.NameOf(id); },
+        jobs[i].TotalBytes(), jobs[i].TotalTaskSeconds());
   }
   return accumulator.Report();
 }

@@ -4,10 +4,8 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "common/interner.h"
 #include "common/statusor.h"
 #include "trace/frameworks.h"
 #include "trace/trace.h"
@@ -44,48 +42,6 @@ struct JobNameReport {
 /// Tokenizes job names to their first word (section 6.1) and accumulates
 /// the three weightings. Jobs without names are excluded.
 JobNameReport AnalyzeJobNames(const trace::Trace& trace);
-
-/// The incremental core of AnalyzeJobNames, shared by the batch analyzer
-/// and the streaming fast path so both produce byte-identical reports:
-/// words are interned to dense ids in first-appearance order and
-/// accumulated per id; Report() emits shares in id order and sorts, exactly
-/// as the batch pipeline always has. Feed jobs in submit order (only named
-/// jobs; Observe skips empty names itself).
-class JobNameAccumulator {
- public:
-  /// Tokenizes `name` and returns its dense word id (stable across calls).
-  /// Callers that can cache the id per distinct name (e.g. the columnar
-  /// path, keyed by dictionary id) skip re-tokenizing hot names.
-  uint32_t WordIdForName(std::string_view name);
-
-  /// Accumulates one named job under `word_id` (from WordIdForName).
-  void ObserveWord(uint32_t word_id, double total_bytes,
-                   double total_task_seconds);
-
-  /// Convenience: tokenize + accumulate. Empty names are ignored.
-  void Observe(std::string_view name, double total_bytes,
-               double total_task_seconds);
-
-  /// Renders the report (share emission in word-id order + final sort),
-  /// identical to AnalyzeJobNames over the same job sequence.
-  JobNameReport Report() const;
-
-  size_t named_jobs() const { return named_jobs_; }
-
- private:
-  struct Accumulator {
-    double jobs = 0.0;
-    double bytes = 0.0;
-    double task_seconds = 0.0;
-  };
-
-  StringInterner words_;
-  std::vector<Accumulator> by_word_;
-  double total_jobs_ = 0.0;
-  double total_bytes_ = 0.0;
-  double total_task_seconds_ = 0.0;
-  size_t named_jobs_ = 0;
-};
 
 /// One k-means job class - a reproduced Table 2 row. Dimension values are
 /// geometric means (the centroid exponentiated back from log space).

@@ -1,93 +1,28 @@
 #include "core/analysis/data_access.h"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 
-#include "common/concurrent_hash.h"
 #include "common/interner.h"
-#include "common/parallel.h"
+#include "core/analysis/accumulators.h"
 #include "stats/descriptive.h"
-#include "storage/access_stream.h"
 
 namespace swim::core {
 namespace {
 
 // All path-keyed tables in this file are dense vectors indexed by the
-// trace's interned path ids (see Trace::path_interner): one array index
-// per touch instead of a string hash + chained-bucket walk. Ids are
-// assigned in first-appearance order, so every loop below is byte-for-byte
-// deterministic.
-//
-// The popularity and file-size scans additionally go parallel on large
-// traces — ParallelFor workers update ONE shared table (a lock-free
-// ConcurrentCounter for counts, an atomic CAS-max array for sizes) instead
-// of filling private tables merged serially. Both updates are commutative
-// (integer sums, floating max), so the result is identical to the serial
-// scan at any thread count. The chronological re-access scans below stay
-// serial by design: they carry last-access state across the sorted stream.
-
-// Below this many rows the serial loop wins; also keeps tiny-trace tests
-// on the historically exercised path.
-constexpr size_t kParallelScanThreshold = 65536;
-constexpr size_t kScanGrain = 16384;
-
-// Order-preserving bijection double -> uint64: a >= b (finite, non-NaN)
-// iff Key(a) >= Key(b), so integer CAS-max implements floating max.
-uint64_t MonotoneKey(double value) {
-  uint64_t bits = std::bit_cast<uint64_t>(value);
-  return bits ^ ((bits >> 63) != 0 ? ~0ull : 0x8000000000000000ull);
-}
-
-double MonotoneKeyToDouble(uint64_t key) {
-  uint64_t bits =
-      key ^ ((key >> 63) != 0 ? 0x8000000000000000ull : ~0ull);
-  return std::bit_cast<double>(bits);
-}
-
-FilePopularity PopularityFromCounts(const std::vector<size_t>& counts) {
-  FilePopularity result;
-  result.frequencies.reserve(counts.size());
-  for (size_t count : counts) {
-    if (count == 0) continue;  // path only seen in the other direction
-    result.frequencies.push_back(static_cast<double>(count));
-    result.total_accesses += count;
-  }
-  result.distinct_files = result.frequencies.size();
-  std::sort(result.frequencies.begin(), result.frequencies.end(),
-            std::greater<double>());
-  result.zipf = stats::FitZipf(result.frequencies);
-  return result;
-}
+// trace's interned path ids (see Trace::path_interner): one array index per
+// touch instead of a string hash. Ids are assigned in first-appearance
+// order, so every loop below is deterministic.
 
 FilePopularity ComputePopularity(const trace::Trace& trace, bool use_output) {
-  const std::vector<uint32_t>& ids =
-      use_output ? trace.output_path_ids() : trace.input_path_ids();
-  const size_t path_count = trace.path_interner().size();
-  std::vector<size_t> counts(path_count, 0);
-  if (ids.size() >= kParallelScanThreshold && DefaultParallelism() > 1) {
-    // One shared lock-free table, all workers incrementing in place.
-    // Reserved for the full id population up front, so every Add() and the
-    // extraction below stay on the lock-free path.
-    ConcurrentCounter<uint32_t> shared(path_count);
-    ParallelFor(0, ids.size(), kScanGrain,
-                [&](size_t chunk_begin, size_t chunk_end) {
-                  for (size_t i = chunk_begin; i < chunk_end; ++i) {
-                    if (ids[i] != kNoStringId) shared.Add(ids[i]);
-                  }
-                });
-    shared.ForEach([&](uint32_t id, uint64_t count) {
-      counts[id] = static_cast<size_t>(count);
-    });
-  } else {
-    for (uint32_t id : ids) {
-      if (id != kNoStringId) ++counts[id];
-    }
+  stats::OnlineZipf counts;
+  for (uint32_t id :
+       use_output ? trace.output_path_ids() : trace.input_path_ids()) {
+    if (id != kNoStringId) counts.Add(id);
   }
-  return PopularityFromCounts(counts);
+  return PopularityFromZipf(counts);
 }
 
 /// Per-path (final) file size: the maximum bytes any job moved through the
@@ -97,47 +32,30 @@ std::vector<double> FileSizesById(const trace::Trace& trace,
   const std::vector<uint32_t>& ids =
       use_output ? trace.output_path_ids() : trace.input_path_ids();
   const std::vector<trace::JobRecord>& jobs = trace.jobs();
-  const size_t path_count = trace.path_interner().size();
-  std::vector<double> file_sizes(path_count, -1.0);
-  if (jobs.size() >= kParallelScanThreshold && DefaultParallelism() > 1) {
-    // Shared CAS-max table: doubles mapped through an order-preserving
-    // uint64 key so the per-path max is one atomic compare-exchange loop.
-    // Max is commutative, so the result matches the serial scan exactly.
-    auto slots = std::make_unique<std::atomic<uint64_t>[]>(path_count);
-    const uint64_t never = MonotoneKey(-1.0);
-    for (size_t i = 0; i < path_count; ++i) {
-      slots[i].store(never, std::memory_order_relaxed);
-    }
-    ParallelFor(0, jobs.size(), kScanGrain,
-                [&](size_t chunk_begin, size_t chunk_end) {
-                  for (size_t i = chunk_begin; i < chunk_end; ++i) {
-                    uint32_t id = ids[i];
-                    if (id == kNoStringId) continue;
-                    uint64_t key = MonotoneKey(
-                        use_output ? jobs[i].output_bytes
-                                   : jobs[i].input_bytes);
-                    uint64_t seen =
-                        slots[id].load(std::memory_order_relaxed);
-                    while (seen < key &&
-                           !slots[id].compare_exchange_weak(
-                               seen, key, std::memory_order_relaxed)) {
-                    }
-                  }
-                });
-    for (size_t i = 0; i < path_count; ++i) {
-      file_sizes[i] = MonotoneKeyToDouble(
-          slots[i].load(std::memory_order_relaxed));
-    }
-  } else {
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      uint32_t id = ids[i];
-      if (id == kNoStringId) continue;
-      double bytes =
-          use_output ? jobs[i].output_bytes : jobs[i].input_bytes;
-      file_sizes[id] = std::max(file_sizes[id], bytes);
-    }
+  std::vector<double> file_sizes(trace.path_interner().size(), -1.0);
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    uint32_t id = ids[i];
+    if (id == kNoStringId) continue;
+    double bytes = use_output ? jobs[i].output_bytes : jobs[i].input_bytes;
+    file_sizes[id] = std::max(file_sizes[id], bytes);
   }
   return file_sizes;
+}
+
+/// Drives one ReaccessScan over the trace in submit order, handing each
+/// read's gaps to `on_read`; returns the Figure 6 fractions.
+template <typename OnRead>
+ReaccessFractions ScanReaccess(const trace::Trace& trace, OnRead&& on_read) {
+  const std::vector<trace::JobRecord>& jobs = trace.jobs();
+  const std::vector<uint32_t>& input_ids = trace.input_path_ids();
+  const std::vector<uint32_t>& output_ids = trace.output_path_ids();
+  ReaccessScan scan;
+  scan.Reserve(trace.path_interner().size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    on_read(scan.Observe(jobs[i].submit_time, jobs[i].FinishTime(),
+                         input_ids[i], output_ids[i]));
+  }
+  return scan.Fractions();
 }
 
 }  // namespace
@@ -253,64 +171,26 @@ double StoredBytesFractionForJobCoverage(const trace::Trace& trace,
   return total_bytes > 0.0 ? covered_bytes / total_bytes : 0.0;
 }
 
-ReaccessIntervals ComputeReaccessIntervals(const trace::Trace& trace) {
+Reaccess ComputeReaccess(const trace::Trace& trace) {
   std::vector<double> input_input;
   std::vector<double> output_input;
-  // path id -> last access time; negative means never.
-  const size_t path_count = trace.path_interner().size();
-  std::vector<double> last_read(path_count, -1.0);
-  std::vector<double> last_written(path_count, -1.0);
-  // Walk the merged access stream chronologically.
-  for (const auto& access : storage::ExtractAccesses(trace)) {
-    uint32_t id = access.path_id;
-    if (access.kind == storage::AccessKind::kRead) {
-      if (last_read[id] >= 0.0) {
-        input_input.push_back(access.time - last_read[id]);
-      }
-      if (last_written[id] >= 0.0) {
-        double interval = access.time - last_written[id];
-        if (interval >= 0.0) output_input.push_back(interval);
-      }
-      last_read[id] = access.time;
-    } else {
-      last_written[id] = access.time;
-    }
-  }
-  return ReaccessIntervals{stats::EmpiricalCdf(std::move(input_input)),
-                           stats::EmpiricalCdf(std::move(output_input))};
+  Reaccess result;
+  result.fractions = ScanReaccess(trace, [&](const ReaccessGaps& gaps) {
+    if (gaps.input_input >= 0.0) input_input.push_back(gaps.input_input);
+    if (gaps.output_input >= 0.0) output_input.push_back(gaps.output_input);
+  });
+  result.intervals =
+      ReaccessIntervals{stats::EmpiricalCdf(std::move(input_input)),
+                        stats::EmpiricalCdf(std::move(output_input))};
+  return result;
+}
+
+ReaccessIntervals ComputeReaccessIntervals(const trace::Trace& trace) {
+  return ComputeReaccess(trace).intervals;
 }
 
 ReaccessFractions ComputeReaccessFractions(const trace::Trace& trace) {
-  ReaccessFractions result;
-  const size_t path_count = trace.path_interner().size();
-  std::vector<uint8_t> seen_inputs(path_count, 0);
-  std::vector<uint8_t> seen_outputs(path_count, 0);
-  size_t input_hits = 0;
-  size_t output_hits = 0;
-  // Chronological scan; for each job, was its input path pre-existing?
-  for (const auto& access : storage::ExtractAccesses(trace)) {
-    uint32_t id = access.path_id;
-    if (access.kind == storage::AccessKind::kRead) {
-      ++result.jobs_with_paths;
-      // Count the strongest provenance: output-of-an-earlier-job wins over
-      // input-seen-before (matches Figure 6's two stacked categories).
-      if (seen_outputs[id]) {
-        ++output_hits;
-      } else if (seen_inputs[id]) {
-        ++input_hits;
-      }
-      seen_inputs[id] = 1;
-    } else {
-      seen_outputs[id] = 1;
-    }
-  }
-  if (result.jobs_with_paths > 0) {
-    result.input_reaccess = static_cast<double>(input_hits) /
-                            static_cast<double>(result.jobs_with_paths);
-    result.output_reaccess = static_cast<double>(output_hits) /
-                             static_cast<double>(result.jobs_with_paths);
-  }
-  return result;
+  return ScanReaccess(trace, [](const ReaccessGaps&) {});
 }
 
 }  // namespace swim::core

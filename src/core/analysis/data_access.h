@@ -82,6 +82,13 @@ struct ReaccessFractions {
 };
 ReaccessFractions ComputeReaccessFractions(const trace::Trace& trace);
 
+/// Figures 5 and 6 from one chronological scan, for callers needing both.
+struct Reaccess {
+  ReaccessIntervals intervals;
+  ReaccessFractions fractions;
+};
+Reaccess ComputeReaccess(const trace::Trace& trace);
+
 }  // namespace swim::core
 
 #endif  // SWIM_CORE_ANALYSIS_DATA_ACCESS_H_

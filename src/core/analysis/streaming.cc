@@ -1,6 +1,5 @@
 #include "core/analysis/streaming.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -8,8 +7,6 @@
 
 #include "common/parallel.h"
 #include "common/units.h"
-#include "stats/correlation.h"
-#include "stats/fourier.h"
 
 namespace swim::core {
 namespace {
@@ -44,42 +41,14 @@ void StreamingAnalyzer::SetMetadata(const trace::TraceMetadata& metadata) {
   metadata_set_ = true;
 }
 
-void StreamingAnalyzer::EnsurePathTables(size_t path_count) {
-  if (path_count <= last_read_.size()) return;
-  last_read_.resize(path_count, -1.0);
-  last_written_.resize(path_count, -1.0);
-  seen_inputs_.resize(path_count, 0);
-  seen_outputs_.resize(path_count, 0);
-}
-
-void StreamingAnalyzer::PopWritesBefore(double time, uint64_t seq) {
-  auto after = [](const PendingWrite& a, const PendingWrite& b) {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  };
-  while (!pending_writes_.empty()) {
-    const PendingWrite& top = pending_writes_.front();
-    if (top.time > time || (top.time == time && top.seq >= seq)) break;
-    // Apply the write's effect exactly where the batch chronological scan
-    // would: mark the path as a produced output and stamp its write time.
-    seen_outputs_[top.path_id] = 1;
-    last_written_[top.path_id] = top.time;
-    std::pop_heap(pending_writes_.begin(), pending_writes_.end(), after);
-    pending_writes_.pop_back();
-  }
-}
-
-void StreamingAnalyzer::ObserveRowSerial(
-    double submit, double duration, double input_bytes, double shuffle_bytes,
-    double output_bytes, int64_t reduce_tasks, double map_task_seconds,
-    double reduce_task_seconds, uint32_t input_path_id,
-    uint32_t output_path_id) {
-  const uint64_t row = jobs_;
-  if (jobs_ == 0) first_submit_ = submit;
+void StreamingAnalyzer::ObserveRow(double submit, double duration,
+                                   double input_bytes, double shuffle_bytes,
+                                   double output_bytes, int64_t reduce_tasks,
+                                   double map_task_seconds,
+                                   double reduce_task_seconds,
+                                   uint32_t input_path_id,
+                                   uint32_t output_path_id) {
   last_submit_ = submit;
-  const double finish = submit + duration;
-  if (finish > max_finish_) max_finish_ = finish;
-
   // Same expression shapes as the batch accumulators (TotalBytes is
   // (input + shuffle) + output, left-associated) so floating sums match
   // bit for bit.
@@ -91,70 +60,17 @@ void StreamingAnalyzer::ObserveRowSerial(
   }
   if (total_bytes < 10.0 * kGB) ++under_10gb_;
 
-  // Hourly series, bucketed exactly like Trace::HourlySeries.
-  const auto hour =
-      static_cast<size_t>((submit - first_submit_) / 3600.0);
-  if (hour >= hourly_jobs_.size()) {
-    hourly_jobs_.resize(hour + 1, 0.0);
-    hourly_bytes_.resize(hour + 1, 0.0);
-    hourly_task_seconds_.resize(hour + 1, 0.0);
-  }
-  hourly_jobs_[hour] += 1.0;
-  hourly_bytes_[hour] += total_bytes;
-  hourly_task_seconds_[hour] += task_seconds;
-
   window_jobs_.Observe(submit, 1.0);
   window_bytes_.Observe(submit, total_bytes);
   window_task_seconds_.Observe(submit, task_seconds);
 
-  auto after = [](const PendingWrite& a, const PendingWrite& b) {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  };
-  if (input_path_id != kNoStringId) {
-    input_popularity_.Add(input_path_id);
-    hot_inputs_.Add(input_path_id);
-    EnsurePathTables(static_cast<size_t>(input_path_id) + 1);
-    // Drain writes that the batch access stream orders before this read
-    // (earlier time, or same time with an earlier stream position).
-    PopWritesBefore(submit, 2 * row);
-    ++jobs_with_paths_;
-    if (seen_outputs_[input_path_id]) {
-      ++output_hits_;
-    } else if (seen_inputs_[input_path_id]) {
-      ++input_hits_;
-    }
-    seen_inputs_[input_path_id] = 1;
-    if (last_read_[input_path_id] >= 0.0) {
-      gk_reaccess_in_.Add(submit - last_read_[input_path_id]);
-    }
-    if (last_written_[input_path_id] >= 0.0) {
-      const double interval = submit - last_written_[input_path_id];
-      if (interval >= 0.0) gk_reaccess_out_.Add(interval);
-    }
-    last_read_[input_path_id] = submit;
-  }
-  if (output_path_id != kNoStringId) {
-    output_popularity_.Add(output_path_id);
-    EnsurePathTables(static_cast<size_t>(output_path_id) + 1);
-    pending_writes_.push_back(PendingWrite{finish, 2 * row + 1, output_path_id});
-    std::push_heap(pending_writes_.begin(), pending_writes_.end(), after);
-  }
+  if (input_path_id != kNoStringId) hot_inputs_.Add(input_path_id);
+  const ReaccessGaps gaps =
+      exact_.Observe(submit, submit + duration, total_bytes, task_seconds,
+                     input_path_id, output_path_id);
+  if (gaps.input_input >= 0.0) gk_reaccess_in_.Add(gaps.input_input);
+  if (gaps.output_input >= 0.0) gk_reaccess_out_.Add(gaps.output_input);
   ++jobs_;
-}
-
-void StreamingAnalyzer::ObserveNameColumnar(const trace::ColumnarTraceView& view,
-                                            uint32_t name_id,
-                                            double total_bytes,
-                                            double total_task_seconds) {
-  if (name_id >= word_of_name_.size()) {
-    word_of_name_.resize(view.name_count(), kNoStringId);
-  }
-  uint32_t& word_id = word_of_name_[name_id];
-  if (word_id == kNoStringId) {
-    word_id = names_.WordIdForName(view.NameAt(name_id));
-  }
-  names_.ObserveWord(word_id, total_bytes, total_task_seconds);
 }
 
 Status StreamingAnalyzer::ValidateColumns(const trace::ColumnarTraceView& view,
@@ -244,15 +160,16 @@ Status StreamingAnalyzer::ObserveColumns(const trace::ColumnarTraceView& view,
   const auto input_ids = view.input_path_ids();
   const auto output_ids = view.output_path_ids();
 
-  EnsurePathTables(view.path_count());
+  exact_.reaccess.Reserve(view.path_count());
+  auto name_at = [&](uint32_t id) { return view.NameAt(id); };
   for (size_t i = begin; i < end; ++i) {
-    ObserveRowSerial(submits[i], durations[i], inputs[i], shuffles[i],
-                     outputs[i], reduce_tasks[i], map_secs[i], reduce_secs[i],
-                     input_ids[i], output_ids[i]);
+    ObserveRow(submits[i], durations[i], inputs[i], shuffles[i], outputs[i],
+               reduce_tasks[i], map_secs[i], reduce_secs[i], input_ids[i],
+               output_ids[i]);
     if (name_ids[i] != kNoStringId) {
-      ObserveNameColumnar(view, name_ids[i],
-                          inputs[i] + shuffles[i] + outputs[i],
-                          map_secs[i] + reduce_secs[i]);
+      exact_.names.ObserveNameId(name_ids[i], name_at,
+                                 inputs[i] + shuffles[i] + outputs[i],
+                                 map_secs[i] + reduce_secs[i]);
     }
   }
 
@@ -329,11 +246,11 @@ Status StreamingAnalyzer::ObserveJobs(Span<const trace::JobRecord> jobs) {
     const uint32_t output_id = job.output_path.empty()
                                    ? kNoStringId
                                    : path_interner_.Intern(job.output_path);
-    ObserveRowSerial(job.submit_time, job.duration, job.input_bytes,
-                     job.shuffle_bytes, job.output_bytes, job.reduce_tasks,
-                     job.map_task_seconds, job.reduce_task_seconds, input_id,
-                     output_id);
-    names_.Observe(job.name, job.TotalBytes(), job.TotalTaskSeconds());
+    ObserveRow(job.submit_time, job.duration, job.input_bytes,
+               job.shuffle_bytes, job.output_bytes, job.reduce_tasks,
+               job.map_task_seconds, job.reduce_task_seconds, input_id,
+               output_id);
+    exact_.names.Observe(job.name, job.TotalBytes(), job.TotalTaskSeconds());
   }
 
   const size_t rows = jobs.size();
@@ -375,7 +292,7 @@ StatusOr<StreamingReport> StreamingAnalyzer::Report(
   report.summary.jobs = jobs_;
   report.summary.bytes_moved = bytes_moved_;
   report.summary.map_only_jobs = map_only_;
-  report.summary.span_seconds = max_finish_ - first_submit_;
+  report.summary.span_seconds = exact_.series.span_seconds();
   report.summary.median_duration = gk_duration_.Quantile(0.5);
 
   auto quantiles = [](const stats::GkQuantileSketch& gk) {
@@ -392,55 +309,16 @@ StatusOr<StreamingReport> StreamingAnalyzer::Report(
   report.output_bytes = quantiles(gk_output_);
   report.duration = quantiles(gk_duration_);
 
-  auto popularity = [](const stats::OnlineZipf& tracker) {
-    stats::OnlineZipf::Snapshot snapshot = tracker.Fit();
-    FilePopularity pop;
-    pop.frequencies = std::move(snapshot.frequencies);
-    pop.zipf = snapshot.fit;
-    pop.distinct_files = snapshot.distinct_items;
-    pop.total_accesses = static_cast<size_t>(snapshot.total_accesses);
-    return pop;
-  };
-  report.input_popularity = popularity(input_popularity_);
-  report.output_popularity = popularity(output_popularity_);
-
-  report.reaccess_fractions.jobs_with_paths = jobs_with_paths_;
-  if (jobs_with_paths_ > 0) {
-    report.reaccess_fractions.input_reaccess =
-        static_cast<double>(input_hits_) /
-        static_cast<double>(jobs_with_paths_);
-    report.reaccess_fractions.output_reaccess =
-        static_cast<double>(output_hits_) /
-        static_cast<double>(jobs_with_paths_);
-  }
+  ExactStageResults exact = exact_.Results();
+  report.input_popularity = std::move(exact.input_popularity);
+  report.output_popularity = std::move(exact.output_popularity);
+  report.reaccess_fractions = exact.reaccess_fractions;
   report.reaccess_p75_interval =
       gk_reaccess_in_.empty() ? -1.0 : gk_reaccess_in_.Quantile(0.75);
-
-  // Pad the hourly series to the full span, matching Trace::HourlySeries'
-  // sizing (span includes job durations, so the tail hours past the last
-  // submission are genuine zero buckets the batch series also carries).
-  const size_t hours =
-      static_cast<size_t>(report.summary.span_seconds / 3600.0) + 1;
-  auto padded = [&](const std::vector<double>& series) {
-    std::vector<double> out = series;
-    if (out.size() < hours) out.resize(hours, 0.0);
-    return out;
-  };
-  const std::vector<double> jobs_series = padded(hourly_jobs_);
-  const std::vector<double> bytes_series = padded(hourly_bytes_);
-  const std::vector<double> task_series = padded(hourly_task_seconds_);
-  report.burstiness =
-      BurstinessReport{stats::BurstinessProfile(jobs_series),
-                       stats::BurstinessProfile(bytes_series),
-                       stats::BurstinessProfile(task_series)};
-  stats::CorrelationMatrix matrix =
-      stats::PearsonMatrix({jobs_series, bytes_series, task_series});
-  report.correlations.jobs_bytes = matrix.at(0, 1);
-  report.correlations.jobs_task_seconds = matrix.at(0, 2);
-  report.correlations.bytes_task_seconds = matrix.at(1, 2);
-  report.diurnal_strength = stats::PeriodStrength(jobs_series, /*period=*/24.0);
-
-  report.names = names_.Report();
+  report.burstiness = std::move(exact.burstiness);
+  report.correlations = exact.correlations;
+  report.diurnal_strength = exact.diurnal_strength;
+  report.names = std::move(exact.names);
   report.fraction_under_10gb =
       static_cast<double>(under_10gb_) / static_cast<double>(jobs_);
 

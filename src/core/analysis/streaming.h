@@ -9,13 +9,13 @@
 #include "common/interner.h"
 #include "common/span.h"
 #include "common/statusor.h"
+#include "core/analysis/accumulators.h"
 #include "core/analysis/compute.h"
 #include "core/analysis/data_access.h"
 #include "core/analysis/temporal.h"
 #include "stats/sketch/gk_quantile.h"
 #include "stats/sketch/sliding_window.h"
 #include "stats/sketch/space_saving.h"
-#include "stats/sketch/zipf_online.h"
 #include "trace/columnar.h"
 #include "trace/job_record.h"
 #include "trace/summary.h"
@@ -26,12 +26,11 @@ namespace swim::core {
 // ---------------------------------------------------------------------------
 // Streaming analysis — the zero-materialization fast path.
 //
-// The batch pipeline (AnalyzeWorkload) materializes a full JobRecord vector
-// and sorts whole columns. StreamingAnalyzer instead folds the paper's
-// analyses one batch at a time, straight off ColumnarTraceView column spans
-// (no JobRecord is ever built) or off parsed CSV rows:
+// StreamingAnalyzer folds the paper's analyses one batch at a time, straight
+// off ColumnarTraceView column spans (no JobRecord is ever built) or off
+// parsed CSV rows:
 //
-//   exact, replayed in job order      sketch-backed (bounded memory)
+//   exact (accumulators.h)            sketch-backed (bounded memory)
 //   ------------------------------    --------------------------------
 //   Table 1 counts/sums/span          per-job size + duration quantiles
 //   file popularity + Zipf fit        re-access interval quantiles (GK)
@@ -41,12 +40,13 @@ namespace swim::core {
 //   job-name / framework shares
 //   under-10GB job fraction
 //
-// Every exact stage performs the identical operations in the identical
-// order as its batch counterpart, so those report fields match the batch
-// report bit for bit on the same rows (pinned by streaming_test). Sketch
-// stages answer within the configured rank epsilon of the SortedStats
-// oracle. k-means classification inherently needs a batch pass and is the
-// one batch stage without a streaming equivalent.
+// The exact stages are the same ExactStages accumulators that the batch
+// AnalyzeWorkload drives, so those report fields match the batch report bit
+// for bit on the same rows by construction; on top of them this class adds
+// only input validation and the sketches. Sketch stages answer within the
+// configured rank epsilon of the SortedStats oracle. k-means classification
+// inherently needs a batch pass and is the one batch stage without a
+// streaming equivalent.
 //
 // Determinism: exact accumulators run serially in row order; GK sketches
 // are built per fixed-size row chunk in parallel and merged in chunk order
@@ -153,25 +153,14 @@ class StreamingAnalyzer {
  private:
   enum class Mode { kUnset, kColumnar, kJobs };
 
-  struct PendingWrite {
-    double time = 0.0;
-    uint64_t seq = 0;
-    uint32_t path_id = 0;
-  };
-
   Status ValidateColumns(const trace::ColumnarTraceView& view, size_t begin,
                          size_t end) const;
-  void EnsurePathTables(size_t path_count);
-  void PopWritesBefore(double time, uint64_t seq);
-  /// The shared exact per-row update (both modes reduce to these scalars).
-  void ObserveRowSerial(double submit, double duration, double input_bytes,
-                        double shuffle_bytes, double output_bytes,
-                        int64_t reduce_tasks, double map_task_seconds,
-                        double reduce_task_seconds, uint32_t input_path_id,
-                        uint32_t output_path_id);
-  void ObserveNameColumnar(const trace::ColumnarTraceView& view,
-                           uint32_t name_id, double total_bytes,
-                           double total_task_seconds);
+  /// The per-row update shared by both modes (names are fed separately).
+  void ObserveRow(double submit, double duration, double input_bytes,
+                  double shuffle_bytes, double output_bytes,
+                  int64_t reduce_tasks, double map_task_seconds,
+                  double reduce_task_seconds, uint32_t input_path_id,
+                  uint32_t output_path_id);
 
   StreamingOptions options_;
   Mode mode_ = Mode::kUnset;
@@ -180,13 +169,14 @@ class StreamingAnalyzer {
   size_t jobs_ = 0;
   size_t batches_ = 0;
 
-  // Exact summary accumulators (row order).
-  double first_submit_ = 0.0;
+  // Streaming-only summary accumulators (row order).
   double last_submit_ = 0.0;
-  double max_finish_ = 0.0;
   double bytes_moved_ = 0.0;
   size_t map_only_ = 0;
   size_t under_10gb_ = 0;
+
+  // The exact stages, shared with the batch pipeline.
+  ExactStages exact_;
 
   // Mergeable quantile sketches.
   stats::GkQuantileSketch gk_input_;
@@ -196,15 +186,6 @@ class StreamingAnalyzer {
   stats::GkQuantileSketch gk_reaccess_in_;
   stats::GkQuantileSketch gk_reaccess_out_;
 
-  // Exact hourly series, grown in submit order; padded to the full span
-  // at Report() time exactly as Trace::HourlySeries sizes it.
-  std::vector<double> hourly_jobs_;
-  std::vector<double> hourly_bytes_;
-  std::vector<double> hourly_task_seconds_;
-
-  // Exact popularity + sketch-backed hot files.
-  stats::OnlineZipf input_popularity_;
-  stats::OnlineZipf output_popularity_;
   stats::SpaceSavingSketch hot_inputs_;
 
   // Sliding windows (bounded memory view of the recent stream).
@@ -212,27 +193,9 @@ class StreamingAnalyzer {
   stats::SlidingWindowSeries window_bytes_;
   stats::SlidingWindowSeries window_task_seconds_;
 
-  // Re-access scan state: replays storage::ExtractAccesses' merged
-  // chronological order without building it — writes (at finish time) wait
-  // in a min-heap keyed by (time, stream seq) and are drained before each
-  // read, reproducing the batch stable_sort's insertion-order tie-break.
-  std::vector<PendingWrite> pending_writes_;  // binary min-heap
-  std::vector<double> last_read_;
-  std::vector<double> last_written_;
-  std::vector<uint8_t> seen_inputs_;
-  std::vector<uint8_t> seen_outputs_;
-  size_t jobs_with_paths_ = 0;
-  size_t input_hits_ = 0;
-  size_t output_hits_ = 0;
-
-  // Exact job-name shares (shared with the batch pipeline).
-  JobNameAccumulator names_;
-  std::vector<uint32_t> word_of_name_;  // columnar memo: name id -> word id
-
-  // CSV-mode interners (first-appearance order, matching the trace's lazy
-  // index build: input path before output path per job).
+  // CSV-mode path interner (first-appearance order, matching the trace's
+  // lazy index build: input path before output path per job).
   StringInterner path_interner_;
-  StringInterner name_interner_;
 };
 
 /// Human-readable rendering, section for section the streaming analogue of

@@ -2,16 +2,18 @@
 
 #include <algorithm>
 
+#include "core/analysis/accumulators.h"
 #include "stats/correlation.h"
 
 namespace swim::core {
 
 SubmissionSeries ComputeSubmissionSeries(const trace::Trace& trace) {
-  SubmissionSeries series;
-  series.jobs_per_hour = trace.HourlyJobCounts();
-  series.bytes_per_hour = trace.HourlyBytes();
-  series.task_seconds_per_hour = trace.HourlyTaskSeconds();
-  return series;
+  SubmissionSeriesAccumulator accumulator;
+  for (const auto& job : trace.jobs()) {
+    accumulator.Observe(job.submit_time, job.FinishTime(), job.TotalBytes(),
+                        job.TotalTaskSeconds());
+  }
+  return accumulator.Series();
 }
 
 std::vector<double> WeekWindow(const std::vector<double>& series,
@@ -25,7 +27,10 @@ std::vector<double> WeekWindow(const std::vector<double>& series,
 }
 
 BurstinessReport ComputeBurstiness(const trace::Trace& trace) {
-  SubmissionSeries series = ComputeSubmissionSeries(trace);
+  return ComputeBurstiness(ComputeSubmissionSeries(trace));
+}
+
+BurstinessReport ComputeBurstiness(const SubmissionSeries& series) {
   return BurstinessReport{
       stats::BurstinessProfile(series.jobs_per_hour),
       stats::BurstinessProfile(series.bytes_per_hour),
@@ -33,10 +38,11 @@ BurstinessReport ComputeBurstiness(const trace::Trace& trace) {
 }
 
 SeriesCorrelations ComputeSeriesCorrelations(const trace::Trace& trace) {
-  SubmissionSeries series = ComputeSubmissionSeries(trace);
-  // One all-pairs kernel call (Figure 9's shape); each pair runs the same
-  // PearsonCorrelation as before, so the values are bit-identical to the
-  // old three explicit calls.
+  return ComputeSeriesCorrelations(ComputeSubmissionSeries(trace));
+}
+
+SeriesCorrelations ComputeSeriesCorrelations(const SubmissionSeries& series) {
+  // One all-pairs kernel call (Figure 9's shape).
   stats::CorrelationMatrix matrix = stats::PearsonMatrix(
       {series.jobs_per_hour, series.bytes_per_hour,
        series.task_seconds_per_hour});
@@ -48,7 +54,11 @@ SeriesCorrelations ComputeSeriesCorrelations(const trace::Trace& trace) {
 }
 
 double DiurnalStrength(const trace::Trace& trace) {
-  return stats::PeriodStrength(trace.HourlyJobCounts(), /*period=*/24.0);
+  return DiurnalStrength(ComputeSubmissionSeries(trace));
+}
+
+double DiurnalStrength(const SubmissionSeries& series) {
+  return stats::PeriodStrength(series.jobs_per_hour, /*period=*/24.0);
 }
 
 }  // namespace swim::core

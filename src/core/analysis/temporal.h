@@ -33,6 +33,7 @@ struct BurstinessReport {
 };
 
 BurstinessReport ComputeBurstiness(const trace::Trace& trace);
+BurstinessReport ComputeBurstiness(const SubmissionSeries& series);
 
 /// Pairwise Pearson correlations of the hourly submission series (Figure
 /// 9). The paper's averages: jobs-bytes 0.21, jobs-compute 0.14,
@@ -45,12 +46,14 @@ struct SeriesCorrelations {
 };
 
 SeriesCorrelations ComputeSeriesCorrelations(const trace::Trace& trace);
+SeriesCorrelations ComputeSeriesCorrelations(const SubmissionSeries& series);
 
 /// Diurnal (24-hour) signal strength of job submissions in [0, 1]: the
 /// fraction of non-DC spectral power at the daily frequency. Supports the
 /// paper's Figure 7 observation that some workloads (FB-2010 submissions,
 /// CC-e utilization) show visible diurnal patterns.
 double DiurnalStrength(const trace::Trace& trace);
+double DiurnalStrength(const SubmissionSeries& series);
 
 }  // namespace swim::core
 

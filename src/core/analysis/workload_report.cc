@@ -7,30 +7,66 @@
 
 #include "common/parallel.h"
 #include "common/units.h"
+#include "core/analysis/accumulators.h"
 
 namespace swim::core {
+
+namespace {
+
+/// Every exact stage in one serial pass over the trace's id columns. The
+/// re-access intervals go exactly into their CDFs.
+void ObserveExactStages(const trace::Trace& trace, WorkloadReport* report) {
+  const std::vector<trace::JobRecord>& jobs = trace.jobs();
+  const std::vector<uint32_t>& input_ids = trace.input_path_ids();
+  const std::vector<uint32_t>& output_ids = trace.output_path_ids();
+  const std::vector<uint32_t>& name_ids = trace.name_ids();
+  const StringInterner& names = trace.name_interner();
+  auto name_of = [&](uint32_t id) { return names.NameOf(id); };
+  ExactStages exact;
+  exact.reaccess.Reserve(trace.path_interner().size());
+  std::vector<double> input_input;
+  std::vector<double> output_input;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    const trace::JobRecord& job = jobs[i];
+    const double total_bytes = job.TotalBytes();
+    const double task_seconds = job.TotalTaskSeconds();
+    const ReaccessGaps gaps =
+        exact.Observe(job.submit_time, job.FinishTime(), total_bytes,
+                      task_seconds, input_ids[i], output_ids[i]);
+    if (gaps.input_input >= 0.0) input_input.push_back(gaps.input_input);
+    if (gaps.output_input >= 0.0) output_input.push_back(gaps.output_input);
+    if (name_ids[i] != kNoStringId) {
+      exact.names.ObserveNameId(name_ids[i], name_of, total_bytes,
+                                task_seconds);
+    }
+  }
+  ExactStageResults results = exact.Results();
+  report->input_popularity = std::move(results.input_popularity);
+  report->output_popularity = std::move(results.output_popularity);
+  report->reaccess_intervals =
+      ReaccessIntervals{stats::EmpiricalCdf(std::move(input_input)),
+                        stats::EmpiricalCdf(std::move(output_input))};
+  report->reaccess_fractions = results.reaccess_fractions;
+  report->burstiness = std::move(results.burstiness);
+  report->correlations = results.correlations;
+  report->diurnal_strength = results.diurnal_strength;
+  report->names = std::move(results.names);
+}
+
+}  // namespace
 
 StatusOr<WorkloadReport> AnalyzeWorkload(const trace::Trace& trace,
                                          const AnalysisOptions& options) {
   if (trace.empty()) return InvalidArgumentError("empty trace");
   WorkloadReport report;
-  // Force the trace's lazy submit-time sort and path id index before
-  // stages share it (the lazy builds are not thread-safe).
-  trace.StartTime();
-  trace.input_path_ids();
-  // Each stage writes one disjoint report field and reads only the trace,
-  // so they are data-race free and their outputs are order-independent.
+  // Force the trace's lazy sort and id indexes before stages share it.
+  trace.WarmIndexes();
+  // Each stage writes disjoint report fields and only reads the trace. The
+  // exact pass is serial; only the batch-only stages run beside it.
   std::vector<std::function<void()>> stages = {
-      [&]() { report.summary = trace::Summarize(trace); },
+      [&]() { ObserveExactStages(trace, &report); },
       [&]() { report.data_sizes = ComputeDataSizeCdfs(trace); },
-      [&]() { report.input_popularity = ComputeInputPopularity(trace); },
-      [&]() { report.output_popularity = ComputeOutputPopularity(trace); },
-      [&]() { report.reaccess_intervals = ComputeReaccessIntervals(trace); },
-      [&]() { report.reaccess_fractions = ComputeReaccessFractions(trace); },
-      [&]() { report.burstiness = ComputeBurstiness(trace); },
-      [&]() { report.correlations = ComputeSeriesCorrelations(trace); },
-      [&]() { report.diurnal_strength = DiurnalStrength(trace); },
-      [&]() { report.names = AnalyzeJobNames(trace); },
+      [&]() { report.summary = trace::Summarize(trace); },
   };
   RunConcurrently(stages, options.threads);
   ClassificationOptions classification = options.classification;

@@ -36,9 +36,10 @@ struct AnalysisOptions {
   int threads = 0;
 };
 
-/// Runs the full analysis pipeline over a trace. The ~10 independent
-/// stages (sizes, popularity, re-access, burstiness, correlations,
-/// diurnality, names) run concurrently on the shared pool, then job
+/// Runs the full analysis pipeline over a trace. One serial pass feeds the
+/// exact-stage accumulators (popularity, re-access, hourly series, names;
+/// see accumulators.h) while the batch-only stages (data-size CDFs and the
+/// Table 1 summary) run beside it on the shared pool; then job
 /// classification (which parallelizes internally) runs on the caller.
 StatusOr<WorkloadReport> AnalyzeWorkload(const trace::Trace& trace,
                                          const AnalysisOptions& options = {});

@@ -52,14 +52,16 @@ FidelityReport CompareTraces(const trace::Trace& source,
     report.max_ks = std::max(report.max_ks, d.ks_distance);
     report.dimensions.push_back(std::move(d));
   }
+  const SubmissionSeries source_series = ComputeSubmissionSeries(source);
+  const SubmissionSeries synth_series = ComputeSubmissionSeries(synthesized);
   report.source_bytes_compute_corr =
-      ComputeSeriesCorrelations(source).bytes_task_seconds;
+      ComputeSeriesCorrelations(source_series).bytes_task_seconds;
   report.synth_bytes_compute_corr =
-      ComputeSeriesCorrelations(synthesized).bytes_task_seconds;
+      ComputeSeriesCorrelations(synth_series).bytes_task_seconds;
   report.source_peak_to_median =
-      ComputeBurstiness(source).task_seconds.PeakToMedian();
+      ComputeBurstiness(source_series).task_seconds.PeakToMedian();
   report.synth_peak_to_median =
-      ComputeBurstiness(synthesized).task_seconds.PeakToMedian();
+      ComputeBurstiness(synth_series).task_seconds.PeakToMedian();
   return report;
 }
 

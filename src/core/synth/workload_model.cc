@@ -7,6 +7,7 @@
 
 #include "common/string_util.h"
 #include "core/analysis/data_access.h"
+#include "core/analysis/temporal.h"
 #include "stats/sampling.h"
 #include "trace/trace_io.h"
 
@@ -52,7 +53,7 @@ StatusOr<WorkloadModel> BuildModel(const trace::Trace& trace,
   }
   model.exemplars = sampler.sample();
 
-  model.hourly_envelope = trace.HourlyJobCounts();
+  model.hourly_envelope = ComputeSubmissionSeries(trace).jobs_per_hour;
 
   // File-access model fitted from the source trace.
   model.file_model.zipf_slope = 5.0 / 6.0;  // paper default when unfittable
@@ -63,14 +64,14 @@ StatusOr<WorkloadModel> BuildModel(const trace::Trace& trace,
     }
     model.file_model.input_files =
         std::max<size_t>(16, popularity.distinct_files / 2);
-    ReaccessFractions fractions = ComputeReaccessFractions(trace);
-    model.file_model.input_reaccess_fraction = fractions.input_reaccess;
+    Reaccess reaccess = ComputeReaccess(trace);
+    model.file_model.input_reaccess_fraction =
+        reaccess.fractions.input_reaccess;
     model.file_model.output_reaccess_fraction =
-        model.columns.output_paths ? fractions.output_reaccess : 0.0;
-    ReaccessIntervals intervals = ComputeReaccessIntervals(trace);
-    if (!intervals.input_input.empty()) {
+        model.columns.output_paths ? reaccess.fractions.output_reaccess : 0.0;
+    if (!reaccess.intervals.input_input.empty()) {
       model.file_model.recency_halflife_seconds =
-          std::max(60.0, intervals.input_input.median());
+          std::max(60.0, reaccess.intervals.input_input.median());
     }
   }
   return model;

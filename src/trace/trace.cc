@@ -2,21 +2,7 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
-#include "common/parallel.h"
-
 namespace swim::trace {
-
-namespace {
-
-// Below this many jobs the serial intern loop wins (shared-table latches
-// and the remap pass cost more than they save).
-constexpr size_t kParallelIndexThreshold = 16384;
-// Fixed ParallelFor grain: chunk boundaries must not depend on the thread
-// count (determinism contract), and ~4k rows amortizes latch traffic.
-constexpr size_t kIndexGrain = 4096;
-
-}  // namespace
 
 Trace::Trace(const Trace& other) {
   // Lock the source so a concurrent reader-triggered lazy sort on `other`
@@ -138,7 +124,7 @@ void Trace::SortLocked() const {
   sorted_.store(true, std::memory_order_release);
 }
 
-void Trace::EnsurePathIndex(int max_parallelism) const {
+void Trace::EnsurePathIndex() const {
   if (path_indexed_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(lazy_mu_);
   if (path_indexed_.load(std::memory_order_relaxed)) return;
@@ -146,101 +132,30 @@ void Trace::EnsurePathIndex(int max_parallelism) const {
   path_interner_.Clear();
   input_path_ids_.clear();
   output_path_ids_.clear();
-  const size_t n = jobs_.size();
-  const int lanes = ResolveParallelism(max_parallelism);
-  if (n >= kParallelIndexThreshold && lanes > 1) {
-    // Parallel in-place build: workers intern both path columns into one
-    // shared table, recording provisional (interleaving-dependent) ids.
-    input_path_ids_.assign(n, kNoStringId);
-    output_path_ids_.assign(n, kNoStringId);
-    ShardedInterner shared(n / 4);
-    ParallelFor(
-        0, n, kIndexGrain,
-        [&](size_t chunk_begin, size_t chunk_end) {
-          for (size_t i = chunk_begin; i < chunk_end; ++i) {
-            const JobRecord& job = jobs_[i];
-            if (!job.input_path.empty()) {
-              input_path_ids_[i] = shared.Intern(job.input_path);
-            }
-            if (!job.output_path.empty()) {
-              output_path_ids_[i] = shared.Intern(job.output_path);
-            }
-          }
-        },
-        lanes);
-    // Serial canonical post-pass: walk rows in submit order (input before
-    // output per job, same visit order as the serial build) and renumber
-    // each provisional id to its first-appearance rank. The interner is
-    // fed in that same order, so its contents — and the id columns — are
-    // byte-identical to the serial build at any thread count.
-    std::vector<std::string_view> views = shared.ViewsByProvisionalId();
-    std::vector<uint32_t> canonical(views.size(), kNoStringId);
-    path_interner_.Reserve(views.size());
-    auto remap = [&](uint32_t& id) {
-      if (id == kNoStringId) return;
-      if (canonical[id] == kNoStringId) {
-        canonical[id] = path_interner_.Intern(views[id]);
-      }
-      id = canonical[id];
-    };
-    for (size_t i = 0; i < n; ++i) {
-      remap(input_path_ids_[i]);
-      remap(output_path_ids_[i]);
-    }
-  } else {
-    input_path_ids_.reserve(n);
-    output_path_ids_.reserve(n);
-    for (const auto& job : jobs_) {
-      input_path_ids_.push_back(
-          job.input_path.empty() ? kNoStringId
-                                 : path_interner_.Intern(job.input_path));
-      output_path_ids_.push_back(
-          job.output_path.empty() ? kNoStringId
-                                  : path_interner_.Intern(job.output_path));
-    }
+  input_path_ids_.reserve(jobs_.size());
+  output_path_ids_.reserve(jobs_.size());
+  for (const auto& job : jobs_) {
+    input_path_ids_.push_back(job.input_path.empty()
+                                  ? kNoStringId
+                                  : path_interner_.Intern(job.input_path));
+    output_path_ids_.push_back(job.output_path.empty()
+                                   ? kNoStringId
+                                   : path_interner_.Intern(job.output_path));
   }
   path_indexed_.store(true, std::memory_order_release);
 }
 
-void Trace::EnsureNameIndex(int max_parallelism) const {
+void Trace::EnsureNameIndex() const {
   if (name_indexed_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(lazy_mu_);
   if (name_indexed_.load(std::memory_order_relaxed)) return;
   SortLocked();
   name_interner_.Clear();
   name_ids_.clear();
-  const size_t n = jobs_.size();
-  const int lanes = ResolveParallelism(max_parallelism);
-  if (n >= kParallelIndexThreshold && lanes > 1) {
-    name_ids_.assign(n, kNoStringId);
-    ShardedInterner shared(n / 8);
-    ParallelFor(
-        0, n, kIndexGrain,
-        [&](size_t chunk_begin, size_t chunk_end) {
-          for (size_t i = chunk_begin; i < chunk_end; ++i) {
-            if (!jobs_[i].name.empty()) {
-              name_ids_[i] = shared.Intern(jobs_[i].name);
-            }
-          }
-        },
-        lanes);
-    std::vector<std::string_view> views = shared.ViewsByProvisionalId();
-    std::vector<uint32_t> canonical(views.size(), kNoStringId);
-    name_interner_.Reserve(views.size());
-    for (size_t i = 0; i < n; ++i) {
-      uint32_t& id = name_ids_[i];
-      if (id == kNoStringId) continue;
-      if (canonical[id] == kNoStringId) {
-        canonical[id] = name_interner_.Intern(views[id]);
-      }
-      id = canonical[id];
-    }
-  } else {
-    name_ids_.reserve(n);
-    for (const auto& job : jobs_) {
-      name_ids_.push_back(job.name.empty() ? kNoStringId
-                                           : name_interner_.Intern(job.name));
-    }
+  name_ids_.reserve(jobs_.size());
+  for (const auto& job : jobs_) {
+    name_ids_.push_back(job.name.empty() ? kNoStringId
+                                         : name_interner_.Intern(job.name));
   }
   name_indexed_.store(true, std::memory_order_release);
 }
@@ -271,17 +186,5 @@ double Trace::EndTime() const {
 }
 
 double Trace::Span() const { return EndTime() - StartTime(); }
-
-std::vector<double> Trace::HourlyJobCounts() const {
-  return HourlySeries([](const JobRecord&) { return 1.0; });
-}
-
-std::vector<double> Trace::HourlyBytes() const {
-  return HourlySeries([](const JobRecord& j) { return j.TotalBytes(); });
-}
-
-std::vector<double> Trace::HourlyTaskSeconds() const {
-  return HourlySeries([](const JobRecord& j) { return j.TotalTaskSeconds(); });
-}
 
 }  // namespace swim::trace

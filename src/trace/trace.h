@@ -84,17 +84,6 @@ class Trace {
   /// EndTime - StartTime.
   double Span() const;
 
-  /// Per-hour aggregation of a job dimension over [StartTime, EndTime),
-  /// indexed by hour since trace start. `extractor` maps a job to its
-  /// contribution; the job is credited to its submission hour, matching the
-  /// paper's "jobs submitted per hour" framing for Figure 7.
-  template <typename Extractor>
-  std::vector<double> HourlySeries(Extractor&& extractor) const;
-
-  std::vector<double> HourlyJobCounts() const;
-  std::vector<double> HourlyBytes() const;
-  std::vector<double> HourlyTaskSeconds() const;
-
   // --- Interned id columns ---------------------------------------------
   //
   // Paths and job names are interned to dense uint32_t ids so the hot
@@ -109,19 +98,13 @@ class Trace {
   //
   // The path and name indexes are built lazily (and independently — a
   // popularity analysis never pays for name interning and vice versa) on
-  // first access, and invalidated by AddJob/SetJobs. The lazy builds are
-  // thread-safe for CONCURRENT CONST READERS: the first accessor to need
-  // an index builds it under an internal mutex (double-checked against an
-  // atomic flag) and later readers see the published result, so worker
-  // threads may share a const Trace freely. Mutation (AddJob/SetJobs) is
-  // not synchronized against readers and still requires exclusivity.
-  //
-  // Large traces build their indexes in parallel: ParallelFor workers
-  // intern into one shared ShardedInterner in place (no per-worker tables,
-  // no merge), recording provisional ids; a serial O(n) post-pass then
-  // renumbers provisional ids to canonical first-appearance ranks. The
-  // result — id columns and interner contents — is byte-identical to the
-  // serial build at any SWIM_THREADS.
+  // first access, and invalidated by AddJob/SetJobs. Each build is one
+  // serial interning pass in submit order. The lazy builds are thread-safe
+  // for CONCURRENT CONST READERS: the first accessor to need an index
+  // builds it under an internal mutex (double-checked against an atomic
+  // flag) and later readers see the published result, so worker threads
+  // may share a const Trace freely. Mutation (AddJob/SetJobs) is not
+  // synchronized against readers and still requires exclusivity.
 
   /// Interner over input/output paths; ids index path-keyed tables.
   const StringInterner& path_interner() const {
@@ -147,20 +130,18 @@ class Trace {
     return name_ids_;
   }
 
-  /// Builds both id indexes now instead of on first analytical use —
-  /// called by parallel CSV ingest so the concurrent in-place build runs
-  /// while the parse context (thread budget) is still known.
-  /// `max_parallelism` bounds the build's worker lanes; 0 means
-  /// DefaultParallelism().
-  void WarmIndexes(int max_parallelism = 0) const {
-    EnsurePathIndex(max_parallelism);
-    EnsureNameIndex(max_parallelism);
+  /// Builds both id indexes now instead of on first analytical use. The
+  /// build is serial: the argument is unused and kept only so existing
+  /// callers compile.
+  void WarmIndexes(int /*unused*/ = 0) const {
+    EnsurePathIndex();
+    EnsureNameIndex();
   }
 
  private:
   void EnsureSorted() const;
-  void EnsurePathIndex(int max_parallelism = 0) const;
-  void EnsureNameIndex(int max_parallelism = 0) const;
+  void EnsurePathIndex() const;
+  void EnsureNameIndex() const;
   /// Sorts with lazy_mu_ already held (Ensure* helpers compose on it).
   void SortLocked() const;
 
@@ -181,23 +162,6 @@ class Trace {
   mutable std::vector<uint32_t> output_path_ids_;
   mutable std::vector<uint32_t> name_ids_;
 };
-
-template <typename Extractor>
-std::vector<double> Trace::HourlySeries(Extractor&& extractor) const {
-  EnsureSorted();
-  std::vector<double> series;
-  if (jobs_.empty()) return series;
-  const double start = StartTime();
-  const double span = EndTime() - start;
-  size_t hours = static_cast<size_t>(span / 3600.0) + 1;
-  series.assign(hours, 0.0);
-  for (const auto& job : jobs_) {
-    size_t hour = static_cast<size_t>((job.submit_time - start) / 3600.0);
-    if (hour >= series.size()) hour = series.size() - 1;
-    series[hour] += extractor(job);
-  }
-  return series;
-}
 
 }  // namespace swim::trace
 

@@ -628,7 +628,7 @@ StatusOr<Trace> TraceFromCsv(const std::string& csv_text,
   }
   if (report) report->accepted = total_jobs;
   trace.SetJobs(std::move(jobs));
-  if (options.warm_indexes) trace.WarmIndexes(options.threads);
+  if (options.warm_indexes) trace.WarmIndexes();
   return trace;
 }
 

@@ -79,10 +79,9 @@ struct ParseOptions {
   /// at any thread count.
   int threads = 0;
   /// When true, the path/name id indexes are built immediately after the
-  /// parse (sharing this option's thread budget and, for large traces, the
-  /// concurrent in-place interner) instead of lazily on first analytical
-  /// use. Ids are byte-identical either way; this only moves the work to
-  /// where the parse's parallelism is already spun up.
+  /// parse instead of lazily on first analytical use. Ids are
+  /// byte-identical either way; this only moves the (serial) work into the
+  /// load.
   bool warm_indexes = false;
 };
 

@@ -1,5 +1,7 @@
 #include "workloads/workload_spec.h"
 
+#include <string>
+
 namespace swim::workloads {
 namespace {
 
@@ -60,6 +62,10 @@ Status ValidateFilePopulation(const FilePopulationSpec& f) {
   // Every comparison is written so NaN fails it.
   if (f.input_files == 0) {
     return InvalidArgumentError("input_files must be >= 1");
+  }
+  if (f.input_files > kMaxInputFiles) {
+    return InvalidArgumentError("input_files must be <= " +
+                                std::to_string(kMaxInputFiles));
   }
   if (!(f.zipf_slope >= 0.0)) {
     return InvalidArgumentError("zipf_slope must be >= 0");

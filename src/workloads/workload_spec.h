@@ -2,6 +2,8 @@
 #define SWIM_WORKLOADS_WORKLOAD_SPEC_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -120,6 +122,14 @@ struct WorkloadSpec {
 /// Checks structural validity (positive totals, weights, spans; non-empty
 /// mixture; probabilities in range).
 Status ValidateSpec(const WorkloadSpec& spec);
+
+/// Largest accepted FilePopulationSpec::input_files. Each file becomes a
+/// dense uint32 path id once a generated trace is indexed, and one id value
+/// (kNoStringId, 0xffffffff) is reserved for "no path", so a population
+/// beyond this many files cannot be represented. The bound also turns
+/// absurd counts (e.g. 9e18, which ended in an uncaught std::length_error
+/// while building the Zipf tables) into an InvalidArgumentError.
+inline constexpr size_t kMaxInputFiles = std::numeric_limits<uint32_t>::max();
 
 /// The file-population part of ValidateSpec, shared with every other
 /// reader of a FilePopulationSpec (.swim models). NaN fails every bound.

@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "common/units.h"
 #include "common/random.h"
@@ -8,6 +10,7 @@
 #include "core/analysis/temporal.h"
 #include "core/analysis/workload_report.h"
 #include "gtest/gtest.h"
+#include "storage/access_stream.h"
 #include "trace/trace.h"
 
 namespace swim::core {
@@ -156,7 +159,150 @@ TEST(ReaccessTest, NoPathsMeansZero) {
   EXPECT_EQ(fractions.input_reaccess, 0.0);
 }
 
+/// Test-local reference for the re-access scan: materializes the merged
+/// access stream with storage::ExtractAccesses (reads at submit, writes at
+/// finish, stable-sorted by time) and walks it chronologically.
+struct ReferenceReaccess {
+  std::vector<double> input_input;
+  std::vector<double> output_input;
+  ReaccessFractions fractions;
+  size_t tied_read_writes = 0;  // adjacent read/write pairs at one time
+};
+
+ReferenceReaccess ReferenceReaccessScan(const trace::Trace& trace) {
+  ReferenceReaccess result;
+  const size_t path_count = trace.path_interner().size();
+  std::vector<double> last_read(path_count, -1.0);
+  std::vector<double> last_written(path_count, -1.0);
+  std::vector<uint8_t> seen_inputs(path_count, 0);
+  std::vector<uint8_t> seen_outputs(path_count, 0);
+  size_t input_hits = 0;
+  size_t output_hits = 0;
+  const std::vector<storage::FileAccess> accesses =
+      storage::ExtractAccesses(trace);
+  for (size_t i = 0; i < accesses.size(); ++i) {
+    const storage::FileAccess& access = accesses[i];
+    if (i > 0 && accesses[i - 1].time == access.time &&
+        accesses[i - 1].kind != access.kind) {
+      ++result.tied_read_writes;
+    }
+    uint32_t id = access.path_id;
+    if (access.kind == storage::AccessKind::kRead) {
+      ++result.fractions.jobs_with_paths;
+      if (seen_outputs[id]) {
+        ++output_hits;
+      } else if (seen_inputs[id]) {
+        ++input_hits;
+      }
+      seen_inputs[id] = 1;
+      if (last_read[id] >= 0.0) {
+        result.input_input.push_back(access.time - last_read[id]);
+      }
+      if (last_written[id] >= 0.0) {
+        double interval = access.time - last_written[id];
+        if (interval >= 0.0) result.output_input.push_back(interval);
+      }
+      last_read[id] = access.time;
+    } else {
+      seen_outputs[id] = 1;
+      last_written[id] = access.time;
+    }
+  }
+  const double reads = static_cast<double>(result.fractions.jobs_with_paths);
+  if (reads > 0) {
+    result.fractions.input_reaccess = static_cast<double>(input_hits) / reads;
+    result.fractions.output_reaccess = static_cast<double>(output_hits) / reads;
+  }
+  std::sort(result.input_input.begin(), result.input_input.end());
+  std::sort(result.output_input.begin(), result.output_input.end());
+  return result;
+}
+
+/// Seeded trace on a coarse 10 s clock over a small path pool: submits tie,
+/// zero-duration jobs finish at their own submit, finishes tie with later
+/// submits, outputs are read back later, and some jobs read and write the
+/// same path.
+trace::Trace RandomReaccessTrace(uint64_t seed, size_t jobs) {
+  Pcg32 rng(seed);
+  trace::Trace t;
+  double submit = 0.0;
+  for (size_t i = 0; i < jobs; ++i) {
+    if (rng.NextBounded(3) == 0) submit += 10.0 * rng.NextBounded(4);
+    trace::JobRecord job = MakeJob(i + 1, submit, 1, 0, 1);
+    job.duration = 10.0 * static_cast<double>(rng.NextBounded(5));
+    auto path = [&]() { return "p/" + std::to_string(rng.NextBounded(40)); };
+    const uint64_t kind = rng.NextBounded(8);
+    if (kind != 0) job.input_path = path();
+    if (kind == 1) {
+      job.output_path = job.input_path;
+    } else if (kind >= 4) {
+      job.output_path = path();
+    }
+    t.AddJob(job);
+  }
+  return t;
+}
+
+TEST(ReaccessTest, ScanMatchesExtractAccessesReference) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE(seed);
+    const trace::Trace t = RandomReaccessTrace(seed, 3000);
+    const ReferenceReaccess reference = ReferenceReaccessScan(t);
+    ASSERT_GT(reference.tied_read_writes, 0u);
+    ASSERT_FALSE(reference.output_input.empty());
+
+    const ReaccessFractions fractions = ComputeReaccessFractions(t);
+    EXPECT_EQ(fractions.jobs_with_paths, reference.fractions.jobs_with_paths);
+    EXPECT_EQ(fractions.input_reaccess, reference.fractions.input_reaccess);
+    EXPECT_EQ(fractions.output_reaccess, reference.fractions.output_reaccess);
+
+    const ReaccessIntervals intervals = ComputeReaccessIntervals(t);
+    EXPECT_EQ(intervals.input_input.sorted_samples(), reference.input_input);
+    EXPECT_EQ(intervals.output_input.sorted_samples(),
+              reference.output_input);
+
+    // AnalyzeWorkload drives the same scan inside its combined exact pass.
+    auto report = AnalyzeWorkload(t);
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report->reaccess_fractions.input_reaccess,
+              reference.fractions.input_reaccess);
+    EXPECT_EQ(report->reaccess_fractions.output_reaccess,
+              reference.fractions.output_reaccess);
+    EXPECT_EQ(report->reaccess_intervals.input_input.sorted_samples(),
+              reference.input_input);
+    EXPECT_EQ(report->reaccess_intervals.output_input.sorted_samples(),
+              reference.output_input);
+  }
+}
+
 // --- Temporal (Figures 7-9) ------------------------------------------------------
+
+TEST(TemporalTest, EmptyTraceHasEmptySeries) {
+  trace::Trace t;
+  EXPECT_TRUE(ComputeSubmissionSeries(t).jobs_per_hour.empty());
+}
+
+TEST(TemporalTest, SeriesBucketsBySubmitHour) {
+  trace::Trace t;
+  t.AddJob(MakeJob(1, 0, 1, 0, 1));
+  t.AddJob(MakeJob(2, 1800, 1, 0, 1));
+  t.AddJob(MakeJob(3, 3700, 1, 0, 1));
+  std::vector<double> counts = ComputeSubmissionSeries(t).jobs_per_hour;
+  ASSERT_GE(counts.size(), 2u);
+  EXPECT_DOUBLE_EQ(counts[0], 2.0);
+  EXPECT_DOUBLE_EQ(counts[1], 1.0);
+}
+
+TEST(TemporalTest, SeriesSumsBytesAndTaskSeconds) {
+  trace::Trace t;
+  trace::JobRecord job = MakeJob(1, 0, 100, 10, 1);
+  job.map_task_seconds = 40;
+  job.reduce_task_seconds = 10;
+  t.AddJob(job);
+  SubmissionSeries series = ComputeSubmissionSeries(t);
+  EXPECT_DOUBLE_EQ(series.bytes_per_hour[0], 111.0);
+  EXPECT_DOUBLE_EQ(series.task_seconds_per_hour[0], 50.0);
+}
 
 TEST(TemporalTest, SubmissionSeriesDimensions) {
   trace::Trace t;

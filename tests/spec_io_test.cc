@@ -1,3 +1,4 @@
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -76,6 +77,24 @@ TEST(SpecIoTest, RejectsMalformedInput) {
                             "span_seconds=100\n")
                    .ok());
   EXPECT_FALSE(LoadSpec("/nonexistent/x.spec").ok());
+}
+
+// input_files is bounded by the uint32 path-id space (kMaxInputFiles).
+TEST(SpecIoTest, InputFilesBoundedByThePathIdSpace) {
+  const std::string text = SpecToText(*PaperWorkloadByName("CC-a"));
+  auto with_files = [&](uint64_t files) {
+    std::string edited = text;
+    const size_t begin = edited.find("\nfiles=") + 7;
+    edited.replace(begin, edited.find(',', begin) - begin,
+                   std::to_string(files));
+    return SpecFromText(edited);
+  };
+  auto at_bound = with_files(kMaxInputFiles);
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status();
+  EXPECT_EQ(at_bound->files.input_files, kMaxInputFiles);
+  auto past_bound = with_files(uint64_t{kMaxInputFiles} + 1);
+  ASSERT_FALSE(past_bound.ok());
+  EXPECT_EQ(past_bound.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SpecIoTest, HandMadeMinimalSpecWorks) {

@@ -1,3 +1,4 @@
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -11,6 +12,7 @@
 #include "gtest/gtest.h"
 #include "workloads/paper_workloads.h"
 #include "workloads/trace_generator.h"
+#include "workloads/workload_spec.h"
 
 namespace swim::core {
 namespace {
@@ -141,6 +143,28 @@ TEST(WorkloadModelTest, ParserRejectsValuesTheSamplersCannotTake) {
   EXPECT_TRUE(
       ModelFromText(WithField(text, "file_model", "100,0,0,0,0,1")).ok());
   EXPECT_TRUE(ModelFromText(WithField(text, "envelope", "0,0,5")).ok());
+}
+
+// input_files is bounded by the uint32 path-id space; 9e18 used to end in
+// an uncaught std::length_error in swim_synth gen.
+TEST(WorkloadModelTest, ParserBoundsInputFilesByThePathIdSpace) {
+  auto model = BuildModel(SourceTrace(400));
+  ASSERT_TRUE(model.ok());
+  const std::string text = ModelToText(*model);
+  auto with_files = [&](uint64_t files) {
+    return ModelFromText(WithField(text, "file_model",
+                                   std::to_string(files) +
+                                       ",0.8,0.3,0.1,0.6,10800"));
+  };
+  auto at_bound = with_files(workloads::kMaxInputFiles);
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status();
+  EXPECT_EQ(at_bound->file_model.input_files, workloads::kMaxInputFiles);
+  for (uint64_t files : {uint64_t{workloads::kMaxInputFiles} + 1,
+                         uint64_t{9000000000000000000u}}) {
+    auto parsed = with_files(files);
+    ASSERT_FALSE(parsed.ok()) << files;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << files;
+  }
 }
 
 // --- Synthesis --------------------------------------------------------------

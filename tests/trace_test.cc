@@ -90,27 +90,6 @@ TEST(TraceTest, EmptyTraceZeroes) {
   EXPECT_TRUE(trace.empty());
   EXPECT_DOUBLE_EQ(trace.StartTime(), 0.0);
   EXPECT_DOUBLE_EQ(trace.EndTime(), 0.0);
-  EXPECT_TRUE(trace.HourlyJobCounts().empty());
-}
-
-TEST(TraceTest, HourlySeriesBucketsBySubmitHour) {
-  Trace trace;
-  trace.AddJob(MakeJob(1, 0));
-  trace.AddJob(MakeJob(2, 1800));
-  trace.AddJob(MakeJob(3, 3700));
-  auto counts = trace.HourlyJobCounts();
-  ASSERT_GE(counts.size(), 2u);
-  EXPECT_DOUBLE_EQ(counts[0], 2.0);
-  EXPECT_DOUBLE_EQ(counts[1], 1.0);
-}
-
-TEST(TraceTest, HourlyBytesAndTaskSeconds) {
-  Trace trace;
-  trace.AddJob(MakeJob(1, 0, 100, 10, 1));
-  auto bytes = trace.HourlyBytes();
-  auto tasks = trace.HourlyTaskSeconds();
-  EXPECT_DOUBLE_EQ(bytes[0], 111.0);
-  EXPECT_DOUBLE_EQ(tasks[0], 50.0);
 }
 
 TEST(TraceTest, ValidateFindsBadJob) {
