@@ -10,7 +10,9 @@
 //   stf1_open          ColumnarTraceView::Open — the mmap zero-copy open
 //   stf1_open_cold     single-shot first open (includes page-cache faults)
 //   stf1_column_scan   zero-copy sum over one mmap'd double column
-//   stf1_load          full LoadTraceColumnar (checksums + materialize)
+//   stf1_load          full LoadTraceColumnar: read, checksums, row
+//                      validation and the canonical-id checks; rows,
+//                      interners and id vectors stay lazy
 //   stf1_write / csv_write   serialization paths
 //
 // Hard gate (CI bench-smoke): stf1_open must be >= 20x faster than
@@ -124,8 +126,8 @@ int main(int argc, char** argv) {
     SWIM_CHECK(loaded->size() == n);
   });
   json.Add("stf1_load", stf1_load, 1);
-  std::printf("  stf1_load: %.3f s median (checksums + materialize, "
-              "%.0f jobs/s)\n",
+  std::printf("  stf1_load: %.3f s median (checksums + validation, rows "
+              "lazy, %.0f jobs/s)\n",
               stf1_load.median_seconds, stf1_load.ops_per_sec);
 
   // --- Serialization paths ------------------------------------------------

@@ -21,6 +21,7 @@ std::string FormatWithUnit(double value, const char* unit) {
 }  // namespace
 
 std::string FormatBytes(double bytes) {
+  if (bytes == 0.0) bytes = 0.0;  // -0.0 prints as "0 B", not "-0 B"
   if (bytes < 0) return "-" + FormatBytes(-bytes);
   if (bytes >= kEB) return FormatWithUnit(bytes / kEB, "EB");
   if (bytes >= kPB) return FormatWithUnit(bytes / kPB, "PB");
@@ -32,6 +33,7 @@ std::string FormatBytes(double bytes) {
 }
 
 std::string FormatDuration(double seconds) {
+  if (seconds == 0.0) seconds = 0.0;  // -0.0 prints as "0 sec"
   if (seconds < 0) return "-" + FormatDuration(-seconds);
   if (seconds >= kDay) return FormatWithUnit(seconds / kDay, "days");
   if (seconds >= kHour) return FormatWithUnit(seconds / kHour, "hrs");

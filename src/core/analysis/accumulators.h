@@ -12,6 +12,7 @@
 #include "core/analysis/data_access.h"
 #include "core/analysis/temporal.h"
 #include "stats/sketch/zipf_online.h"
+#include "trace/job_columns.h"
 
 namespace swim::core {
 
@@ -228,11 +229,78 @@ struct ExactStageResults {
   JobNameReport names;
 };
 
+/// One row as ExactStages::ObserveColumns read it, with its sums.
+struct ColumnRow {
+  double submit = 0.0;
+  double duration = 0.0;
+  double shuffle_bytes = 0.0;
+  int64_t reduce_tasks = 0;
+  double reduce_task_seconds = 0.0;
+  uint32_t input_path_id = kNoStringId;
+  double total_bytes = 0.0;   // input + shuffle + output
+  double task_seconds = 0.0;  // map + reduce task-seconds
+};
+
 /// Every exact stage in one row-order fold, for the drivers that compute
-/// them all (AnalyzeWorkload and StreamingAnalyzer). Names are fed by the
-/// caller through `names`, since each source keys them differently.
+/// them all (AnalyzeWorkload and StreamingAnalyzer).
 struct ExactStages {
-  /// Folds one job's series, popularity and re-access contributions.
+  /// The one row loop over columns: folds rows [begin, end) in order, then
+  /// hands each row to `on_row(row, gaps)` (a ColumnRow) for the caller's
+  /// own per-row work. `on_row` is inlined; the loop makes no indirect call
+  /// per row, and reads every column at a compile-time stride.
+  template <typename OnRow>
+  void ObserveColumns(const trace::JobColumns& c, size_t begin, size_t end,
+                      OnRow&& on_row) {
+    reaccess.Reserve(c.paths.size());
+    auto name_of = [&c](uint32_t id) { return c.names[id]; };
+    trace::WithColumnLayout(c, [&](auto layout) {
+      // Local copies: the accumulators' byte-sized stores could alias the
+      // views inside `c`, forcing a reload of every column base per row.
+      const auto submit_time = c.submit_time;
+      const auto duration = c.duration;
+      const auto input_bytes = c.input_bytes;
+      const auto shuffle_bytes = c.shuffle_bytes;
+      const auto output_bytes = c.output_bytes;
+      const auto reduce_tasks = c.reduce_tasks;
+      const auto map_task_seconds = c.map_task_seconds;
+      const auto reduce_task_seconds = c.reduce_task_seconds;
+      const auto name_ids = c.name_id;
+      const auto input_path_ids = c.input_path_id;
+      const auto output_path_ids = c.output_path_id;
+      auto get = [&](const auto& column, size_t i) {
+        return layout.Get(column, i);
+      };
+      for (size_t i = begin; i < end; ++i) {
+        ColumnRow row;
+        row.submit = get(submit_time, i);
+        row.duration = get(duration, i);
+        row.shuffle_bytes = get(shuffle_bytes, i);
+        row.reduce_tasks = get(reduce_tasks, i);
+        row.reduce_task_seconds = get(reduce_task_seconds, i);
+        row.input_path_id = get(input_path_ids, i);
+        // TotalBytes() and TotalTaskSeconds() shapes, so sums match bit
+        // for bit with JobRecord-based code.
+        row.total_bytes = get(input_bytes, i) + row.shuffle_bytes +
+                          get(output_bytes, i);
+        row.task_seconds =
+            get(map_task_seconds, i) + row.reduce_task_seconds;
+        const ReaccessGaps gaps =
+            Observe(row.submit, row.submit + row.duration, row.total_bytes,
+                    row.task_seconds, row.input_path_id,
+                    get(output_path_ids, i));
+        const uint32_t name_id = get(name_ids, i);
+        if (name_id != kNoStringId) {
+          names.ObserveNameId(name_id, name_of, row.total_bytes,
+                              row.task_seconds);
+        }
+        on_row(row, gaps);
+      }
+    });
+  }
+
+  /// Folds one job's series, popularity and re-access contributions. Row
+  /// sources without columns (parsed CSV rows) call this directly and feed
+  /// `names` themselves.
   ReaccessGaps Observe(double submit, double finish, double total_bytes,
                        double task_seconds, uint32_t input_id,
                        uint32_t output_id) {

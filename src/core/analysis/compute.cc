@@ -1,7 +1,9 @@
 #include "core/analysis/compute.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 
 #include "common/interner.h"
 #include "common/parallel.h"
@@ -16,20 +18,22 @@ namespace {
 
 constexpr size_t kDims = 6;
 
-std::vector<double> JobFeatures(const trace::JobRecord& job) {
+using Features = std::array<double, kDims>;
+
+Features JobFeatures(const trace::JobColumns& jobs, size_t i) {
   // log10(1 + x) compresses the ~10 orders of magnitude spanned by job
   // dimensions; +1 keeps exact zeros (map-only shuffle) meaningful.
   auto f = [](double x) { return std::log10(1.0 + x); };
-  return {f(job.input_bytes),      f(job.shuffle_bytes),
-          f(job.output_bytes),     f(job.duration),
-          f(job.map_task_seconds), f(job.reduce_task_seconds)};
+  return {f(jobs.input_bytes[i]),      f(jobs.shuffle_bytes[i]),
+          f(jobs.output_bytes[i]),     f(jobs.duration[i]),
+          f(jobs.map_task_seconds[i]), f(jobs.reduce_task_seconds[i])};
 }
 
 double InverseFeature(double value) {
   return std::max(0.0, std::pow(10.0, value) - 1.0);
 }
 
-JobClass CentroidToClass(const std::vector<double>& centroid) {
+JobClass CentroidToClass(const Features& centroid) {
   JobClass jc;
   jc.input_bytes = InverseFeature(centroid[0]);
   jc.shuffle_bytes = InverseFeature(centroid[1]);
@@ -49,15 +53,15 @@ double JobNameReport::TopTwoFrameworkJobShare() const {
 }
 
 JobNameReport AnalyzeJobNames(const trace::Trace& trace) {
+  const trace::JobColumns c = trace.columns();
+  auto name_of = [&](uint32_t id) { return c.names[id]; };
   JobNameAccumulator accumulator;
-  const std::vector<trace::JobRecord>& jobs = trace.jobs();
-  const std::vector<uint32_t>& name_ids = trace.name_ids();
-  const StringInterner& names = trace.name_interner();
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    if (name_ids[i] == kNoStringId) continue;
+  for (size_t i = 0; i < c.size; ++i) {
+    if (c.name_id[i] == kNoStringId) continue;
     accumulator.ObserveNameId(
-        name_ids[i], [&](uint32_t id) { return names.NameOf(id); },
-        jobs[i].TotalBytes(), jobs[i].TotalTaskSeconds());
+        c.name_id[i], name_of,
+        c.input_bytes[i] + c.shuffle_bytes[i] + c.output_bytes[i],
+        c.map_task_seconds[i] + c.reduce_task_seconds[i]);
   }
   return accumulator.Report();
 }
@@ -108,14 +112,30 @@ std::string LabelForCentroid(const JobClass& c) {
 
 StatusOr<JobClassification> ClassifyJobs(const trace::Trace& trace,
                                          const ClassificationOptions& options) {
-  if (trace.empty()) return InvalidArgumentError("empty trace");
+  return ClassifyJobs(trace.columns(), options);
+}
 
-  // Subsample for fitting.
+std::vector<size_t> ClassificationSampleRows(
+    size_t rows, const ClassificationOptions& options) {
   Pcg32 rng(options.seed, /*stream=*/0xc1a55);
-  stats::ReservoirSampler<std::vector<double>> sampler(
+  stats::ReservoirSampler<size_t> sampler(
       std::max<size_t>(1, options.sample_cap), rng.Fork());
-  for (const auto& job : trace.jobs()) sampler.Add(JobFeatures(job));
-  std::vector<std::vector<double>> sample = sampler.sample();
+  for (size_t i = 0; i < rows; ++i) sampler.Add(i);
+  return sampler.sample();
+}
+
+StatusOr<JobClassification> ClassifyJobs(const trace::JobColumns& jobs,
+                                         const ClassificationOptions& options) {
+  if (jobs.size == 0) return InvalidArgumentError("empty trace");
+
+  // Subsample row indices for fitting; features only for the sample.
+  const std::vector<size_t> rows = ClassificationSampleRows(jobs.size, options);
+  std::vector<std::vector<double>> sample;
+  sample.reserve(rows.size());
+  for (size_t row : rows) {
+    const Features features = JobFeatures(jobs, row);
+    sample.emplace_back(features.begin(), features.end());
+  }
 
   stats::ColumnScaling scaling = stats::StandardizeColumns(sample);
   stats::KMeansOptions kmeans_options;
@@ -125,8 +145,7 @@ StatusOr<JobClassification> ClassifyJobs(const trace::Trace& trace,
       stats::ChooseKResult elbow,
       stats::ChooseKByElbow(sample, options.max_k, options.min_improvement,
                             kmeans_options));
-  SWIM_ASSIGN_OR_RETURN(stats::KMeansResult fit,
-                        stats::KMeansFit(sample, elbow.k, kmeans_options));
+  const stats::KMeansResult& fit = elbow.fit;
 
   JobClassification result;
   result.k = elbow.k;
@@ -136,23 +155,22 @@ StatusOr<JobClassification> ClassifyJobs(const trace::Trace& trace,
   // accumulate log-space means per cluster for reporting. Chunked over the
   // trace with per-chunk partials merged in chunk order, so the reported
   // class means are identical at any thread count.
-  const std::vector<trace::JobRecord>& jobs = trace.jobs();
   const size_t num_clusters = fit.centroids.size();
   constexpr size_t kAssignGrain = 8192;
-  const size_t chunk_count = (jobs.size() + kAssignGrain - 1) / kAssignGrain;
+  const size_t chunk_count = (jobs.size + kAssignGrain - 1) / kAssignGrain;
   struct AssignPartial {
     std::vector<size_t> counts;
-    std::vector<std::vector<double>> log_sums;
+    std::vector<Features> log_sums;
   };
   std::vector<AssignPartial> partials(chunk_count);
   ParallelFor(
-      0, jobs.size(), kAssignGrain,
+      0, jobs.size, kAssignGrain,
       [&](size_t lo, size_t hi) {
         AssignPartial& part = partials[lo / kAssignGrain];
         part.counts.assign(num_clusters, 0);
-        part.log_sums.assign(num_clusters, std::vector<double>(kDims, 0.0));
+        part.log_sums.assign(num_clusters, Features{});
         for (size_t i = lo; i < hi; ++i) {
-          std::vector<double> features = JobFeatures(jobs[i]);
+          Features features = JobFeatures(jobs, i);
           // Standardize with the sample's scaling.
           for (size_t d = 0; d < kDims; ++d) {
             features[d] -= scaling.mean[d];
@@ -182,8 +200,7 @@ StatusOr<JobClassification> ClassifyJobs(const trace::Trace& trace,
       },
       options.threads);
   std::vector<size_t> counts(num_clusters, 0);
-  std::vector<std::vector<double>> log_sums(
-      num_clusters, std::vector<double>(kDims, 0.0));
+  std::vector<Features> log_sums(num_clusters, Features{});
   for (const AssignPartial& part : partials) {
     for (size_t c = 0; c < num_clusters; ++c) {
       counts[c] += part.counts[c];
@@ -193,7 +210,7 @@ StatusOr<JobClassification> ClassifyJobs(const trace::Trace& trace,
 
   for (size_t c = 0; c < fit.centroids.size(); ++c) {
     if (counts[c] == 0) continue;
-    std::vector<double> mean_log(kDims);
+    Features mean_log{};
     for (size_t d = 0; d < kDims; ++d) {
       mean_log[d] = log_sums[c][d] / static_cast<double>(counts[c]);
     }
@@ -208,7 +225,7 @@ StatusOr<JobClassification> ClassifyJobs(const trace::Trace& trace,
             });
   result.largest_class_fraction =
       static_cast<double>(result.classes.front().count) /
-      static_cast<double>(trace.size());
+      static_cast<double>(jobs.size);
   size_t small_labeled = 0;
   size_t under_10gb = 0;
   for (const auto& jc : result.classes) {
@@ -221,9 +238,9 @@ StatusOr<JobClassification> ClassifyJobs(const trace::Trace& trace,
     }
   }
   result.small_label_fraction =
-      static_cast<double>(small_labeled) / static_cast<double>(trace.size());
+      static_cast<double>(small_labeled) / static_cast<double>(jobs.size);
   result.fraction_under_10gb =
-      static_cast<double>(under_10gb) / static_cast<double>(trace.size());
+      static_cast<double>(under_10gb) / static_cast<double>(jobs.size);
   return result;
 }
 

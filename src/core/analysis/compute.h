@@ -102,6 +102,16 @@ struct JobClassification {
 /// centroids ("Small jobs", "Map only transform", "Aggregate", ...).
 StatusOr<JobClassification> ClassifyJobs(
     const trace::Trace& trace, const ClassificationOptions& options = {});
+/// The same over columns: features are computed only for the sampled rows
+/// and then once per row in the assignment pass.
+StatusOr<JobClassification> ClassifyJobs(
+    const trace::JobColumns& jobs, const ClassificationOptions& options = {});
+
+/// The rows ClassifyJobs fits on: a reservoir sample of up to
+/// options.sample_cap row indices out of `rows`, in reservoir order, drawn
+/// from the options.seed stream. Exposed for tests.
+std::vector<size_t> ClassificationSampleRows(
+    size_t rows, const ClassificationOptions& options);
 
 /// Centroid-to-label heuristic, exposed for tests: mirrors the paper's
 /// Table 2 vocabulary.

@@ -7,72 +7,90 @@
 #include "common/interner.h"
 #include "core/analysis/accumulators.h"
 #include "stats/descriptive.h"
+#include "stats/radix_sort.h"
 
 namespace swim::core {
 namespace {
 
 // All path-keyed tables in this file are dense vectors indexed by the
-// trace's interned path ids (see Trace::path_interner): one array index per
-// touch instead of a string hash. Ids are assigned in first-appearance
-// order, so every loop below is deterministic.
+// trace's interned path ids (see Trace::path_interner), read through
+// Trace::columns(): one array index per touch instead of a string hash.
+// Ids are assigned in first-appearance order, so every loop below is
+// deterministic.
+
+trace::StridedColumn<uint32_t> PathIds(const trace::JobColumns& c,
+                                       bool use_output) {
+  return use_output ? c.output_path_id : c.input_path_id;
+}
 
 FilePopularity ComputePopularity(const trace::Trace& trace, bool use_output) {
+  const trace::JobColumns c = trace.columns();
+  const trace::StridedColumn<uint32_t> ids = PathIds(c, use_output);
   stats::OnlineZipf counts;
-  for (uint32_t id :
-       use_output ? trace.output_path_ids() : trace.input_path_ids()) {
-    if (id != kNoStringId) counts.Add(id);
+  for (size_t i = 0; i < c.size; ++i) {
+    if (ids[i] != kNoStringId) counts.Add(ids[i]);
   }
   return PopularityFromZipf(counts);
 }
 
 /// Per-path (final) file size: the maximum bytes any job moved through the
 /// path, dense-indexed by path id; entries never touched stay negative.
-std::vector<double> FileSizesById(const trace::Trace& trace,
+std::vector<double> FileSizesById(const trace::JobColumns& c,
                                   bool use_output) {
-  const std::vector<uint32_t>& ids =
-      use_output ? trace.output_path_ids() : trace.input_path_ids();
-  const std::vector<trace::JobRecord>& jobs = trace.jobs();
-  std::vector<double> file_sizes(trace.path_interner().size(), -1.0);
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    uint32_t id = ids[i];
+  const trace::StridedColumn<uint32_t> ids = PathIds(c, use_output);
+  const trace::StridedColumn<double> bytes =
+      use_output ? c.output_bytes : c.input_bytes;
+  std::vector<double> file_sizes(c.paths.size(), -1.0);
+  for (size_t i = 0; i < c.size; ++i) {
+    const uint32_t id = ids[i];
     if (id == kNoStringId) continue;
-    double bytes = use_output ? jobs[i].output_bytes : jobs[i].input_bytes;
-    file_sizes[id] = std::max(file_sizes[id], bytes);
+    file_sizes[id] = std::max(file_sizes[id], bytes[i]);
   }
   return file_sizes;
+}
+
+/// Per job with such a path, the (final) size of the file it accessed.
+std::vector<double> JobFileSizes(const trace::JobColumns& c, bool use_output,
+                                 const std::vector<double>& file_sizes) {
+  const trace::StridedColumn<uint32_t> ids = PathIds(c, use_output);
+  std::vector<double> job_file_sizes;
+  job_file_sizes.reserve(c.size);
+  for (size_t i = 0; i < c.size; ++i) {
+    if (ids[i] != kNoStringId) job_file_sizes.push_back(file_sizes[ids[i]]);
+  }
+  return job_file_sizes;
 }
 
 /// Drives one ReaccessScan over the trace in submit order, handing each
 /// read's gaps to `on_read`; returns the Figure 6 fractions.
 template <typename OnRead>
 ReaccessFractions ScanReaccess(const trace::Trace& trace, OnRead&& on_read) {
-  const std::vector<trace::JobRecord>& jobs = trace.jobs();
-  const std::vector<uint32_t>& input_ids = trace.input_path_ids();
-  const std::vector<uint32_t>& output_ids = trace.output_path_ids();
+  const trace::JobColumns c = trace.columns();
   ReaccessScan scan;
-  scan.Reserve(trace.path_interner().size());
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    on_read(scan.Observe(jobs[i].submit_time, jobs[i].FinishTime(),
-                         input_ids[i], output_ids[i]));
+  scan.Reserve(c.paths.size());
+  for (size_t i = 0; i < c.size; ++i) {
+    const double submit = c.submit_time[i];
+    on_read(scan.Observe(submit, submit + c.duration[i], c.input_path_id[i],
+                         c.output_path_id[i]));
   }
   return scan.Fractions();
 }
 
 }  // namespace
 
+stats::EmpiricalCdf ColumnCdf(trace::StridedColumn<double> column,
+                              size_t size) {
+  std::vector<double> values(size);
+  for (size_t i = 0; i < size; ++i) values[i] = column[i];
+  stats::RadixSortDoubles(&values);
+  return stats::EmpiricalCdf::FromSorted(std::move(values));
+}
+
 DataSizeCdfs ComputeDataSizeCdfs(const trace::Trace& trace) {
-  std::vector<double> input, shuffle, output;
-  input.reserve(trace.size());
-  shuffle.reserve(trace.size());
-  output.reserve(trace.size());
-  for (const auto& job : trace.jobs()) {
-    input.push_back(job.input_bytes);
-    shuffle.push_back(job.shuffle_bytes);
-    output.push_back(job.output_bytes);
-  }
-  return DataSizeCdfs{stats::EmpiricalCdf(std::move(input)),
-                      stats::EmpiricalCdf(std::move(shuffle)),
-                      stats::EmpiricalCdf(std::move(output))};
+  const trace::JobColumns columns = trace.columns();
+  return DataSizeCdfs{ColumnCdf(columns.input_bytes, columns.size),
+                      ColumnCdf(columns.shuffle_bytes, columns.size),
+                      ColumnCdf(columns.output_bytes, columns.size)};
 }
 
 FilePopularity ComputeInputPopularity(const trace::Trace& trace) {
@@ -87,15 +105,9 @@ SizeSkewCurve ComputeSizeSkew(const trace::Trace& trace, bool use_output,
                               size_t curve_points) {
   SizeSkewCurve curve;
   // Per-file stored size, then per-job the (final) size of its file.
-  std::vector<double> file_sizes = FileSizesById(trace, use_output);
-  const std::vector<uint32_t>& ids =
-      use_output ? trace.output_path_ids() : trace.input_path_ids();
-  std::vector<double> job_file_sizes;
-  job_file_sizes.reserve(trace.size());
-  for (uint32_t id : ids) {
-    if (id == kNoStringId) continue;
-    job_file_sizes.push_back(file_sizes[id]);
-  }
+  const trace::JobColumns c = trace.columns();
+  std::vector<double> file_sizes = FileSizesById(c, use_output);
+  std::vector<double> job_file_sizes = JobFileSizes(c, use_output, file_sizes);
   curve.jobs_with_paths = job_file_sizes.size();
   if (job_file_sizes.empty()) return curve;
 
@@ -146,15 +158,9 @@ double StoredBytesFractionForJobCoverage(const trace::Trace& trace,
                                          double job_fraction,
                                          bool use_output) {
   // Per-file (final) sizes and, per job, the size of the file it accessed.
-  std::vector<double> file_sizes = FileSizesById(trace, use_output);
-  const std::vector<uint32_t>& ids =
-      use_output ? trace.output_path_ids() : trace.input_path_ids();
-  std::vector<double> job_file_sizes;
-  job_file_sizes.reserve(trace.size());
-  for (uint32_t id : ids) {
-    if (id == kNoStringId) continue;
-    job_file_sizes.push_back(file_sizes[id]);
-  }
+  const trace::JobColumns c = trace.columns();
+  std::vector<double> file_sizes = FileSizesById(c, use_output);
+  std::vector<double> job_file_sizes = JobFileSizes(c, use_output, file_sizes);
   if (job_file_sizes.empty()) return 0.0;
 
   // Size threshold S below which `job_fraction` of accesses fall ...

@@ -22,6 +22,11 @@ struct DataSizeCdfs {
 /// paper's CDFs which start at a nonzero fraction for x=0.
 DataSizeCdfs ComputeDataSizeCdfs(const trace::Trace& trace);
 
+/// One Figure 1 CDF: the first `size` values of `column`, copied and
+/// radix-sorted (RadixSortDoubles; a -0.0 size reads as +0.0).
+stats::EmpiricalCdf ColumnCdf(trace::StridedColumn<double> column,
+                              size_t size);
+
 /// File popularity analysis (paper Figure 2): access counts per distinct
 /// path, sorted descending, with the fitted Zipf slope. The paper finds
 /// slope ~ 5/6 for every workload, for both inputs and outputs.

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "common/parallel.h"
@@ -41,19 +42,13 @@ void StreamingAnalyzer::SetMetadata(const trace::TraceMetadata& metadata) {
   metadata_set_ = true;
 }
 
-void StreamingAnalyzer::ObserveRow(double submit, double duration,
-                                   double input_bytes, double shuffle_bytes,
-                                   double output_bytes, int64_t reduce_tasks,
-                                   double map_task_seconds,
-                                   double reduce_task_seconds,
-                                   uint32_t input_path_id,
-                                   uint32_t output_path_id) {
+void StreamingAnalyzer::ObserveExtras(double submit, double shuffle_bytes,
+                                      int64_t reduce_tasks,
+                                      double reduce_task_seconds,
+                                      double total_bytes, double task_seconds,
+                                      uint32_t input_path_id,
+                                      const ReaccessGaps& gaps) {
   last_submit_ = submit;
-  // Same expression shapes as the batch accumulators (TotalBytes is
-  // (input + shuffle) + output, left-associated) so floating sums match
-  // bit for bit.
-  const double total_bytes = input_bytes + shuffle_bytes + output_bytes;
-  const double task_seconds = map_task_seconds + reduce_task_seconds;
   bytes_moved_ += total_bytes;
   if (reduce_tasks == 0 && shuffle_bytes == 0.0 && reduce_task_seconds == 0.0) {
     ++map_only_;
@@ -65,67 +60,22 @@ void StreamingAnalyzer::ObserveRow(double submit, double duration,
   window_task_seconds_.Observe(submit, task_seconds);
 
   if (input_path_id != kNoStringId) hot_inputs_.Add(input_path_id);
-  const ReaccessGaps gaps =
-      exact_.Observe(submit, submit + duration, total_bytes, task_seconds,
-                     input_path_id, output_path_id);
   if (gaps.input_input >= 0.0) gk_reaccess_in_.Add(gaps.input_input);
   if (gaps.output_input >= 0.0) gk_reaccess_out_.Add(gaps.output_input);
   ++jobs_;
 }
 
-Status StreamingAnalyzer::ValidateColumns(const trace::ColumnarTraceView& view,
+Status StreamingAnalyzer::ValidateColumns(const trace::JobColumns& columns,
                                           size_t begin, size_t end) const {
-  const auto submits = view.submit_times();
-  const auto durations = view.durations();
-  const auto inputs = view.input_bytes();
-  const auto shuffles = view.shuffle_bytes();
-  const auto outputs = view.output_bytes();
-  const auto map_tasks = view.map_tasks();
-  const auto reduce_tasks = view.reduce_tasks();
-  const auto map_secs = view.map_task_seconds();
-  const auto reduce_secs = view.reduce_task_seconds();
-  const auto name_ids = view.name_ids();
-  const auto input_ids = view.input_path_ids();
-  const auto output_ids = view.output_path_ids();
-  auto bad = [&](size_t row, const std::string& what) {
-    return InvalidArgumentError("streaming batch row " + std::to_string(row) +
-                                ": " + what);
-  };
-  double prev_submit = jobs_ > 0 ? last_submit_
-                                 : -std::numeric_limits<double>::infinity();
-  for (size_t i = begin; i < end; ++i) {
-    // The same admission bar as ColumnarTraceView::Materialize: finite
-    // non-negative values and in-range dictionary ids, plus the streaming
-    // contract that submit times never run backwards.
-    const double values[7] = {submits[i],  durations[i],   inputs[i],
-                              shuffles[i], outputs[i],     map_secs[i],
-                              reduce_secs[i]};
-    for (double v : values) {
-      if (!std::isfinite(v)) return bad(i, "non-finite value");
-      if (v < 0.0) return bad(i, "negative value");
-    }
-    if (map_tasks[i] < 0 || reduce_tasks[i] < 0) {
-      return bad(i, "negative task count");
-    }
-    if (map_tasks[i] == 0 && map_secs[i] > 0.0) {
-      return bad(i, "map_task_seconds > 0 with zero map_tasks");
-    }
-    if (reduce_tasks[i] == 0 && reduce_secs[i] > 0.0) {
-      return bad(i, "reduce_task_seconds > 0 with zero reduce_tasks");
-    }
-    if (submits[i] < prev_submit) {
-      return bad(i, "submit time runs backwards (append not submit-ordered)");
-    }
-    prev_submit = submits[i];
-    if (name_ids[i] != kNoStringId && name_ids[i] >= view.name_count()) {
-      return bad(i, "name id out of dictionary range");
-    }
-    if (input_ids[i] != kNoStringId && input_ids[i] >= view.path_count()) {
-      return bad(i, "input path id out of dictionary range");
-    }
-    if (output_ids[i] != kNoStringId && output_ids[i] >= view.path_count()) {
-      return bad(i, "output path id out of dictionary range");
-    }
+  // The admission bar every trace source shares, plus the streaming
+  // contract that submit times never run backwards.
+  const double floor = jobs_ > 0 ? last_submit_
+                                  : -std::numeric_limits<double>::infinity();
+  std::optional<trace::RowViolation> bad =
+      trace::FindInvalidRow(columns, begin, end, &floor);
+  if (bad.has_value()) {
+    return InvalidArgumentError("streaming batch row " +
+                                std::to_string(bad->row) + ": " + bad->what);
   }
   return Status::Ok();
 }
@@ -144,36 +94,23 @@ Status StreamingAnalyzer::ObserveColumns(const trace::ColumnarTraceView& view,
     if (!metadata_set_) SetMetadata(view.metadata());
   }
   if (begin == end) return Status::Ok();
+  const trace::JobColumns c = view.columns();
   // Validate the whole batch before touching any accumulator, so a corrupt
   // append can never poison the analyzer's state.
-  SWIM_RETURN_IF_ERROR(ValidateColumns(view, begin, end));
+  SWIM_RETURN_IF_ERROR(ValidateColumns(c, begin, end));
 
-  const auto submits = view.submit_times();
-  const auto durations = view.durations();
+  exact_.ObserveColumns(
+      c, begin, end, [&](const ColumnRow& row, const ReaccessGaps& gaps) {
+        ObserveExtras(row.submit, row.shuffle_bytes, row.reduce_tasks,
+                      row.reduce_task_seconds, row.total_bytes,
+                      row.task_seconds, row.input_path_id, gaps);
+      });
+
+  // Parallel sketch build over fixed-size chunks, merged in chunk order.
   const auto inputs = view.input_bytes();
   const auto shuffles = view.shuffle_bytes();
   const auto outputs = view.output_bytes();
-  const auto reduce_tasks = view.reduce_tasks();
-  const auto map_secs = view.map_task_seconds();
-  const auto reduce_secs = view.reduce_task_seconds();
-  const auto name_ids = view.name_ids();
-  const auto input_ids = view.input_path_ids();
-  const auto output_ids = view.output_path_ids();
-
-  exact_.reaccess.Reserve(view.path_count());
-  auto name_at = [&](uint32_t id) { return view.NameAt(id); };
-  for (size_t i = begin; i < end; ++i) {
-    ObserveRow(submits[i], durations[i], inputs[i], shuffles[i], outputs[i],
-               reduce_tasks[i], map_secs[i], reduce_secs[i], input_ids[i],
-               output_ids[i]);
-    if (name_ids[i] != kNoStringId) {
-      exact_.names.ObserveNameId(name_ids[i], name_at,
-                                 inputs[i] + shuffles[i] + outputs[i],
-                                 map_secs[i] + reduce_secs[i]);
-    }
-  }
-
-  // Parallel sketch build over fixed-size chunks, merged in chunk order.
+  const auto durations = view.durations();
   const size_t rows = end - begin;
   const size_t chunk_count = (rows + kSketchGrain - 1) / kSketchGrain;
   std::vector<stats::GkQuantileSketch> chunks(
@@ -246,11 +183,15 @@ Status StreamingAnalyzer::ObserveJobs(Span<const trace::JobRecord> jobs) {
     const uint32_t output_id = job.output_path.empty()
                                    ? kNoStringId
                                    : path_interner_.Intern(job.output_path);
-    ObserveRow(job.submit_time, job.duration, job.input_bytes,
-               job.shuffle_bytes, job.output_bytes, job.reduce_tasks,
-               job.map_task_seconds, job.reduce_task_seconds, input_id,
-               output_id);
-    exact_.names.Observe(job.name, job.TotalBytes(), job.TotalTaskSeconds());
+    const double total_bytes = job.TotalBytes();
+    const double task_seconds = job.TotalTaskSeconds();
+    const ReaccessGaps gaps =
+        exact_.Observe(job.submit_time, job.FinishTime(), total_bytes,
+                       task_seconds, input_id, output_id);
+    ObserveExtras(job.submit_time, job.shuffle_bytes, job.reduce_tasks,
+                  job.reduce_task_seconds, total_bytes, task_seconds,
+                  input_id, gaps);
+    exact_.names.Observe(job.name, total_bytes, task_seconds);
   }
 
   const size_t rows = jobs.size();

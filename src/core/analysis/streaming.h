@@ -40,10 +40,12 @@ namespace swim::core {
 //   job-name / framework shares
 //   under-10GB job fraction
 //
-// The exact stages are the same ExactStages accumulators that the batch
-// AnalyzeWorkload drives, so those report fields match the batch report bit
-// for bit on the same rows by construction; on top of them this class adds
-// only input validation and the sketches. Sketch stages answer within the
+// The exact stages are the same ExactStages accumulators, driven over STF1
+// columns by the same row loop (ExactStages::ObserveColumns) as the batch
+// AnalyzeWorkload, so those report fields match the batch report bit for
+// bit on the same rows by construction; on top of them this class adds
+// only input validation (the shared trace::FindInvalidRow bar) and the
+// sketches. Sketch stages answer within the
 // configured rank epsilon of the SortedStats oracle. k-means classification
 // inherently needs a batch pass and is the one batch stage without a
 // streaming equivalent.
@@ -153,14 +155,14 @@ class StreamingAnalyzer {
  private:
   enum class Mode { kUnset, kColumnar, kJobs };
 
-  Status ValidateColumns(const trace::ColumnarTraceView& view, size_t begin,
+  Status ValidateColumns(const trace::JobColumns& columns, size_t begin,
                          size_t end) const;
-  /// The per-row update shared by both modes (names are fed separately).
-  void ObserveRow(double submit, double duration, double input_bytes,
-                  double shuffle_bytes, double output_bytes,
-                  int64_t reduce_tasks, double map_task_seconds,
-                  double reduce_task_seconds, uint32_t input_path_id,
-                  uint32_t output_path_id);
+  /// The streaming-only per-row update shared by both modes, after the
+  /// row's exact-stage fold returned `gaps`.
+  void ObserveExtras(double submit, double shuffle_bytes, int64_t reduce_tasks,
+                     double reduce_task_seconds, double total_bytes,
+                     double task_seconds, uint32_t input_path_id,
+                     const ReaccessGaps& gaps);
 
   StreamingOptions options_;
   Mode mode_ = Mode::kUnset;

@@ -13,33 +13,21 @@ namespace swim::core {
 
 namespace {
 
-/// Every exact stage in one serial pass over the trace's id columns. The
-/// re-access intervals go exactly into their CDFs.
-void ObserveExactStages(const trace::Trace& trace, WorkloadReport* report) {
-  const std::vector<trace::JobRecord>& jobs = trace.jobs();
-  const std::vector<uint32_t>& input_ids = trace.input_path_ids();
-  const std::vector<uint32_t>& output_ids = trace.output_path_ids();
-  const std::vector<uint32_t>& name_ids = trace.name_ids();
-  const StringInterner& names = trace.name_interner();
-  auto name_of = [&](uint32_t id) { return names.NameOf(id); };
+/// Every exact stage in one pass over the columns. The re-access intervals
+/// go exactly into their CDFs.
+void ObserveExact(const trace::JobColumns& columns, WorkloadReport* report) {
   ExactStages exact;
-  exact.reaccess.Reserve(trace.path_interner().size());
   std::vector<double> input_input;
   std::vector<double> output_input;
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    const trace::JobRecord& job = jobs[i];
-    const double total_bytes = job.TotalBytes();
-    const double task_seconds = job.TotalTaskSeconds();
-    const ReaccessGaps gaps =
-        exact.Observe(job.submit_time, job.FinishTime(), total_bytes,
-                      task_seconds, input_ids[i], output_ids[i]);
-    if (gaps.input_input >= 0.0) input_input.push_back(gaps.input_input);
-    if (gaps.output_input >= 0.0) output_input.push_back(gaps.output_input);
-    if (name_ids[i] != kNoStringId) {
-      exact.names.ObserveNameId(name_ids[i], name_of, total_bytes,
-                                task_seconds);
-    }
-  }
+  exact.ObserveColumns(columns, 0, columns.size,
+                       [&](const ColumnRow&, const ReaccessGaps& gaps) {
+                         if (gaps.input_input >= 0.0) {
+                           input_input.push_back(gaps.input_input);
+                         }
+                         if (gaps.output_input >= 0.0) {
+                           output_input.push_back(gaps.output_input);
+                         }
+                       });
   ExactStageResults results = exact.Results();
   report->input_popularity = std::move(results.input_popularity);
   report->output_popularity = std::move(results.output_popularity);
@@ -59,19 +47,29 @@ StatusOr<WorkloadReport> AnalyzeWorkload(const trace::Trace& trace,
                                          const AnalysisOptions& options) {
   if (trace.empty()) return InvalidArgumentError("empty trace");
   WorkloadReport report;
-  // Force the trace's lazy sort and id indexes before stages share it.
-  trace.WarmIndexes();
-  // Each stage writes disjoint report fields and only reads the trace. The
-  // exact pass is serial; only the batch-only stages run beside it.
+  // One column view for every stage; a row-backed trace builds its id
+  // indexes here, before the stages share it.
+  const trace::JobColumns columns = trace.columns();
+  // Each stage writes disjoint report fields and only reads the columns.
   std::vector<std::function<void()>> stages = {
-      [&]() { ObserveExactStages(trace, &report); },
-      [&]() { report.data_sizes = ComputeDataSizeCdfs(trace); },
-      [&]() { report.summary = trace::Summarize(trace); },
+      [&]() { ObserveExact(columns, &report); },
+      [&]() {
+        report.data_sizes.input = ColumnCdf(columns.input_bytes, columns.size);
+      },
+      [&]() {
+        report.data_sizes.shuffle =
+            ColumnCdf(columns.shuffle_bytes, columns.size);
+      },
+      [&]() {
+        report.data_sizes.output =
+            ColumnCdf(columns.output_bytes, columns.size);
+      },
+      [&]() { report.summary = trace::Summarize(trace.metadata(), columns); },
   };
   RunConcurrently(stages, options.threads);
   ClassificationOptions classification = options.classification;
   if (classification.threads == 0) classification.threads = options.threads;
-  SWIM_ASSIGN_OR_RETURN(report.classes, ClassifyJobs(trace, classification));
+  SWIM_ASSIGN_OR_RETURN(report.classes, ClassifyJobs(columns, classification));
   return report;
 }
 

@@ -36,11 +36,13 @@ struct AnalysisOptions {
   int threads = 0;
 };
 
-/// Runs the full analysis pipeline over a trace. One serial pass feeds the
-/// exact-stage accumulators (popularity, re-access, hourly series, names;
-/// see accumulators.h) while the batch-only stages (data-size CDFs and the
-/// Table 1 summary) run beside it on the shared pool; then job
-/// classification (which parallelizes internally) runs on the caller.
+/// Runs the full analysis pipeline over the trace's columns (no rows are
+/// built for an STF1-backed trace). One serial pass feeds the exact-stage
+/// accumulators (popularity, re-access, hourly series, names; see
+/// accumulators.h) while the batch-only stages (one data-size CDF per
+/// dimension and the Table 1 summary) run beside it on the shared pool;
+/// then job classification (which parallelizes internally) runs on the
+/// caller.
 StatusOr<WorkloadReport> AnalyzeWorkload(const trace::Trace& trace,
                                          const AnalysisOptions& options = {});
 

@@ -31,8 +31,19 @@ double Median(const std::vector<double>& values) {
 
 double Quantile(std::vector<double> values, double p) {
   if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  return QuantileSorted(values, p);
+  // QuantileSorted's interpolation between the two order statistics around
+  // rank p * (n - 1), each found by selection instead of a full sort.
+  p = std::clamp(p, 0.0, 1.0);
+  const double index = p * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(std::floor(index));
+  const size_t hi = static_cast<size_t>(std::ceil(index));
+  const double fraction = index - static_cast<double>(lo);
+  std::nth_element(values.begin(), values.begin() + lo, values.end());
+  const double low = values[lo];
+  const double high =
+      hi == lo ? low
+               : *std::min_element(values.begin() + lo + 1, values.end());
+  return low + (high - low) * fraction;
 }
 
 double QuantileSorted(const std::vector<double>& sorted, double p) {

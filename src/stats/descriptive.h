@@ -21,10 +21,12 @@ double Median(const std::vector<double>& values);
 /// p-th quantile with linear interpolation, p in [0, 1]. Returns 0 for an
 /// empty input. p outside [0,1] is clamped.
 ///
-/// COLD PATH: takes `values` by value and sorts the copy on every call.
-/// Fine for a one-off quantile; any caller reading two or more quantiles
-/// (or a quantile plus moments) from the same data must build a
-/// SortedStats (or call QuantileSorted on data it sorted itself) instead.
+/// Takes `values` by value and selects the two order statistics around the
+/// rank in O(n) (nth_element), with QuantileSorted's interpolation, so the
+/// result equals QuantileSorted on the sorted copy. Any caller reading two
+/// or more quantiles (or a quantile plus moments) from the same data should
+/// build a SortedStats (or call QuantileSorted on data it sorted itself)
+/// instead.
 double Quantile(std::vector<double> values, double p);
 
 /// Same as Quantile but requires `sorted` be ascending; no copy is made.

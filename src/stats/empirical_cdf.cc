@@ -12,6 +12,12 @@ EmpiricalCdf::EmpiricalCdf(std::vector<double> samples)
   std::sort(sorted_.begin(), sorted_.end());
 }
 
+EmpiricalCdf EmpiricalCdf::FromSorted(std::vector<double> sorted) {
+  EmpiricalCdf cdf;
+  cdf.sorted_ = std::move(sorted);
+  return cdf;
+}
+
 double EmpiricalCdf::Fraction(double x) const {
   if (sorted_.empty()) return 0.0;
   auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);

@@ -19,6 +19,9 @@ class EmpiricalCdf {
   /// Builds from (possibly unsorted) samples. Keeps a sorted copy.
   explicit EmpiricalCdf(std::vector<double> samples);
 
+  /// Adopts samples the caller already sorted ascending.
+  static EmpiricalCdf FromSorted(std::vector<double> sorted);
+
   bool empty() const { return sorted_.empty(); }
   size_t size() const { return sorted_.size(); }
 

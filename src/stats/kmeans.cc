@@ -227,6 +227,7 @@ StatusOr<ChooseKResult> ChooseKByElbow(
       chosen.k = 1;
       total_variance = run.residual_variance;
       previous = run.residual_variance;
+      chosen.fit = std::move(run);
       if (total_variance <= 1e-12) break;  // all points identical
       continue;
     }
@@ -234,7 +235,8 @@ StatusOr<ChooseKResult> ChooseKByElbow(
     if (improvement < min_improvement) break;
     chosen.k = k;
     previous = run.residual_variance;
-    if (run.residual_variance <= 1e-12) break;  // perfect fit; stop early
+    chosen.fit = std::move(run);
+    if (previous <= 1e-12) break;  // perfect fit; stop early
   }
   return chosen;
 }

@@ -50,6 +50,9 @@ struct ChooseKResult {
   int k = 0;
   /// Residual variance per candidate k (index 0 <-> k = 1).
   std::vector<double> residuals;
+  /// The search's fit at the chosen k: equal to KMeansFit(points, k,
+  /// options), so callers need not fit it again.
+  KMeansResult fit;
 };
 
 /// Chooses k by the paper's rule: "increment k until there is diminishing

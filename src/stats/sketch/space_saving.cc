@@ -80,57 +80,6 @@ uint64_t SpaceSavingSketch::MinCount() const {
   return slots_[heap_[0]].count;
 }
 
-void SpaceSavingSketch::Merge(const SpaceSavingSketch& other) {
-  if (other.slots_.empty()) {
-    total_ += other.total_;
-    return;
-  }
-  // Union with summed counts; a key missing on one side is charged that
-  // side's untracked-mass bound (its minimum count when full), keeping the
-  // overestimate and count-error invariants valid for the merged stream.
-  const uint64_t this_floor = MinCount();
-  const uint64_t other_floor = other.MinCount();
-  std::vector<HeavyHitter> merged;
-  merged.reserve(slots_.size() + other.slots_.size());
-  for (const Slot& slot : slots_) {
-    HeavyHitter entry{slot.key, slot.count, slot.error};
-    auto it = other.index_.find(slot.key);
-    if (it != other.index_.end()) {
-      const Slot& theirs = other.slots_[it->second];
-      entry.count += theirs.count;
-      entry.error += theirs.error;
-    } else {
-      entry.count += other_floor;
-      entry.error += other_floor;
-    }
-    merged.push_back(entry);
-  }
-  for (const Slot& slot : other.slots_) {
-    if (index_.contains(slot.key)) continue;
-    merged.push_back(
-        HeavyHitter{slot.key, slot.count + this_floor, slot.error + this_floor});
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const HeavyHitter& a, const HeavyHitter& b) {
-              if (a.count != b.count) return a.count > b.count;
-              return a.key < b.key;
-            });
-  if (merged.size() > capacity_) merged.resize(capacity_);
-
-  const uint64_t combined_total = total_ + other.total_;
-  slots_.clear();
-  heap_.clear();
-  index_.clear();
-  total_ = combined_total;
-  for (const HeavyHitter& entry : merged) {
-    const auto slot = static_cast<uint32_t>(slots_.size());
-    slots_.push_back(Slot{entry.key, entry.count, entry.error, heap_.size()});
-    heap_.push_back(slot);
-    index_[entry.key] = slot;
-    SiftUp(slots_[slot].heap_pos);
-  }
-}
-
 std::vector<SpaceSavingSketch::HeavyHitter> SpaceSavingSketch::TopK(
     size_t k) const {
   std::vector<HeavyHitter> out;

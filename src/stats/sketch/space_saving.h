@@ -31,11 +31,6 @@ class SpaceSavingSketch {
   /// Observes `key` with the given weight.
   void Add(uint64_t key, uint64_t weight = 1);
 
-  /// Folds `other` into this sketch: counts and error bounds add; a key
-  /// absent from one side is charged the other side's possible untracked
-  /// mass (its minimum count when full). Keeps the top `capacity` keys.
-  void Merge(const SpaceSavingSketch& other);
-
   struct HeavyHitter {
     uint64_t key = 0;
     uint64_t count = 0;  // overestimate; true count in [count-error, count]

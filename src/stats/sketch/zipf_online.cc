@@ -5,18 +5,6 @@
 
 namespace swim::stats {
 
-void OnlineZipf::Merge(const OnlineZipf& other) {
-  if (other.counts_.size() > counts_.size()) {
-    counts_.resize(other.counts_.size(), 0);
-  }
-  for (size_t id = 0; id < other.counts_.size(); ++id) {
-    if (other.counts_[id] == 0) continue;
-    if (counts_[id] == 0) ++distinct_;
-    counts_[id] += other.counts_[id];
-  }
-  total_ += other.total_;
-}
-
 OnlineZipf::Snapshot OnlineZipf::Fit() const {
   // Mirrors the batch popularity pipeline operation for operation (skip
   // zeros in id order, sort descending, exact FitZipf) so streaming and

@@ -30,9 +30,6 @@ class OnlineZipf {
     total_ += weight;
   }
 
-  /// Folds another tracker (counts add; ids must share the same space).
-  void Merge(const OnlineZipf& other);
-
   struct Snapshot {
     std::vector<double> frequencies;  // descending access counts
     ZipfFitResult fit;

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <utility>
 #include <vector>
 
 #include "common/checksum.h"
-#include "common/parallel.h"
+#include "common/flat_hash.h"
 #include "common/string_util.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -32,10 +31,6 @@ namespace {
 constexpr uint32_t kFlagHasNames = 1u << 0;
 constexpr uint32_t kFlagHasInputPaths = 1u << 1;
 constexpr uint32_t kFlagHasOutputPaths = 1u << 2;
-
-/// Rows per materialization chunk; fixed so any per-chunk artifacts (none
-/// today) stay thread-count-independent, matching the CSV parser's contract.
-constexpr size_t kMaterializeGrain = 8192;
 
 constexpr size_t Align(size_t offset) {
   return (offset + kStf1Alignment - 1) & ~(kStf1Alignment - 1);
@@ -281,7 +276,20 @@ Status WriteTraceColumnar(const Trace& trace, const std::string& path) {
 // ---------------------------------------------------------------------------
 
 void ColumnarTraceView::AlignedFree::operator()(unsigned char* p) const {
-  ::operator delete[](p, std::align_val_t{kStf1Alignment});
+  ::operator delete[](p, alignment);
+}
+
+ColumnarTraceView::Buffer ColumnarTraceView::AllocateBuffer(size_t size) {
+  constexpr size_t kHugePage = size_t{2} << 20;
+  const std::align_val_t alignment{size >= kHugePage ? kHugePage
+                                                     : kStf1Alignment};
+  Buffer buffer(static_cast<unsigned char*>(::operator new[](size, alignment)),
+                AlignedFree{alignment});
+#if defined(SWIM_COLUMNAR_HAS_MMAP) && defined(MADV_HUGEPAGE)
+  // Advisory only: without huge pages the buffer works the same, slower.
+  if (size >= kHugePage) madvise(buffer.get(), size, MADV_HUGEPAGE);
+#endif
+  return buffer;
 }
 
 ColumnarTraceView::~ColumnarTraceView() {
@@ -383,9 +391,7 @@ StatusOr<ColumnarTraceView> ColumnarTraceView::Open(
     std::fclose(in);
     return CorruptError("empty file");
   }
-  std::unique_ptr<unsigned char[], AlignedFree> buffer(
-      static_cast<unsigned char*>(
-          ::operator new[](size, std::align_val_t{kStf1Alignment})));
+  Buffer buffer = AllocateBuffer(size);
   if (std::fread(buffer.get(), 1, size, in) != size) {
     std::fclose(in);
     return IoError("read failed: " + path);
@@ -405,9 +411,7 @@ StatusOr<ColumnarTraceView> ColumnarTraceView::FromBytes(
   if (bytes.empty()) return CorruptError("empty file");
   // Copy into an aligned buffer: callers hand arbitrary strings and the
   // column views require kStf1Alignment.
-  std::unique_ptr<unsigned char[], AlignedFree> buffer(
-      static_cast<unsigned char*>(
-          ::operator new[](bytes.size(), std::align_val_t{kStf1Alignment})));
+  Buffer buffer = AllocateBuffer(bytes.size());
   std::memcpy(buffer.get(), bytes.data(), bytes.size());
   ColumnarTraceView view;
   view.data_ = buffer.get();
@@ -573,189 +577,135 @@ Status ColumnarTraceView::VerifyChecksums() const {
   return Status::Ok();
 }
 
-StatusOr<Trace> ColumnarTraceView::Materialize(int max_parallelism) const {
-  const size_t n = job_count_;
-  const Span<const uint64_t> job_id = job_ids();
+JobColumns ColumnarTraceView::columns() const {
+  JobColumns c;
+  c.size = job_count_;
+  c.job_id = Column<uint64_t>(Stf1SectionKind::kJobId);
+  c.submit_time = Column<double>(Stf1SectionKind::kSubmitTime);
+  c.duration = Column<double>(Stf1SectionKind::kDuration);
+  c.input_bytes = Column<double>(Stf1SectionKind::kInputBytes);
+  c.shuffle_bytes = Column<double>(Stf1SectionKind::kShuffleBytes);
+  c.output_bytes = Column<double>(Stf1SectionKind::kOutputBytes);
+  c.map_tasks = Column<int64_t>(Stf1SectionKind::kMapTasks);
+  c.reduce_tasks = Column<int64_t>(Stf1SectionKind::kReduceTasks);
+  c.map_task_seconds = Column<double>(Stf1SectionKind::kMapTaskSeconds);
+  c.reduce_task_seconds =
+      Column<double>(Stf1SectionKind::kReduceTaskSeconds);
+  c.name_id = Column<uint32_t>(Stf1SectionKind::kNameIds);
+  c.input_path_id = Column<uint32_t>(Stf1SectionKind::kInputPathIds);
+  c.output_path_id = Column<uint32_t>(Stf1SectionKind::kOutputPathIds);
+  c.names = DictionaryView(
+      reinterpret_cast<const uint64_t*>(
+          SectionData(Stf1SectionKind::kNameDictOffsets)),
+      reinterpret_cast<const char*>(
+          SectionData(Stf1SectionKind::kNameDictBlob)),
+      name_count_);
+  c.paths = DictionaryView(
+      reinterpret_cast<const uint64_t*>(
+          SectionData(Stf1SectionKind::kPathDictOffsets)),
+      reinterpret_cast<const char*>(
+          SectionData(Stf1SectionKind::kPathDictBlob)),
+      path_count_);
+  return c;
+}
+
+Status ColumnarTraceView::ValidateRows() const {
+  std::optional<RowViolation> bad =
+      FindInvalidRow(columns(), 0, job_count_);
+  if (bad.has_value()) {
+    return CorruptError("row " + std::to_string(bad->row) + ": " + bad->what);
+  }
+  return Status::Ok();
+}
+
+bool ColumnarTraceView::IsCanonical() const {
+  // The id columns can stand in for the trace's lazy indexes only when
+  // they are exactly what the lazy build would produce: the job stream
+  // sorted by submit time, ids in first-appearance order (input before
+  // output per row), every dictionary entry referenced and non-empty, and
+  // the dictionaries duplicate-free. Files we wrote always satisfy this.
   const Span<const double> submit = submit_times();
-  const Span<const double> duration = durations();
-  const Span<const double> in_bytes = input_bytes();
-  const Span<const double> shuffle = shuffle_bytes();
-  const Span<const double> out_bytes = output_bytes();
-  const Span<const int64_t> map_task = map_tasks();
-  const Span<const int64_t> reduce_task = reduce_tasks();
-  const Span<const double> map_secs = map_task_seconds();
-  const Span<const double> reduce_secs = reduce_task_seconds();
   const Span<const uint32_t> name_id = name_ids();
   const Span<const uint32_t> in_id = input_path_ids();
   const Span<const uint32_t> out_id = output_path_ids();
-
-  // Row materialization fans out over fixed-size chunks; each chunk stops
-  // at its first bad row and the lowest-index chunk's error wins, so the
-  // reported row is the earliest one at any thread count.
-  std::vector<JobRecord> jobs(n);
-  const size_t chunk_count = (n + kMaterializeGrain - 1) / kMaterializeGrain;
-  std::vector<Status> chunk_status(chunk_count, Status::Ok());
-  ParallelFor(
-      0, n, kMaterializeGrain,
-      [&](size_t lo, size_t hi) {
-        Status& status = chunk_status[lo / kMaterializeGrain];
-        for (size_t i = lo; i < hi; ++i) {
-          JobRecord& job = jobs[i];
-          job.job_id = job_id[i];
-          job.submit_time = submit[i];
-          job.duration = duration[i];
-          job.input_bytes = in_bytes[i];
-          job.shuffle_bytes = shuffle[i];
-          job.output_bytes = out_bytes[i];
-          job.map_tasks = map_task[i];
-          job.reduce_tasks = reduce_task[i];
-          job.map_task_seconds = map_secs[i];
-          job.reduce_task_seconds = reduce_secs[i];
-          if (!std::isfinite(job.submit_time) ||
-              !std::isfinite(job.duration) ||
-              !std::isfinite(job.input_bytes) ||
-              !std::isfinite(job.shuffle_bytes) ||
-              !std::isfinite(job.output_bytes) ||
-              !std::isfinite(job.map_task_seconds) ||
-              !std::isfinite(job.reduce_task_seconds)) {
-            status = CorruptError("row " + std::to_string(i) +
-                                  ": non-finite value");
-            return;
-          }
-          if (name_id[i] != kNoStringId && name_id[i] >= name_count_) {
-            status = CorruptError("row " + std::to_string(i) +
-                                  ": out-of-range name dictionary id");
-            return;
-          }
-          if (in_id[i] != kNoStringId && in_id[i] >= path_count_) {
-            status = CorruptError("row " + std::to_string(i) +
-                                  ": out-of-range input path dictionary id");
-            return;
-          }
-          if (out_id[i] != kNoStringId && out_id[i] >= path_count_) {
-            status = CorruptError("row " + std::to_string(i) +
-                                  ": out-of-range output path dictionary id");
-            return;
-          }
-          if (name_id[i] != kNoStringId) {
-            job.name = std::string(NameAt(name_id[i]));
-          }
-          if (in_id[i] != kNoStringId) {
-            job.input_path = std::string(PathAt(in_id[i]));
-          }
-          if (out_id[i] != kNoStringId) {
-            job.output_path = std::string(PathAt(out_id[i]));
-          }
-          std::string violation = ValidateJobRecord(job);
-          if (!violation.empty()) {
-            status = CorruptError("row " + std::to_string(i) + ": " +
-                                  violation);
-            return;
-          }
-        }
-      },
-      max_parallelism);
-  for (const Status& status : chunk_status) {
-    if (!status.ok()) return status;
+  uint32_t next_path = 0;
+  uint32_t next_name = 0;
+  auto canonical = [](uint32_t id, uint32_t* next) {
+    if (id == *next) {
+      ++(*next);
+      return true;
+    }
+    return id < *next;
+  };
+  for (size_t i = 0; i < job_count_; ++i) {
+    if (i > 0 && submit[i - 1] > submit[i]) return false;
+    const uint32_t name = name_id[i];
+    const uint32_t in_path = in_id[i];
+    const uint32_t out_path = out_id[i];
+    if (name != kNoStringId && !canonical(name, &next_name)) return false;
+    if (in_path != kNoStringId && !canonical(in_path, &next_path)) {
+      return false;
+    }
+    if (out_path != kNoStringId && !canonical(out_path, &next_path)) {
+      return false;
+    }
   }
+  if (next_path != path_count_ || next_name != name_count_) return false;
+  auto duplicate_free = [](const DictionaryView& dictionary) {
+    FlatHashSet<std::string_view> seen;
+    seen.reserve(dictionary.size());
+    for (uint32_t id = 0; id < dictionary.size(); ++id) {
+      const std::string_view entry = dictionary[id];
+      if (entry.empty() || !seen.insert(entry).second) return false;
+    }
+    return true;
+  };
+  const JobColumns c = columns();
+  return duplicate_free(c.paths) && duplicate_free(c.names);
+}
 
+StatusOr<Trace> ColumnarTraceView::Materialize(int /*unused*/) const {
+  SWIM_RETURN_IF_ERROR(ValidateRows());
   Trace trace(metadata_);
-
-  // The id columns can be adopted as the trace's lazy indexes only when
-  // they are exactly what the lazy build would produce: the job stream
-  // sorted by submit time, dictionaries duplicate-free, ids in
-  // first-appearance order (input before output per row), empty fields
-  // mapped to kNoStringId, and no orphan dictionary entries. Files we wrote
-  // always satisfy this; a foreign or damaged file that does not simply
-  // falls back to SetJobs and rebuilds lazily.
-  bool adoptable = true;
-  for (size_t i = 0; i + 1 < n; ++i) {
-    if (submit[i] > submit[i + 1]) {
-      adoptable = false;
-      break;
-    }
-  }
-  if (adoptable) {
-    uint32_t next_path = 0;
-    uint32_t next_name = 0;
-    auto canonical = [](uint32_t id, uint32_t* next) {
-      if (id == *next) {
-        ++(*next);
-        return true;
-      }
-      return id < *next;
-    };
-    for (size_t i = 0; i < n && adoptable; ++i) {
-      if (name_id[i] != kNoStringId) {
-        adoptable = canonical(name_id[i], &next_name) &&
-                    !NameAt(name_id[i]).empty();
-      }
-      if (adoptable && in_id[i] != kNoStringId) {
-        adoptable = canonical(in_id[i], &next_path) &&
-                    !PathAt(in_id[i]).empty();
-      }
-      if (adoptable && out_id[i] != kNoStringId) {
-        adoptable = canonical(out_id[i], &next_path) &&
-                    !PathAt(out_id[i]).empty();
-      }
-      if (adoptable) {
-        adoptable = (name_id[i] != kNoStringId) != jobs[i].name.empty() &&
-                    (in_id[i] != kNoStringId) != jobs[i].input_path.empty() &&
-                    (out_id[i] != kNoStringId) != jobs[i].output_path.empty();
-      }
-    }
-    adoptable = adoptable && next_path == path_count_ &&
-                next_name == name_count_;
-  }
-  if (!adoptable) {
-    trace.SetJobs(std::move(jobs));
-    return trace;
-  }
-
-  StringInterner path_interner;
-  path_interner.Reserve(path_count_);
-  for (size_t i = 0; i < path_count_; ++i) {
-    if (path_interner.Intern(PathAt(static_cast<uint32_t>(i))) != i) {
-      // Duplicate dictionary entry: consistent rows, non-canonical dict.
-      trace.SetJobs(std::move(jobs));
-      return trace;
-    }
-  }
-  StringInterner name_interner;
-  name_interner.Reserve(name_count_);
-  for (size_t i = 0; i < name_count_; ++i) {
-    if (name_interner.Intern(NameAt(static_cast<uint32_t>(i))) != i) {
-      trace.SetJobs(std::move(jobs));
-      return trace;
-    }
-  }
-  trace.SetJobsWithIndexes(
-      std::move(jobs), std::move(path_interner),
-      std::vector<uint32_t>(in_id.begin(), in_id.end()),
-      std::vector<uint32_t>(out_id.begin(), out_id.end()),
-      std::move(name_interner),
-      std::vector<uint32_t>(name_id.begin(), name_id.end()));
+  trace.SetJobs(BuildRows(columns()));
   return trace;
 }
+
+namespace {
+
+/// The lazy STF1 load: checksums, one row-validation pass, the canonical
+/// checks; then a trace over the view's own bytes, or for a non-canonical
+/// file, rows that rebuild their indexes on demand.
+StatusOr<Trace> LoadFromView(ColumnarTraceView view,
+                             const ColumnarOptions& options) {
+  if (options.verify_checksums) {
+    SWIM_RETURN_IF_ERROR(view.VerifyChecksums());
+  }
+  SWIM_RETURN_IF_ERROR(view.ValidateRows());
+  if (!view.IsCanonical()) return view.Materialize();
+  return Trace::FromColumns(
+      std::make_shared<const ColumnarTraceView>(std::move(view)));
+}
+
+}  // namespace
 
 StatusOr<Trace> TraceFromColumnarBytes(std::string_view bytes,
                                        const ColumnarOptions& options) {
   SWIM_ASSIGN_OR_RETURN(ColumnarTraceView view,
                         ColumnarTraceView::FromBytes(bytes));
-  if (options.verify_checksums) {
-    SWIM_RETURN_IF_ERROR(view.VerifyChecksums());
-  }
-  return view.Materialize(options.threads);
+  return LoadFromView(std::move(view), options);
 }
 
 StatusOr<Trace> LoadTraceColumnar(const std::string& path,
                                   const ColumnarOptions& options) {
+  // The trace outlives the call, so it must own its bytes: read them
+  // rather than map them, and a later truncation or rewrite of the file
+  // cannot reach the trace.
+  ColumnarOptions read_options = options;
+  read_options.allow_mmap = false;
   SWIM_ASSIGN_OR_RETURN(ColumnarTraceView view,
-                        ColumnarTraceView::Open(path, options));
-  if (options.verify_checksums) {
-    SWIM_RETURN_IF_ERROR(view.VerifyChecksums());
-  }
-  return view.Materialize(options.threads);
+                        ColumnarTraceView::Open(path, read_options));
+  return LoadFromView(std::move(view), options);
 }
 
 // ---------------------------------------------------------------------------
@@ -795,9 +745,8 @@ StatusOr<Trace> ReadTraceAuto(const std::string& path,
   if (format == TraceFormat::kCsv) {
     return ReadTraceCsv(path, parse_options, report);
   }
-  ColumnarOptions options = columnar_options;
-  if (options.threads == 0) options.threads = parse_options.threads;
-  SWIM_ASSIGN_OR_RETURN(Trace trace, LoadTraceColumnar(path, options));
+  SWIM_ASSIGN_OR_RETURN(Trace trace,
+                        LoadTraceColumnar(path, columnar_options));
   if (report) {
     *report = ParseReport{};
     report->mode = parse_options.mode;

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <string>
 #include <string_view>
 
@@ -97,7 +98,8 @@ struct ColumnarOptions {
   /// (one streaming pass at memory bandwidth). Opening a view never pays
   /// this; it validates only the header / table / dictionary structure.
   bool verify_checksums = true;
-  /// Worker lanes for materialization; 0 = DefaultParallelism().
+  /// Unused: loading and Materialize are serial. Kept so existing callers
+  /// compile.
   int threads = 0;
 };
 
@@ -156,21 +158,42 @@ class ColumnarTraceView {
   std::string_view NameAt(uint32_t id) const;
   std::string_view PathAt(uint32_t id) const;
 
+  /// Every column as one JobColumns view (stride = element size). Valid
+  /// while the view lives.
+  JobColumns columns() const;
+
   /// Verifies every section checksum (one pass over the whole file).
   Status VerifyChecksums() const;
 
-  /// Builds a full Trace: materializes rows (rejecting non-finite values,
-  /// invalid records, and out-of-range dictionary ids) and, when the
-  /// persisted dictionaries are in canonical first-appearance order (always
-  /// true for files we wrote), adopts the id columns so the Trace's lazy
-  /// indexes are pre-built. Does NOT verify checksums; call
-  /// VerifyChecksums() first or use LoadTraceColumnar.
-  StatusOr<Trace> Materialize(int max_parallelism = 0) const;
+  /// Checks every row: finite values, in-range dictionary ids, the
+  /// ValidateJobRecord invariants. The error names the earliest bad row.
+  Status ValidateRows() const;
+
+  /// True when the id columns are exactly what a Trace's lazy index build
+  /// would produce over these rows: submit-sorted rows, ids in
+  /// first-appearance order (input before output per row), every
+  /// dictionary entry referenced, non-empty and unique. Always true for
+  /// files we wrote. Requires ValidateRows() to have passed.
+  bool IsCanonical() const;
+
+  /// Builds a row-backed Trace (ValidateRows first), serially; its id
+  /// indexes are rebuilt on demand. Does NOT verify checksums; call
+  /// VerifyChecksums() first or use LoadTraceColumnar. The argument is
+  /// unused and kept only so existing callers compile.
+  StatusOr<Trace> Materialize(int /*unused*/ = 0) const;
 
  private:
   struct AlignedFree {
+    AlignedFree() noexcept : alignment(std::align_val_t{kStf1Alignment}) {}
+    explicit AlignedFree(std::align_val_t a) noexcept : alignment(a) {}
     void operator()(unsigned char* p) const;
+    std::align_val_t alignment;
   };
+  using Buffer = std::unique_ptr<unsigned char[], AlignedFree>;
+  /// An uninitialized buffer for a file image: kStf1Alignment-aligned, and
+  /// backed by huge pages where the platform offers them for large images,
+  /// which makes reading a 100 MB file into it about twice as fast.
+  static Buffer AllocateBuffer(size_t size);
 
   Status Init();
   const unsigned char* SectionData(Stf1SectionKind kind) const {
@@ -179,11 +202,16 @@ class ColumnarTraceView {
   size_t SectionBytes(Stf1SectionKind kind) const {
     return section_bytes_[static_cast<size_t>(kind)];
   }
+  template <typename T>
+  StridedColumn<T> Column(Stf1SectionKind kind) const {
+    return StridedColumn<T>(reinterpret_cast<const T*>(SectionData(kind)),
+                            sizeof(T));
+  }
 
   const unsigned char* data_ = nullptr;
   size_t size_ = 0;
   bool mapped_ = false;
-  std::unique_ptr<unsigned char[], AlignedFree> owned_;
+  Buffer owned_;
 
   TraceMetadata metadata_;
   size_t job_count_ = 0;
@@ -199,8 +227,8 @@ class ColumnarTraceView {
 /// needed).
 std::string TraceToColumnarBytes(const Trace& trace);
 
-/// Decodes an in-memory STF1 image: structural validation, checksum
-/// verification (per `options`), materialization.
+/// Decodes an in-memory STF1 image (copied) exactly as LoadTraceColumnar
+/// loads a file.
 StatusOr<Trace> TraceFromColumnarBytes(std::string_view bytes,
                                        const ColumnarOptions& options = {});
 
@@ -209,9 +237,13 @@ StatusOr<Trace> TraceFromColumnarBytes(std::string_view bytes,
 /// a complete new one (never a torn header over valid columns).
 Status WriteTraceColumnar(const Trace& trace, const std::string& path);
 
-/// Opens and materializes an STF1 file: mmap fast path (read() fallback),
-/// checksum verification per `options`, parallel row materialization with
-/// pre-built id indexes.
+/// Loads an STF1 file: reads it into memory the trace owns (never a live
+/// mapping, so later changes to the file cannot reach the trace), verifies
+/// checksums per `options`, validates every row, and checks the id columns
+/// are canonical (IsCanonical). A canonical file yields a column-backed
+/// Trace: rows, interners and id vectors are built only on first use.
+/// Otherwise the rows are built now and their indexes rebuilt on demand.
+/// `options.allow_mmap` and `options.threads` do not apply here.
 StatusOr<Trace> LoadTraceColumnar(const std::string& path,
                                   const ColumnarOptions& options = {});
 
@@ -231,7 +263,7 @@ StatusOr<TraceFormat> SniffTraceFormat(const std::string& path);
 /// Loads a trace in whichever format `path` holds. CSV honors
 /// `parse_options`/`report` exactly as ReadTraceCsv; STF1 ignores the parse
 /// mode (the format is checksummed, not repaired), fills `report` with a
-/// clean summary, and returns a trace with warm id indexes.
+/// clean summary, and returns LoadTraceColumnar's trace.
 StatusOr<Trace> ReadTraceAuto(const std::string& path,
                               const ParseOptions& parse_options = {},
                               ParseReport* report = nullptr,

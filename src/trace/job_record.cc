@@ -3,22 +3,11 @@
 namespace swim::trace {
 
 std::string ValidateJobRecord(const JobRecord& job) {
-  if (job.submit_time < 0.0) return "negative submit_time";
-  if (job.duration < 0.0) return "negative duration";
-  if (job.input_bytes < 0.0) return "negative input_bytes";
-  if (job.shuffle_bytes < 0.0) return "negative shuffle_bytes";
-  if (job.output_bytes < 0.0) return "negative output_bytes";
-  if (job.map_tasks < 0) return "negative map_tasks";
-  if (job.reduce_tasks < 0) return "negative reduce_tasks";
-  if (job.map_task_seconds < 0.0) return "negative map_task_seconds";
-  if (job.reduce_task_seconds < 0.0) return "negative reduce_task_seconds";
-  if (job.map_tasks == 0 && job.map_task_seconds > 0.0) {
-    return "map_task_seconds > 0 with zero map_tasks";
-  }
-  if (job.reduce_tasks == 0 && job.reduce_task_seconds > 0.0) {
-    return "reduce_task_seconds > 0 with zero reduce_tasks";
-  }
-  return "";
+  const char* violation = JobFieldsViolation(
+      job.submit_time, job.duration, job.input_bytes, job.shuffle_bytes,
+      job.output_bytes, job.map_tasks, job.reduce_tasks, job.map_task_seconds,
+      job.reduce_task_seconds);
+  return violation != nullptr ? violation : "";
 }
 
 }  // namespace swim::trace

@@ -64,6 +64,33 @@ struct JobRecord {
 /// empty string when the record is valid.
 std::string ValidateJobRecord(const JobRecord& job);
 
+/// The same invariants over the numeric fields alone, for column sources
+/// that have no JobRecord: the violated invariant, or nullptr. Inline: the
+/// column validators call it once per row.
+inline const char* JobFieldsViolation(double submit_time, double duration,
+                                      double input_bytes, double shuffle_bytes,
+                                      double output_bytes, int64_t map_tasks,
+                                      int64_t reduce_tasks,
+                                      double map_task_seconds,
+                                      double reduce_task_seconds) {
+  if (submit_time < 0.0) return "negative submit_time";
+  if (duration < 0.0) return "negative duration";
+  if (input_bytes < 0.0) return "negative input_bytes";
+  if (shuffle_bytes < 0.0) return "negative shuffle_bytes";
+  if (output_bytes < 0.0) return "negative output_bytes";
+  if (map_tasks < 0) return "negative map_tasks";
+  if (reduce_tasks < 0) return "negative reduce_tasks";
+  if (map_task_seconds < 0.0) return "negative map_task_seconds";
+  if (reduce_task_seconds < 0.0) return "negative reduce_task_seconds";
+  if (map_tasks == 0 && map_task_seconds > 0.0) {
+    return "map_task_seconds > 0 with zero map_tasks";
+  }
+  if (reduce_tasks == 0 && reduce_task_seconds > 0.0) {
+    return "reduce_task_seconds > 0 with zero reduce_tasks";
+  }
+  return nullptr;
+}
+
 }  // namespace swim::trace
 
 #endif  // SWIM_TRACE_JOB_RECORD_H_

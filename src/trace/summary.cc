@@ -1,5 +1,6 @@
 #include "trace/summary.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -9,20 +10,35 @@
 namespace swim::trace {
 
 TraceSummary Summarize(const Trace& trace) {
+  return Summarize(trace.metadata(), trace.columns());
+}
+
+TraceSummary Summarize(const TraceMetadata& metadata,
+                       const JobColumns& c) {
   TraceSummary summary;
-  summary.name = trace.metadata().name;
-  summary.machines = trace.metadata().machines;
-  summary.year = trace.metadata().year;
-  summary.span_seconds = trace.Span();
-  summary.jobs = trace.size();
-  std::vector<double> durations;
-  durations.reserve(trace.size());
-  for (const auto& job : trace.jobs()) {
-    summary.bytes_moved += job.TotalBytes();
-    if (job.IsMapOnly()) ++summary.map_only_jobs;
-    durations.push_back(job.duration);
+  summary.name = metadata.name;
+  summary.machines = metadata.machines;
+  summary.year = metadata.year;
+  summary.jobs = c.size;
+  if (c.size == 0) return summary;
+  // The same expressions as JobRecord's TotalBytes, IsMapOnly and
+  // FinishTime, and Trace::Span (latest finish, never below 0, minus the
+  // first submit).
+  double end = 0.0;
+  std::vector<double> durations(c.size);
+  for (size_t i = 0; i < c.size; ++i) {
+    const double duration = c.duration[i];
+    summary.bytes_moved +=
+        c.input_bytes[i] + c.shuffle_bytes[i] + c.output_bytes[i];
+    if (c.reduce_tasks[i] == 0 && c.shuffle_bytes[i] == 0.0 &&
+        c.reduce_task_seconds[i] == 0.0) {
+      ++summary.map_only_jobs;
+    }
+    end = std::max(end, c.submit_time[i] + duration);
+    durations[i] = duration;
   }
-  summary.median_duration = stats::SortedStats(std::move(durations)).Median();
+  summary.span_seconds = end - c.submit_time[0];
+  summary.median_duration = stats::Quantile(std::move(durations), 0.5);
   return summary;
 }
 

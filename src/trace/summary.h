@@ -22,6 +22,9 @@ struct TraceSummary {
 };
 
 TraceSummary Summarize(const Trace& trace);
+/// The same from columns in submit order.
+TraceSummary Summarize(const TraceMetadata& metadata,
+                       const JobColumns& columns);
 
 /// Renders summaries as an aligned text table matching Table 1's columns.
 std::string FormatSummaryTable(const std::vector<TraceSummary>& rows);

@@ -2,54 +2,64 @@
 
 #include <algorithm>
 
+#include "trace/columnar.h"
+
 namespace swim::trace {
 
-Trace::Trace(const Trace& other) {
-  // Lock the source so a concurrent reader-triggered lazy sort on `other`
-  // cannot move jobs_ under us. Index state is intentionally not copied
-  // (rebuilt on demand); sortedness carries over.
-  std::lock_guard<std::mutex> lock(other.lazy_mu_);
-  metadata_ = other.metadata_;
-  jobs_ = other.jobs_;
-  sorted_.store(other.sorted_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
+Trace Trace::FromColumns(std::shared_ptr<const ColumnarTraceView> view) {
+  Trace trace(view->metadata());
+  trace.column_rows_ = view->job_count();
+  trace.columnar_ = std::move(view);
+  trace.rows_built_.store(false, std::memory_order_relaxed);
+  return trace;
 }
+
+Trace::Trace(const Trace& other) { *this = other; }
 
 Trace& Trace::operator=(const Trace& other) {
   if (this == &other) return *this;
+  // Lock the source so a concurrent reader-triggered lazy build on `other`
+  // cannot move jobs_ under us. A column-backed source shares its columns
+  // and its rows are rebuilt on demand; index state is never copied.
   std::lock_guard<std::mutex> lock(other.lazy_mu_);
   metadata_ = other.metadata_;
-  jobs_ = other.jobs_;
+  columnar_ = other.columnar_;
+  column_rows_ = other.column_rows_;
+  if (columnar_ != nullptr) {
+    jobs_.clear();
+    rows_built_.store(false, std::memory_order_relaxed);
+  } else {
+    jobs_ = other.jobs_;
+    rows_built_.store(true, std::memory_order_relaxed);
+  }
   sorted_.store(other.sorted_.load(std::memory_order_relaxed),
                 std::memory_order_relaxed);
-  path_indexed_.store(false, std::memory_order_relaxed);
-  name_indexed_.store(false, std::memory_order_relaxed);
-  path_interner_.Clear();
-  name_interner_.Clear();
-  input_path_ids_.clear();
-  output_path_ids_.clear();
-  name_ids_.clear();
+  ClearIndexes();
   return *this;
 }
 
-Trace::Trace(Trace&& other) noexcept {
-  std::lock_guard<std::mutex> lock(other.lazy_mu_);
-  metadata_ = std::move(other.metadata_);
-  jobs_ = std::move(other.jobs_);
-  sorted_.store(other.sorted_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-  other.sorted_.store(true, std::memory_order_relaxed);
-  other.path_indexed_.store(false, std::memory_order_relaxed);
-  other.name_indexed_.store(false, std::memory_order_relaxed);
-}
+Trace::Trace(Trace&& other) noexcept { *this = std::move(other); }
 
 Trace& Trace::operator=(Trace&& other) noexcept {
   if (this == &other) return *this;
   std::lock_guard<std::mutex> lock(other.lazy_mu_);
   metadata_ = std::move(other.metadata_);
   jobs_ = std::move(other.jobs_);
+  columnar_ = std::move(other.columnar_);
+  column_rows_ = other.column_rows_;
+  rows_built_.store(other.rows_built_.load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
   sorted_.store(other.sorted_.load(std::memory_order_relaxed),
                 std::memory_order_relaxed);
+  ClearIndexes();
+  other.jobs_.clear();
+  other.rows_built_.store(true, std::memory_order_relaxed);
+  other.sorted_.store(true, std::memory_order_relaxed);
+  other.ClearIndexes();
+  return *this;
+}
+
+void Trace::ClearIndexes() {
   path_indexed_.store(false, std::memory_order_relaxed);
   name_indexed_.store(false, std::memory_order_relaxed);
   path_interner_.Clear();
@@ -57,13 +67,46 @@ Trace& Trace::operator=(Trace&& other) noexcept {
   input_path_ids_.clear();
   output_path_ids_.clear();
   name_ids_.clear();
-  other.sorted_.store(true, std::memory_order_relaxed);
-  other.path_indexed_.store(false, std::memory_order_relaxed);
-  other.name_indexed_.store(false, std::memory_order_relaxed);
-  return *this;
+}
+
+JobColumns Trace::columns() const {
+  if (columnar_ != nullptr) return columnar_->columns();
+  EnsurePathIndex();
+  EnsureNameIndex();
+  JobColumns c;
+  c.size = jobs_.size();
+  c.names = DictionaryView(name_interner_);
+  c.paths = DictionaryView(path_interner_);
+  if (jobs_.empty()) return c;
+  constexpr size_t kRow = sizeof(JobRecord);
+  const JobRecord& first = jobs_.front();
+  c.job_id = StridedColumn<uint64_t>(&first.job_id, kRow);
+  c.submit_time = StridedColumn<double>(&first.submit_time, kRow);
+  c.duration = StridedColumn<double>(&first.duration, kRow);
+  c.input_bytes = StridedColumn<double>(&first.input_bytes, kRow);
+  c.shuffle_bytes = StridedColumn<double>(&first.shuffle_bytes, kRow);
+  c.output_bytes = StridedColumn<double>(&first.output_bytes, kRow);
+  c.map_tasks = StridedColumn<int64_t>(&first.map_tasks, kRow);
+  c.reduce_tasks = StridedColumn<int64_t>(&first.reduce_tasks, kRow);
+  c.map_task_seconds = StridedColumn<double>(&first.map_task_seconds, kRow);
+  c.reduce_task_seconds =
+      StridedColumn<double>(&first.reduce_task_seconds, kRow);
+  c.name_id = StridedColumn<uint32_t>(name_ids_.data(), sizeof(uint32_t));
+  c.input_path_id =
+      StridedColumn<uint32_t>(input_path_ids_.data(), sizeof(uint32_t));
+  c.output_path_id =
+      StridedColumn<uint32_t>(output_path_ids_.data(), sizeof(uint32_t));
+  return c;
+}
+
+void Trace::DetachColumns() {
+  if (columnar_ == nullptr) return;
+  EnsureRows();
+  columnar_.reset();
 }
 
 void Trace::AddJob(JobRecord job) {
+  DetachColumns();
   if (!jobs_.empty() && job.submit_time < jobs_.back().submit_time) {
     sorted_.store(false, std::memory_order_relaxed);
   }
@@ -73,6 +116,8 @@ void Trace::AddJob(JobRecord job) {
 }
 
 void Trace::SetJobs(std::vector<JobRecord> jobs) {
+  columnar_.reset();
+  rows_built_.store(true, std::memory_order_relaxed);
   jobs_ = std::move(jobs);
   sorted_.store(false, std::memory_order_relaxed);
   path_indexed_.store(false, std::memory_order_relaxed);
@@ -80,31 +125,11 @@ void Trace::SetJobs(std::vector<JobRecord> jobs) {
   EnsureSorted();
 }
 
-void Trace::SetJobsWithIndexes(std::vector<JobRecord> jobs,
-                               StringInterner path_interner,
-                               std::vector<uint32_t> input_path_ids,
-                               std::vector<uint32_t> output_path_ids,
-                               StringInterner name_interner,
-                               std::vector<uint32_t> name_ids) {
-  const size_t n = jobs.size();
-  const bool sorted = std::is_sorted(
-      jobs.begin(), jobs.end(), [](const JobRecord& a, const JobRecord& b) {
-        return a.submit_time < b.submit_time;
-      });
-  if (!sorted || input_path_ids.size() != n || output_path_ids.size() != n ||
-      name_ids.size() != n) {
-    SetJobs(std::move(jobs));
-    return;
-  }
-  jobs_ = std::move(jobs);
-  path_interner_ = std::move(path_interner);
-  name_interner_ = std::move(name_interner);
-  input_path_ids_ = std::move(input_path_ids);
-  output_path_ids_ = std::move(output_path_ids);
-  name_ids_ = std::move(name_ids);
-  sorted_.store(true, std::memory_order_release);
-  path_indexed_.store(true, std::memory_order_release);
-  name_indexed_.store(true, std::memory_order_release);
+void Trace::MaterializeRows() const {
+  std::lock_guard<std::mutex> lock(lazy_mu_);
+  if (rows_built_.load(std::memory_order_relaxed)) return;
+  jobs_ = BuildRows(columnar_->columns());
+  rows_built_.store(true, std::memory_order_release);
 }
 
 void Trace::EnsureSorted() const {
@@ -115,10 +140,12 @@ void Trace::EnsureSorted() const {
 
 void Trace::SortLocked() const {
   if (sorted_.load(std::memory_order_relaxed)) return;
-  std::stable_sort(jobs_.begin(), jobs_.end(),
-                   [](const JobRecord& a, const JobRecord& b) {
-                     return a.submit_time < b.submit_time;
-                   });
+  auto by_submit = [](const JobRecord& a, const JobRecord& b) {
+    return a.submit_time < b.submit_time;
+  };
+  if (!std::is_sorted(jobs_.begin(), jobs_.end(), by_submit)) {
+    std::stable_sort(jobs_.begin(), jobs_.end(), by_submit);
+  }
   path_indexed_.store(false, std::memory_order_relaxed);  // ids follow order
   name_indexed_.store(false, std::memory_order_relaxed);
   sorted_.store(true, std::memory_order_release);
@@ -128,10 +155,27 @@ void Trace::EnsurePathIndex() const {
   if (path_indexed_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(lazy_mu_);
   if (path_indexed_.load(std::memory_order_relaxed)) return;
-  SortLocked();
   path_interner_.Clear();
   input_path_ids_.clear();
   output_path_ids_.clear();
+  if (columnar_ != nullptr) {
+    // Canonical columns: interning the dictionary in id order reproduces
+    // the ids, and the id columns are the index.
+    const JobColumns c = columnar_->columns();
+    path_interner_.Reserve(c.paths.size());
+    for (uint32_t id = 0; id < c.paths.size(); ++id) {
+      path_interner_.Intern(c.paths[id]);
+    }
+    input_path_ids_.resize(c.size);
+    output_path_ids_.resize(c.size);
+    for (size_t i = 0; i < c.size; ++i) {
+      input_path_ids_[i] = c.input_path_id[i];
+      output_path_ids_[i] = c.output_path_id[i];
+    }
+    path_indexed_.store(true, std::memory_order_release);
+    return;
+  }
+  SortLocked();
   input_path_ids_.reserve(jobs_.size());
   output_path_ids_.reserve(jobs_.size());
   for (const auto& job : jobs_) {
@@ -149,9 +193,20 @@ void Trace::EnsureNameIndex() const {
   if (name_indexed_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(lazy_mu_);
   if (name_indexed_.load(std::memory_order_relaxed)) return;
-  SortLocked();
   name_interner_.Clear();
   name_ids_.clear();
+  if (columnar_ != nullptr) {
+    const JobColumns c = columnar_->columns();
+    name_interner_.Reserve(c.names.size());
+    for (uint32_t id = 0; id < c.names.size(); ++id) {
+      name_interner_.Intern(c.names[id]);
+    }
+    name_ids_.resize(c.size);
+    for (size_t i = 0; i < c.size; ++i) name_ids_[i] = c.name_id[i];
+    name_indexed_.store(true, std::memory_order_release);
+    return;
+  }
+  SortLocked();
   name_ids_.reserve(jobs_.size());
   for (const auto& job : jobs_) {
     name_ids_.push_back(job.name.empty() ? kNoStringId
@@ -161,7 +216,7 @@ void Trace::EnsureNameIndex() const {
 }
 
 Status Trace::Validate() const {
-  for (const auto& job : jobs_) {
+  for (const auto& job : jobs()) {
     std::string violation = ValidateJobRecord(job);
     if (!violation.empty()) {
       return InvalidArgumentError("job " + std::to_string(job.job_id) + ": " +
@@ -172,16 +227,16 @@ Status Trace::Validate() const {
 }
 
 double Trace::StartTime() const {
-  if (jobs_.empty()) return 0.0;
+  if (empty()) return 0.0;
   EnsureSorted();
-  return jobs_.front().submit_time;
+  return jobs().front().submit_time;
 }
 
 double Trace::EndTime() const {
-  if (jobs_.empty()) return 0.0;
+  if (empty()) return 0.0;
   EnsureSorted();
   double end = 0.0;
-  for (const auto& job : jobs_) end = std::max(end, job.FinishTime());
+  for (const auto& job : jobs()) end = std::max(end, job.FinishTime());
   return end;
 }
 

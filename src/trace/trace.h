@@ -3,15 +3,19 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/interner.h"
 #include "common/status.h"
+#include "trace/job_columns.h"
 #include "trace/job_record.h"
 
 namespace swim::trace {
+
+class ColumnarTraceView;
 
 /// Cluster-level metadata accompanying a trace (Table 1 columns that are
 /// not derivable from the job stream itself).
@@ -30,15 +34,28 @@ struct TraceMetadata {
 
 /// An ordered collection of jobs plus metadata. Jobs are kept sorted by
 /// submit time (the class maintains this invariant on mutation).
+///
+/// A trace is backed either by JobRecord rows or, when loaded from an STF1
+/// file, by the file's columns (see FromColumns). A column-backed trace
+/// builds its rows, interners and id vectors only on first use; columns()
+/// reads either backing without building anything.
 class Trace {
  public:
   Trace() = default;
   explicit Trace(TraceMetadata metadata) : metadata_(std::move(metadata)) {}
 
-  // Copies and moves transfer the job stream, metadata, and sortedness,
-  // but drop the lazy interned-id state (rebuilt on demand): the
-  // synchronization members below are not copyable, and re-interning on
-  // first use beats deep-copying arenas.
+  /// A trace backed by a validated STF1 view that owns its bytes (not a
+  /// live mapping). The caller guarantees the view is canonical: rows
+  /// valid and sorted by submit time, dictionaries duplicate-free with
+  /// non-empty entries, ids in first-appearance order (input path before
+  /// output path per row), every entry referenced. LoadTraceColumnar checks
+  /// all of this before calling.
+  static Trace FromColumns(std::shared_ptr<const ColumnarTraceView> view);
+
+  // Copies and moves transfer the job stream (or share the column
+  // backing), metadata, and sortedness, but drop the lazy interned-id
+  // state (rebuilt on demand): the synchronization members below are not
+  // copyable, and re-interning on first use beats deep-copying arenas.
   Trace(const Trace& other);
   Trace& operator=(const Trace& other);
   Trace(Trace&& other) noexcept;
@@ -47,32 +64,26 @@ class Trace {
   const TraceMetadata& metadata() const { return metadata_; }
   TraceMetadata& mutable_metadata() { return metadata_; }
 
-  const std::vector<JobRecord>& jobs() const { return jobs_; }
-  size_t size() const { return jobs_.size(); }
-  bool empty() const { return jobs_.empty(); }
+  /// The rows; a column-backed trace builds them on first call.
+  const std::vector<JobRecord>& jobs() const {
+    EnsureRows();
+    return jobs_;
+  }
+  size_t size() const {
+    return columnar_ != nullptr ? column_rows_ : jobs_.size();
+  }
+  bool empty() const { return size() == 0; }
+
+  /// Column views over every job, in submit order. A row-backed trace
+  /// builds its id indexes first (the id columns are those indexes); a
+  /// column-backed one returns its retained columns. Nothing is copied.
+  JobColumns columns() const;
 
   /// Appends a job; re-sorts lazily on the next read if ordering broke.
   void AddJob(JobRecord job);
 
   /// Bulk replacement; takes ownership and sorts.
   void SetJobs(std::vector<JobRecord> jobs);
-
-  /// Bulk replacement with pre-built interned-id state — the columnar
-  /// (STF1) load path, where the dictionaries and id columns were persisted
-  /// at write time and re-interning 1M+ rows would just reproduce them.
-  /// The caller guarantees the id state matches what the lazy build would
-  /// produce: `jobs` sorted by submit time, ids in first-appearance order,
-  /// empty fields mapped to kNoStringId (ColumnarTraceView::Materialize
-  /// verifies all of this before calling). If `jobs` turns out unsorted or
-  /// a column length mismatches, the id state is discarded and this
-  /// degrades to SetJobs (lazy rebuild) instead of publishing corrupt
-  /// indexes.
-  void SetJobsWithIndexes(std::vector<JobRecord> jobs,
-                          StringInterner path_interner,
-                          std::vector<uint32_t> input_path_ids,
-                          std::vector<uint32_t> output_path_ids,
-                          StringInterner name_interner,
-                          std::vector<uint32_t> name_ids);
 
   /// Validates every record; returns the first violation.
   Status Validate() const;
@@ -99,12 +110,14 @@ class Trace {
   // The path and name indexes are built lazily (and independently — a
   // popularity analysis never pays for name interning and vice versa) on
   // first access, and invalidated by AddJob/SetJobs. Each build is one
-  // serial interning pass in submit order. The lazy builds are thread-safe
-  // for CONCURRENT CONST READERS: the first accessor to need an index
-  // builds it under an internal mutex (double-checked against an atomic
-  // flag) and later readers see the published result, so worker threads
-  // may share a const Trace freely. Mutation (AddJob/SetJobs) is not
-  // synchronized against readers and still requires exclusivity.
+  // serial interning pass in submit order; a column-backed trace interns
+  // its persisted dictionary in id order and copies its id columns. The
+  // lazy builds (rows included) are thread-safe for CONCURRENT CONST
+  // READERS: the first accessor to need an index builds it under an
+  // internal mutex (double-checked against an atomic flag) and later
+  // readers see the published result, so worker threads may share a const
+  // Trace freely. Mutation (AddJob/SetJobs) is not synchronized against
+  // readers and still requires exclusivity.
 
   /// Interner over input/output paths; ids index path-keyed tables.
   const StringInterner& path_interner() const {
@@ -130,28 +143,40 @@ class Trace {
     return name_ids_;
   }
 
-  /// Builds both id indexes now instead of on first analytical use. The
-  /// build is serial: the argument is unused and kept only so existing
-  /// callers compile.
+  /// Builds both id indexes now instead of on first analytical use (a
+  /// column-backed trace interns its dictionaries). The build is serial:
+  /// the argument is unused and kept only so existing callers compile.
   void WarmIndexes(int /*unused*/ = 0) const {
     EnsurePathIndex();
     EnsureNameIndex();
   }
 
  private:
+  void EnsureRows() const {
+    if (!rows_built_.load(std::memory_order_acquire)) MaterializeRows();
+  }
+  void MaterializeRows() const;
   void EnsureSorted() const;
   void EnsurePathIndex() const;
   void EnsureNameIndex() const;
   /// Sorts with lazy_mu_ already held (Ensure* helpers compose on it).
   void SortLocked() const;
+  /// Builds the rows and drops the column backing, before a mutation.
+  void DetachColumns();
+  /// Resets the lazy index state (callers hold exclusive access).
+  void ClearIndexes();
 
   TraceMetadata metadata_;
   mutable std::vector<JobRecord> jobs_;
+  /// The STF1 backing; null for a row-backed trace. Shared by copies.
+  std::shared_ptr<const ColumnarTraceView> columnar_;
+  size_t column_rows_ = 0;  // the backing's job count
 
-  /// Serializes the lazy sort/index builds; the atomic flags are the
+  /// Serializes the lazy row/sort/index builds; the atomic flags are the
   /// double-checked fast path (acquire load outside the lock publishes the
   /// built vectors/interners to readers).
   mutable std::mutex lazy_mu_;
+  mutable std::atomic<bool> rows_built_{true};
   mutable std::atomic<bool> sorted_{true};
   mutable std::atomic<bool> path_indexed_{false};
   mutable std::atomic<bool> name_indexed_{false};

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -10,8 +11,12 @@
 #include "core/analysis/temporal.h"
 #include "core/analysis/workload_report.h"
 #include "gtest/gtest.h"
+#include "stats/kmeans.h"
+#include "stats/sampling.h"
 #include "storage/access_stream.h"
 #include "trace/trace.h"
+#include "workloads/paper_workloads.h"
+#include "workloads/trace_generator.h"
 
 namespace swim::core {
 namespace {
@@ -437,6 +442,155 @@ TEST(ClassifyTest, SingleJobGivesOneClass) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->k, 1);
   EXPECT_DOUBLE_EQ(result->largest_class_fraction, 1.0);
+}
+
+// The classification as it ran before it read columns: a reservoir of
+// per-job feature vectors, and a second KMeansFit at the elbow's k. Kept
+// here only as the oracle for the column version.
+std::vector<double> LegacyFeatures(const trace::JobRecord& job) {
+  auto f = [](double x) { return std::log10(1.0 + x); };
+  return {f(job.input_bytes),      f(job.shuffle_bytes),
+          f(job.output_bytes),     f(job.duration),
+          f(job.map_task_seconds), f(job.reduce_task_seconds)};
+}
+
+std::vector<std::vector<double>> LegacySample(
+    const trace::Trace& trace, const ClassificationOptions& options) {
+  Pcg32 rng(options.seed, /*stream=*/0xc1a55);
+  stats::ReservoirSampler<std::vector<double>> sampler(
+      std::max<size_t>(1, options.sample_cap), rng.Fork());
+  for (const auto& job : trace.jobs()) sampler.Add(LegacyFeatures(job));
+  return sampler.sample();
+}
+
+JobClassification LegacyClassify(const trace::Trace& trace,
+                                 const ClassificationOptions& options) {
+  std::vector<std::vector<double>> sample = LegacySample(trace, options);
+  stats::ColumnScaling scaling = stats::StandardizeColumns(sample);
+  stats::KMeansOptions kmeans_options;
+  kmeans_options.seed = options.seed;
+  kmeans_options.threads = options.threads;
+  auto elbow = stats::ChooseKByElbow(sample, options.max_k,
+                                     options.min_improvement, kmeans_options);
+  EXPECT_TRUE(elbow.ok());
+  auto fit = stats::KMeansFit(sample, elbow->k, kmeans_options);
+  EXPECT_TRUE(fit.ok());
+  JobClassification result;
+  result.k = elbow->k;
+  result.elbow_residuals = elbow->residuals;
+  const size_t k = fit->centroids.size();
+  std::vector<size_t> counts(k, 0);
+  std::vector<std::vector<double>> log_sums(k, std::vector<double>(6, 0.0));
+  // Chunked like the production pass so the floating sums associate the
+  // same way.
+  constexpr size_t kAssignGrain = 8192;
+  const auto& jobs = trace.jobs();
+  for (size_t lo = 0; lo < jobs.size(); lo += kAssignGrain) {
+    std::vector<size_t> part_counts(k, 0);
+    std::vector<std::vector<double>> part_sums(k, std::vector<double>(6, 0.0));
+    for (size_t i = lo; i < std::min(jobs.size(), lo + kAssignGrain); ++i) {
+      std::vector<double> features = LegacyFeatures(jobs[i]);
+      for (size_t d = 0; d < 6; ++d) {
+        features[d] -= scaling.mean[d];
+        if (scaling.stddev[d] > 0.0) features[d] /= scaling.stddev[d];
+      }
+      size_t best = 0;
+      double best_dist = std::numeric_limits<double>::max();
+      for (size_t c = 0; c < k; ++c) {
+        double dist = 0.0;
+        for (size_t d = 0; d < 6; ++d) {
+          double diff = features[d] - fit->centroids[c][d];
+          dist += diff * diff;
+        }
+        if (dist < best_dist) {
+          best_dist = dist;
+          best = c;
+        }
+      }
+      ++part_counts[best];
+      for (size_t d = 0; d < 6; ++d) {
+        part_sums[best][d] +=
+            features[d] * (scaling.stddev[d] > 0.0 ? scaling.stddev[d] : 1.0) +
+            scaling.mean[d];
+      }
+    }
+    for (size_t c = 0; c < k; ++c) {
+      counts[c] += part_counts[c];
+      for (size_t d = 0; d < 6; ++d) log_sums[c][d] += part_sums[c][d];
+    }
+  }
+  auto inverse = [](double v) { return std::max(0.0, std::pow(10.0, v) - 1.0); };
+  for (size_t c = 0; c < k; ++c) {
+    if (counts[c] == 0) continue;
+    const double n = static_cast<double>(counts[c]);
+    JobClass jc;
+    jc.count = counts[c];
+    jc.input_bytes = inverse(log_sums[c][0] / n);
+    jc.shuffle_bytes = inverse(log_sums[c][1] / n);
+    jc.output_bytes = inverse(log_sums[c][2] / n);
+    jc.duration_seconds = inverse(log_sums[c][3] / n);
+    jc.map_task_seconds = inverse(log_sums[c][4] / n);
+    jc.reduce_task_seconds = inverse(log_sums[c][5] / n);
+    jc.label = LabelForCentroid(jc);
+    result.classes.push_back(jc);
+  }
+  std::sort(result.classes.begin(), result.classes.end(),
+            [](const JobClass& a, const JobClass& b) {
+              return a.count > b.count;
+            });
+  return result;
+}
+
+trace::Trace GeneratedTrace(const char* workload, size_t jobs) {
+  auto spec = workloads::PaperWorkloadByName(workload);
+  EXPECT_TRUE(spec.ok());
+  workloads::GeneratorOptions options;
+  options.job_count_override = jobs;
+  auto generated = workloads::GenerateTrace(*spec, options);
+  EXPECT_TRUE(generated.ok());
+  return *std::move(generated);
+}
+
+TEST(ClassifyTest, SamplesTheLegacyReservoirRows) {
+  const trace::Trace t = GeneratedTrace("FB-2009", 5000);
+  ClassificationOptions options;
+  options.sample_cap = 1500;  // well under the job count: replacements run
+  const std::vector<size_t> rows =
+      ClassificationSampleRows(t.size(), options);
+  const std::vector<std::vector<double>> legacy = LegacySample(t, options);
+  ASSERT_EQ(rows.size(), legacy.size());
+  for (size_t s = 0; s < rows.size(); ++s) {
+    EXPECT_EQ(LegacyFeatures(t.jobs()[rows[s]]), legacy[s]) << "slot " << s;
+  }
+}
+
+TEST(ClassifyTest, ClassTableMatchesTheLegacyClassification) {
+  for (const char* workload : {"FB-2009", "CC-b"}) {
+    const trace::Trace t = GeneratedTrace(workload, 20000);
+    for (int threads : {1, 4}) {
+      ClassificationOptions options;
+      options.sample_cap = 6000;
+      options.threads = threads;
+      auto result = ClassifyJobs(t, options);
+      ASSERT_TRUE(result.ok());
+      const JobClassification legacy = LegacyClassify(t, options);
+      EXPECT_EQ(result->k, legacy.k) << workload;
+      EXPECT_EQ(result->elbow_residuals, legacy.elbow_residuals) << workload;
+      ASSERT_EQ(result->classes.size(), legacy.classes.size()) << workload;
+      for (size_t c = 0; c < legacy.classes.size(); ++c) {
+        const JobClass& a = result->classes[c];
+        const JobClass& b = legacy.classes[c];
+        EXPECT_EQ(a.count, b.count);
+        EXPECT_EQ(a.label, b.label);
+        EXPECT_EQ(a.input_bytes, b.input_bytes);
+        EXPECT_EQ(a.shuffle_bytes, b.shuffle_bytes);
+        EXPECT_EQ(a.output_bytes, b.output_bytes);
+        EXPECT_EQ(a.duration_seconds, b.duration_seconds);
+        EXPECT_EQ(a.map_task_seconds, b.map_task_seconds);
+        EXPECT_EQ(a.reduce_task_seconds, b.reduce_task_seconds);
+      }
+    }
+  }
 }
 
 TEST(LabelTest, VocabularyMatchesPaper) {

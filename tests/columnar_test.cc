@@ -8,7 +8,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/checksum.h"
 #include "common/interner.h"
@@ -98,6 +102,131 @@ std::string PatchHeader(std::string bytes, Mutate&& mutate) {
 
 std::string TempPath(const char* name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::FILE* out = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(out, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), out), bytes.size());
+  std::fclose(out);
+}
+
+/// Re-lays an STF1 image with some section payloads replaced (their sizes
+/// may change) and re-signs every checksum: an encoder for valid files the
+/// writer never produces.
+std::string ReplaceSections(
+    const std::string& bytes,
+    const std::map<Stf1SectionKind, std::string>& replacements) {
+  Stf1Header header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  std::vector<std::string> payloads(kStf1SectionCount);
+  std::vector<Stf1Section> entries(kStf1SectionCount);
+  for (size_t i = 0; i < kStf1SectionCount; ++i) {
+    Stf1Section section;
+    std::memcpy(&section,
+                bytes.data() + header.table_offset + i * sizeof(section),
+                sizeof(section));
+    const auto kind = static_cast<Stf1SectionKind>(section.kind);
+    auto it = replacements.find(kind);
+    payloads[section.kind] =
+        it != replacements.end()
+            ? it->second
+            : bytes.substr(section.offset, section.bytes);
+    entries[section.kind] = section;
+  }
+  auto align = [](size_t at) {
+    return (at + kStf1Alignment - 1) & ~(kStf1Alignment - 1);
+  };
+  header.table_offset = sizeof(Stf1Header);
+  header.table_bytes = kStf1SectionCount * sizeof(Stf1Section);
+  size_t at = align(header.table_offset + header.table_bytes);
+  for (size_t kind = 0; kind < kStf1SectionCount; ++kind) {
+    entries[kind].offset = at;
+    entries[kind].bytes = payloads[kind].size();
+    entries[kind].checksum =
+        Checksum64(payloads[kind].data(), payloads[kind].size());
+    at = align(at + payloads[kind].size());
+  }
+  std::string out(at, '\0');
+  for (size_t kind = 0; kind < kStf1SectionCount; ++kind) {
+    std::memcpy(out.data() + header.table_offset + kind * sizeof(Stf1Section),
+                &entries[kind], sizeof(Stf1Section));
+    std::memcpy(out.data() + entries[kind].offset, payloads[kind].data(),
+                payloads[kind].size());
+  }
+  header.table_checksum =
+      Checksum64(out.data() + header.table_offset, header.table_bytes);
+  header.header_checksum =
+      Checksum64(&header, offsetof(Stf1Header, header_checksum));
+  std::memcpy(out.data(), &header, sizeof(header));
+  return out;
+}
+
+template <typename T>
+std::string AsBytes(const std::vector<T>& values) {
+  return std::string(reinterpret_cast<const char*>(values.data()),
+                     values.size() * sizeof(T));
+}
+
+/// The same jobs as `canonical` in a valid but non-canonical encoding: the
+/// path dictionary reversed (ids out of first-appearance order) plus a
+/// duplicate of one entry that every other reader of that path points at.
+std::string NonCanonicalEncoding(const std::string& canonical) {
+  auto view = ColumnarTraceView::FromBytes(canonical);
+  EXPECT_TRUE(view.ok());
+  const JobColumns c = view->columns();
+  const uint32_t paths = static_cast<uint32_t>(c.paths.size());
+  std::vector<std::string> dictionary;
+  for (uint32_t id = paths; id-- > 0;) {
+    dictionary.emplace_back(c.paths[id]);
+  }
+  dictionary.emplace_back(c.paths[0]);  // id `paths`: a duplicate of old 0
+  std::vector<uint32_t> input_ids(c.size);
+  std::vector<uint32_t> output_ids(c.size);
+  bool alternate = false;
+  auto remap = [&](uint32_t id) {
+    if (id == kNoStringId) return id;
+    if (id == 0) {
+      alternate = !alternate;
+      if (alternate) return paths;  // every other reader takes the duplicate
+    }
+    return paths - 1 - id;
+  };
+  for (size_t i = 0; i < c.size; ++i) {
+    input_ids[i] = remap(c.input_path_id[i]);
+    output_ids[i] = remap(c.output_path_id[i]);
+  }
+  std::vector<uint64_t> offsets = {0};
+  std::string blob;
+  for (const std::string& entry : dictionary) {
+    blob += entry;
+    offsets.push_back(blob.size());
+  }
+  return ReplaceSections(
+      canonical, {{Stf1SectionKind::kInputPathIds, AsBytes(input_ids)},
+                  {Stf1SectionKind::kOutputPathIds, AsBytes(output_ids)},
+                  {Stf1SectionKind::kPathDictOffsets, AsBytes(offsets)},
+                  {Stf1SectionKind::kPathDictBlob, blob}});
+}
+
+/// Runs `body` with SWIM_THREADS set to `threads`, then restores it.
+template <typename Body>
+void WithThreads(const char* threads, Body&& body) {
+  const char* old = std::getenv("SWIM_THREADS");
+  const std::string saved = old ? old : "";
+  ::setenv("SWIM_THREADS", threads, 1);
+  body();
+  if (old) {
+    ::setenv("SWIM_THREADS", saved.c_str(), 1);
+  } else {
+    ::unsetenv("SWIM_THREADS");
+  }
+}
+
+std::string ReportOf(const Trace& trace) {
+  auto report = core::AnalyzeWorkload(trace);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return report.ok() ? core::FormatReport(*report) : std::string();
 }
 
 TEST(ColumnarTest, CsvToStf1ToCsvIsByteIdentical) {
@@ -261,6 +390,136 @@ TEST(ColumnarTest, SniffsFormatsAndDispatchesByExtension) {
   EXPECT_EQ(TraceToCsv(*from_csv), TraceToCsv(*from_stf1));
   std::remove(csv_path.c_str());
   std::remove(stf1_path.c_str());
+}
+
+// --- The lazy load path ----------------------------------------------------
+
+TEST(ColumnarTest, ReportIsByteIdenticalAcrossLoadPaths) {
+  Trace original = BaseTrace(300);
+  const std::string csv_path = TempPath("columnar_paths_report.csv");
+  const std::string stf1_path = TempPath("columnar_paths_report.stf1");
+  const std::string odd_path = TempPath("columnar_paths_report_odd.stf1");
+  ASSERT_TRUE(WriteTraceCsv(original, csv_path).ok());
+  ASSERT_TRUE(WriteTraceColumnar(original, stf1_path).ok());
+  WriteBytes(odd_path, NonCanonicalEncoding(TraceToColumnarBytes(original)));
+
+  auto odd_view = ColumnarTraceView::Open(odd_path);
+  ASSERT_TRUE(odd_view.ok()) << odd_view.status().ToString();
+  ASSERT_TRUE(odd_view->ValidateRows().ok());
+  EXPECT_FALSE(odd_view->IsCanonical());
+  auto view = ColumnarTraceView::Open(stf1_path);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_TRUE(view->IsCanonical());
+
+  std::vector<std::string> reports;
+  for (const char* threads : {"1", "4"}) {
+    WithThreads(threads, [&] {
+      auto from_csv = ReadTraceAuto(csv_path);
+      auto from_stf1 = ReadTraceAuto(stf1_path);
+      auto materialized = view->Materialize();
+      auto fallback = ReadTraceAuto(odd_path);
+      ASSERT_TRUE(from_csv.ok() && from_stf1.ok() && materialized.ok() &&
+                  fallback.ok());
+      reports.push_back(ReportOf(*from_csv));
+      reports.push_back(ReportOf(*from_stf1));
+      reports.push_back(ReportOf(*materialized));
+      reports.push_back(ReportOf(*fallback));
+      EXPECT_EQ(TraceToCsv(*fallback), TraceToCsv(*from_csv));
+    });
+  }
+  ASSERT_EQ(reports.size(), 8u);
+  for (size_t i = 1; i < reports.size(); ++i) {
+    EXPECT_EQ(reports[i], reports[0]) << "source " << i % 4 << " at "
+                                      << (i < 4 ? 1 : 4) << " threads";
+  }
+  std::remove(csv_path.c_str());
+  std::remove(stf1_path.c_str());
+  std::remove(odd_path.c_str());
+}
+
+TEST(ColumnarTest, LazyRowsEqualMaterializedRows) {
+  const std::string bytes = TraceToColumnarBytes(BaseTrace(200));
+  auto loaded = TraceFromColumnarBytes(bytes);
+  auto view = ColumnarTraceView::FromBytes(bytes);
+  ASSERT_TRUE(loaded.ok() && view.ok());
+  auto materialized = view->Materialize();
+  ASSERT_TRUE(materialized.ok());
+  ASSERT_EQ(loaded->size(), materialized->size());
+  for (size_t i = 0; i < loaded->size(); ++i) {
+    EXPECT_EQ(loaded->jobs()[i], materialized->jobs()[i]) << "row " << i;
+  }
+  EXPECT_EQ(loaded->input_path_ids(), materialized->input_path_ids());
+  EXPECT_EQ(loaded->output_path_ids(), materialized->output_path_ids());
+  EXPECT_EQ(loaded->name_ids(), materialized->name_ids());
+}
+
+TEST(ColumnarTest, ConcurrentFirstReadersOfALoadedTrace) {
+  // Run under TSan in CI: every lazy build (rows, path and name indexes)
+  // is first triggered by several threads at once.
+  const std::string bytes = TraceToColumnarBytes(BaseTrace(400));
+  auto reference = ColumnarTraceView::FromBytes(bytes)->Materialize();
+  ASSERT_TRUE(reference.ok());
+  for (int round = 0; round < 4; ++round) {
+    auto loaded = TraceFromColumnarBytes(bytes);
+    ASSERT_TRUE(loaded.ok());
+    const Trace& shared = *loaded;
+    std::vector<std::thread> readers;
+    std::vector<size_t> seen(8, 0);
+    for (int t = 0; t < 8; ++t) {
+      readers.emplace_back([&, t] {
+        switch ((t + round) % 4) {
+          case 0: seen[t] = shared.jobs().size(); break;
+          case 1: seen[t] = shared.path_interner().size(); break;
+          case 2: seen[t] = shared.name_ids().size(); break;
+          default: seen[t] = shared.columns().size; break;
+        }
+      });
+    }
+    for (std::thread& reader : readers) reader.join();
+    EXPECT_EQ(shared.jobs(), reference->jobs());
+    EXPECT_EQ(shared.path_interner().size(),
+              reference->path_interner().size());
+    EXPECT_EQ(shared.input_path_ids(), reference->input_path_ids());
+    EXPECT_EQ(shared.name_ids(), reference->name_ids());
+  }
+}
+
+TEST(ColumnarTest, LoadedTraceOwnsItsBytes) {
+  // Run under ASan in CI: after the load, truncating and rewriting the
+  // file and destroying the source trace must not reach any copy.
+  Trace original = BaseTrace(120);
+  const std::string expected_csv = TraceToCsv(original);
+  const std::string path = TempPath("columnar_owned.stf1");
+  ASSERT_TRUE(WriteTraceColumnar(original, path).ok());
+  std::string expected_report;
+  std::optional<Trace> copy;
+  std::optional<Trace> early_copy;
+  {
+    auto loaded = LoadTraceColumnar(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    early_copy = *loaded;  // taken before any lazy build
+    WriteBytes(path, "");  // truncate
+    WriteBytes(path, TraceToColumnarBytes(BaseTrace(7)));  // overwrite
+    EXPECT_EQ(TraceToCsv(*loaded), expected_csv);
+    expected_report = ReportOf(*loaded);
+    copy = *loaded;
+  }
+  // The source trace is gone; its copies still share the owned columns.
+  EXPECT_EQ(ReportOf(*copy), expected_report);
+  EXPECT_EQ(TraceToCsv(*copy), expected_csv);
+  EXPECT_EQ(ReportOf(*early_copy), expected_report);
+  EXPECT_EQ(TraceToCsv(*early_copy), expected_csv);
+
+  // A mutation detaches the copy from the shared columns.
+  Trace grown = *copy;
+  JobRecord extra = original.jobs().back();
+  extra.job_id = 9999;
+  extra.submit_time += 1.0;
+  grown.AddJob(extra);
+  EXPECT_EQ(grown.size(), original.size() + 1);
+  EXPECT_EQ(grown.jobs().back(), extra);
+  EXPECT_EQ(TraceToCsv(*copy), expected_csv);
+  std::remove(path.c_str());
 }
 
 // --- The corrupted-input ladder -------------------------------------------

@@ -222,6 +222,15 @@ TEST(UnitsTest, FormatBytesNegative) {
   EXPECT_EQ(FormatBytes(-2 * kMB), "-2 MB");
 }
 
+TEST(UnitsTest, SignedZeroFormatsAsZero) {
+  // -0.0 passes ValidateJobRecord (-0.0 < 0.0 is false), so a trace may
+  // carry it; it must print like +0.0.
+  EXPECT_EQ(FormatBytes(-0.0), "0 B");
+  EXPECT_EQ(FormatDuration(-0.0), "0 sec");
+  EXPECT_EQ(FormatBytes(0.0), "0 B");
+  EXPECT_EQ(FormatDuration(0.0), "0 sec");
+}
+
 TEST(UnitsTest, FormatDurationPicksUnit) {
   EXPECT_EQ(FormatDuration(32), "32 sec");
   EXPECT_EQ(FormatDuration(4 * kMinute), "4 min");

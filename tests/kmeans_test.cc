@@ -104,6 +104,41 @@ TEST(ChooseKTest, SingleClusterData) {
   EXPECT_LE(chosen->k, 2);
 }
 
+/// Bit-for-bit equality of two fits.
+void ExpectSameFit(const KMeansResult& a, const KMeansResult& b) {
+  EXPECT_EQ(a.centroids, b.centroids);
+  EXPECT_EQ(a.assignments, b.assignments);
+  EXPECT_EQ(a.sizes, b.sizes);
+  EXPECT_EQ(a.residual_variance, b.residual_variance);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.converged, b.converged);
+}
+
+TEST(ChooseKTest, ReturnsTheFitForTheChosenK) {
+  // The search's own fit at the chosen k must be exactly what a separate
+  // KMeansFit would produce, at any thread count, whether the search stops
+  // on the elbow rule, at max_k, or at k = 1.
+  struct Case {
+    int max_k;
+    double min_improvement;
+  };
+  const auto points = ThreeBlobs(60, 11);
+  for (const Case& c : {Case{8, 0.25}, Case{2, 0.01}, Case{6, 0.99}}) {
+    for (int threads : {1, 4}) {
+      KMeansOptions options;
+      options.seed = 3;
+      options.threads = threads;
+      auto chosen = ChooseKByElbow(points, c.max_k, c.min_improvement, options);
+      ASSERT_TRUE(chosen.ok());
+      auto refit = KMeansFit(points, chosen->k, options);
+      ASSERT_TRUE(refit.ok());
+      ExpectSameFit(chosen->fit, *refit);
+      EXPECT_EQ(chosen->fit.residual_variance,
+                chosen->residuals[static_cast<size_t>(chosen->k) - 1]);
+    }
+  }
+}
+
 TEST(ChooseKTest, RejectsBadMaxK) {
   std::vector<std::vector<double>> points = {{1.0}};
   EXPECT_FALSE(ChooseKByElbow(points, 0).ok());

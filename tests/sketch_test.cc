@@ -263,22 +263,6 @@ TEST(SpaceSavingTest, DeterministicVictimSelection) {
   }
 }
 
-TEST(SpaceSavingTest, MergeAddsCountsAndChargesAbsentKeys) {
-  SpaceSavingSketch a(8);
-  SpaceSavingSketch b(8);
-  for (int i = 0; i < 10; ++i) a.Add(1);
-  for (int i = 0; i < 4; ++i) a.Add(2);
-  for (int i = 0; i < 6; ++i) b.Add(1);
-  for (int i = 0; i < 3; ++i) b.Add(3);
-  a.Merge(b);
-  EXPECT_EQ(a.total_weight(), 23u);
-  auto top = a.TopK(8);
-  ASSERT_GE(top.size(), 3u);
-  EXPECT_EQ(top[0].key, 1u);
-  EXPECT_EQ(top[0].count, 16u);  // both sides tracked key 1 exactly
-  EXPECT_EQ(top[0].error, 0u);   // neither side was full: no slack charged
-}
-
 // --- Sliding window -------------------------------------------------------
 
 TEST(SlidingWindowTest, ExactWithinWindow) {
@@ -359,21 +343,6 @@ TEST(OnlineZipfTest, MatchesBatchFitExactly) {
   EXPECT_EQ(snapshot.fit.intercept, batch.intercept);
   EXPECT_EQ(snapshot.fit.r_squared, batch.r_squared);
   EXPECT_EQ(snapshot.total_accesses, 100000u);
-}
-
-TEST(OnlineZipfTest, MergeAddsCounts) {
-  OnlineZipf a;
-  OnlineZipf b;
-  a.Add(0, 5);
-  a.Add(3, 2);
-  b.Add(0, 1);
-  b.Add(7, 4);
-  a.Merge(b);
-  EXPECT_EQ(a.total(), 12u);
-  EXPECT_EQ(a.distinct(), 3u);
-  EXPECT_EQ(a.counts()[0], 6u);
-  EXPECT_EQ(a.counts()[3], 2u);
-  EXPECT_EQ(a.counts()[7], 4u);
 }
 
 }  // namespace
