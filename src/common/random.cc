@@ -1,7 +1,6 @@
 #include "common/random.h"
 
 #include <cmath>
-#include <numbers>
 
 #include "common/logging.h"
 
@@ -11,24 +10,6 @@ Pcg32::Pcg32(uint64_t seed, uint64_t stream) : state_(0), inc_((stream << 1u) | 
   operator()();
   state_ += seed;
   operator()();
-}
-
-Pcg32::result_type Pcg32::operator()() {
-  uint64_t oldstate = state_;
-  state_ = oldstate * 6364136223846793005ULL + inc_;
-  uint32_t xorshifted =
-      static_cast<uint32_t>(((oldstate >> 18u) ^ oldstate) >> 27u);
-  uint32_t rot = static_cast<uint32_t>(oldstate >> 59u);
-  return (xorshifted >> rot) | (xorshifted << ((~rot + 1u) & 31u));
-}
-
-double Pcg32::NextDouble() {
-  // 53 random bits into [0, 1).
-  uint64_t hi = operator()();
-  uint64_t lo = operator()();
-  uint64_t bits = (hi << 21u) ^ (lo >> 11u);
-  return static_cast<double>(bits & ((1ULL << 53u) - 1u)) /
-         static_cast<double>(1ULL << 53u);
 }
 
 double Pcg32::NextDouble(double lo, double hi) {
@@ -51,16 +32,6 @@ int64_t Pcg32::NextInt(int64_t lo, int64_t hi) {
   SWIM_CHECK_LE(lo, hi);
   return lo + static_cast<int64_t>(
                   NextBounded(static_cast<uint64_t>(hi - lo) + 1u));
-}
-
-double Pcg32::NextGaussian() {
-  // Box-Muller without the cached second deviate, to keep the generator
-  // state a pure function of the call count.
-  double u1 = NextDouble();
-  double u2 = NextDouble();
-  while (u1 <= 1e-300) u1 = NextDouble();
-  return std::sqrt(-2.0 * std::log(u1)) *
-         std::cos(2.0 * std::numbers::pi * u2);
 }
 
 double Pcg32::NextLognormal(double mu, double sigma) {

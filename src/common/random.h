@@ -1,9 +1,11 @@
 #ifndef SWIM_COMMON_RANDOM_H_
 #define SWIM_COMMON_RANDOM_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <numbers>
 #include <vector>
 
 namespace swim {
@@ -29,10 +31,24 @@ class Pcg32 {
   }
 
   /// Returns the next 32 random bits.
-  result_type operator()();
+  result_type operator()() {
+    uint64_t oldstate = state_;
+    state_ = oldstate * 6364136223846793005ULL + inc_;
+    uint32_t xorshifted =
+        static_cast<uint32_t>(((oldstate >> 18u) ^ oldstate) >> 27u);
+    uint32_t rot = static_cast<uint32_t>(oldstate >> 59u);
+    return (xorshifted >> rot) | (xorshifted << ((~rot + 1u) & 31u));
+  }
 
   /// Uniform double in [0, 1).
-  double NextDouble();
+  double NextDouble() {
+    // 53 random bits into [0, 1).
+    uint64_t hi = operator()();
+    uint64_t lo = operator()();
+    uint64_t bits = (hi << 21u) ^ (lo >> 11u);
+    return static_cast<double>(bits & ((1ULL << 53u) - 1u)) /
+           static_cast<double>(1ULL << 53u);
+  }
 
   /// Uniform double in [lo, hi).
   double NextDouble(double lo, double hi);
@@ -45,8 +61,33 @@ class Pcg32 {
   /// Uniform integer in [lo, hi] inclusive.
   int64_t NextInt(int64_t lo, int64_t hi);
 
-  /// Standard normal deviate (Box-Muller; deterministic, no cached spare).
-  double NextGaussian();
+  /// The two uniforms one Box-Muller deviate consumes.
+  struct GaussianDraw {
+    double u1;  // in (1e-300, 1)
+    double u2;  // in [0, 1)
+  };
+
+  /// Draws the uniforms of one standard normal deviate and no more: the
+  /// generator state afterwards is the one NextGaussian leaves. Lets a
+  /// caller make its draws in a serial pass and run the transform
+  /// anywhere (see GaussianFromDraw).
+  GaussianDraw NextGaussianDraw() {
+    double u1 = NextDouble();
+    double u2 = NextDouble();
+    while (u1 <= 1e-300) u1 = NextDouble();
+    return {u1, u2};
+  }
+
+  /// The Box-Muller transform of one draw.
+  static double GaussianFromDraw(GaussianDraw draw) {
+    return std::sqrt(-2.0 * std::log(draw.u1)) *
+           std::cos(2.0 * std::numbers::pi * draw.u2);
+  }
+
+  /// Standard normal deviate (Box-Muller without the cached second
+  /// deviate, so the generator state is a pure function of the call
+  /// count).
+  double NextGaussian() { return GaussianFromDraw(NextGaussianDraw()); }
 
   /// Lognormal deviate: exp(N(mu, sigma)). `sigma` must be >= 0.
   double NextLognormal(double mu, double sigma);

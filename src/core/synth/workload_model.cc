@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/string_util.h"
 #include "core/analysis/data_access.h"
@@ -41,17 +44,21 @@ StatusOr<WorkloadModel> BuildModel(const trace::Trace& trace,
 
   // Whole-job exemplars: uniform reservoir subsample, stripped of paths and
   // reduced to the name's first word (the only part analysis consumes).
+  // The reservoir's draws do not depend on the items, so sampling row
+  // indices picks the rows sampling the rows themselves would; only the
+  // chosen rows are copied.
+  const std::vector<trace::JobRecord>& jobs = trace.jobs();
   Pcg32 rng(options.seed, /*stream=*/0x30de1);
-  stats::ReservoirSampler<trace::JobRecord> sampler(
+  stats::ReservoirSampler<size_t> sampler(
       std::max<size_t>(1, options.exemplar_cap), rng.Fork());
-  for (const auto& job : trace.jobs()) {
-    trace::JobRecord exemplar = job;
+  for (size_t i = 0; i < jobs.size(); ++i) sampler.Add(i);
+  model.exemplars.reserve(sampler.sample().size());
+  for (size_t i : sampler.sample()) {
+    trace::JobRecord& exemplar = model.exemplars.emplace_back(jobs[i]);
     exemplar.input_path.clear();
     exemplar.output_path.clear();
     exemplar.name = FirstWordOfJobName(exemplar.name);
-    sampler.Add(std::move(exemplar));
   }
-  model.exemplars = sampler.sample();
 
   model.hourly_envelope = ComputeSubmissionSeries(trace).jobs_per_hour;
 
@@ -128,8 +135,10 @@ StatusOr<WorkloadModel> ModelFromText(const std::string& text) {
       }
     } else if (key == "total_jobs") {
       int64_t v = 0;
-      if (!ParseInt64(value, &v) || v < 0) {
-        return InvalidArgumentError("bad total_jobs");
+      if (!ParseInt64(value, &v) || v < 0 ||
+          static_cast<uint64_t>(v) > kMaxJobs) {
+        return InvalidArgumentError("bad total_jobs (at most " +
+                                    std::to_string(kMaxJobs) + ")");
       }
       model.total_jobs = static_cast<size_t>(v);
     } else if (key == "columns") {

@@ -36,6 +36,13 @@ struct WorkloadModel {
   workloads::TraceColumnAvailability columns;
 };
 
+/// Largest accepted job count of a model (total_jobs) or a synthesis: the
+/// uint32 id-space bound of workloads::kMaxInputFiles, since an indexed
+/// trace numbers its paths and names with dense uint32 ids. The bound turns
+/// absurd counts (99999999999999 ended in an uncaught std::bad_alloc) into
+/// an InvalidArgumentError.
+inline constexpr size_t kMaxJobs = workloads::kMaxInputFiles;
+
 struct ModelOptions {
   /// Maximum exemplars retained (uniform reservoir subsample above this).
   size_t exemplar_cap = 200000;

@@ -1,38 +1,51 @@
 #include "workloads/file_population.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
 #include <numbers>
+#include <string_view>
 
 namespace swim::workloads {
 namespace {
 
-std::string HotInputPath(size_t rank) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "in/h%06zu", rank);
-  return buffer;
+/// `prefix` then `value` in decimal, zero-padded to at least `width`
+/// digits: snprintf's "%0*zu" without the format parsing.
+std::string NumberedPath(std::string_view prefix, uint64_t value,
+                         size_t width) {
+  char digits[20];
+  const size_t n = static_cast<size_t>(
+      std::to_chars(digits, digits + sizeof(digits), value).ptr - digits);
+  std::string path;
+  path.reserve(prefix.size() + std::max(n, width));
+  path.append(prefix);
+  if (n < width) path.append(width - n, '0');
+  path.append(digits, n);
+  return path;
 }
+
+std::string HotInputPath(size_t rank) { return NumberedPath("in/h", rank, 6); }
 
 // Hot universe for large scans (big warehouse tables, re-read daily).
 // Kept disjoint from the small-job universe so the size of a popular small
 // file is never inflated by one TB-scale scan of the same path.
 std::string HotLargeInputPath(size_t rank) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "in/H%06zu", rank);
-  return buffer;
+  return NumberedPath("in/H", rank, 6);
 }
 
 std::string HotOutputPath(size_t rank) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "out/h%06zu", rank);
-  return buffer;
+  return NumberedPath("out/h", rank, 6);
 }
 
 }  // namespace
 
-FilePopulationSim::AccessHistory::AccessHistory(double halflife_seconds)
-    : rate_(std::numbers::ln2 / halflife_seconds) {}
+FilePopulationSim::AccessHistory::AccessHistory(double halflife_seconds,
+                                                size_t expected_entries)
+    : rate_(std::numbers::ln2 / halflife_seconds) {
+  times_.reserve(expected_entries);
+  paths_.reserve(expected_entries);
+}
 
 void FilePopulationSim::AccessHistory::Record(double time,
                                               const std::string& path) {
@@ -59,7 +72,7 @@ const std::string& FilePopulationSim::AccessHistory::SampleRecent(
 
 FilePopulationSim::FilePopulationSim(const FilePopulationSpec& spec,
                                      const TraceColumnAvailability& columns,
-                                     Pcg32 rng)
+                                     Pcg32 rng, size_t expected_jobs)
     : spec_(spec),
       columns_(columns),
       rng_(rng),
@@ -68,8 +81,11 @@ FilePopulationSim::FilePopulationSim(const FilePopulationSpec& spec,
                               spec.zipf_slope),
       output_popularity_(std::max<size_t>(1, spec.input_files / 4),
                          spec.zipf_slope),
-      input_history_(spec.recency_halflife_seconds),
-      output_history_(spec.recency_halflife_seconds) {}
+      // One input record per job; at most one output record per job.
+      input_history_(spec.recency_halflife_seconds,
+                     columns.input_paths ? expected_jobs : 0),
+      output_history_(spec.recency_halflife_seconds,
+                      columns.output_paths ? expected_jobs : 0) {}
 
 void FilePopulationSim::AssignPaths(trace::JobRecord& job) {
   if (columns_.input_paths) {
@@ -97,9 +113,7 @@ void FilePopulationSim::AssignPaths(trace::JobRecord& job) {
         job.input_path = HotInputPath(input_popularity_.Sample(rng_));
       }
     } else {
-      char buffer[32];
-      std::snprintf(buffer, sizeof(buffer), "in/f%08zu", fresh_inputs_++);
-      job.input_path = buffer;
+      job.input_path = NumberedPath("in/f", fresh_inputs_++, 8);
     }
     input_history_.Record(job.submit_time, job.input_path);
   }
@@ -111,7 +125,7 @@ void FilePopulationSim::AssignPaths(trace::JobRecord& job) {
         rng_.NextBernoulli(0.45)) {
       job.output_path = HotOutputPath(output_popularity_.Sample(rng_));
     } else {
-      job.output_path = "out/j" + std::to_string(job.job_id);
+      job.output_path = NumberedPath("out/j", job.job_id, 0);
     }
     output_history_.Record(job.FinishTime(), job.output_path);
   }

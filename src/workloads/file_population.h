@@ -22,8 +22,11 @@ namespace swim::workloads {
 ///    producing the paper's Figure 5 interval CDF.
 class FilePopulationSim {
  public:
+  /// `expected_jobs` sizes the access histories up front (a hint: more
+  /// jobs still work).
   FilePopulationSim(const FilePopulationSpec& spec,
-                    const TraceColumnAvailability& columns, Pcg32 rng);
+                    const TraceColumnAvailability& columns, Pcg32 rng,
+                    size_t expected_jobs);
 
   /// Assigns input_path (if the spec logs input paths) and output_path (if
   /// it logs output paths and the job writes bytes). submit_time, duration
@@ -34,7 +37,7 @@ class FilePopulationSim {
   /// Time-ordered access log supporting recency-biased sampling.
   class AccessHistory {
    public:
-    explicit AccessHistory(double halflife_seconds);
+    AccessHistory(double halflife_seconds, size_t expected_entries);
     void Record(double time, const std::string& path);
     bool empty() const { return times_.empty(); }
     const std::string& SampleRecent(double now, Pcg32& rng) const;

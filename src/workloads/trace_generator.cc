@@ -145,17 +145,12 @@ StatusOr<trace::Trace> GenerateTrace(const WorkloadSpec& spec,
   }
   std::sort(schedule.begin(), schedule.end());
 
-  FilePopulationSim files(spec.files, spec.columns, file_rng);
+  FilePopulationSim files(spec.files, spec.columns, file_rng, total_jobs);
 
-  trace::TraceMetadata metadata = spec.metadata;
-  metadata.has_names = spec.columns.names;
-  metadata.has_input_paths = spec.columns.input_paths;
-  metadata.has_output_paths = spec.columns.output_paths;
-  trace::Trace result(metadata);
-
+  std::vector<trace::JobRecord> jobs(total_jobs);
   for (size_t i = 0; i < total_jobs; ++i) {
     const JobTypeSpec& jt = spec.job_types[schedule[i].second];
-    trace::JobRecord job;
+    trace::JobRecord& job = jobs[i];
     job.job_id = i + 1;
     job.submit_time = schedule[i].first;
 
@@ -200,8 +195,14 @@ StatusOr<trace::Trace> GenerateTrace(const WorkloadSpec& spec,
     }
 
     files.AssignPaths(job);
-    result.AddJob(std::move(job));
   }
+
+  trace::TraceMetadata metadata = spec.metadata;
+  metadata.has_names = spec.columns.names;
+  metadata.has_input_paths = spec.columns.input_paths;
+  metadata.has_output_paths = spec.columns.output_paths;
+  trace::Trace result(metadata);
+  result.SetJobs(std::move(jobs));
   return result;
 }
 

@@ -1,7 +1,10 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/statusor.h"
@@ -206,6 +209,57 @@ TEST(Pcg32Test, ForkProducesIndependentStream) {
     if (parent() == child()) ++same;
   }
   EXPECT_LT(same, 4);
+}
+
+// Golden sequences: every synthesized trace is a function of these
+// streams, so a change to any draw changes every pinned synthesis digest.
+// Each case pins the first values and an XXH64 over the bit patterns of
+// the first 64.
+template <typename Draw>
+uint64_t DigestOf64(Pcg32 rng, Draw draw) {
+  std::vector<uint64_t> bits;
+  for (int i = 0; i < 64; ++i) bits.push_back(draw(rng));
+  return Checksum64(bits.data(), bits.size() * sizeof(uint64_t));
+}
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+TEST(Pcg32Test, GoldenSequences) {
+  const Pcg32 seeded(20120827, 7);
+  Pcg32 rng = seeded;
+  EXPECT_EQ(rng(), 768698109u);
+  EXPECT_EQ(rng(), 4174136419u);
+  EXPECT_EQ(DigestOf64(seeded, [](Pcg32& r) { return uint64_t{r()}; }),
+            0xb964a2aa0948a566u);
+  rng = seeded;
+  EXPECT_EQ(rng.NextDouble(), 0x1.6e8b37efc662p-3);
+  EXPECT_EQ(rng.NextDouble(), 0x1.0811c181e7a0cp-2);
+  EXPECT_EQ(
+      DigestOf64(seeded, [](Pcg32& r) { return Bits(r.NextDouble()); }),
+      0xd9026290b02fd6eeu);
+  rng = seeded;
+  EXPECT_EQ(rng.NextGaussian(), -0x1.780c6bada6457p-4);
+  EXPECT_EQ(rng.NextGaussian(), 0x1.6bf7942de3473p+0);
+  EXPECT_EQ(
+      DigestOf64(seeded, [](Pcg32& r) { return Bits(r.NextGaussian()); }),
+      0x409abd4b6b80fa9fu);
+  rng = seeded;
+  EXPECT_EQ(rng.NextBounded(1000), 683u);
+  EXPECT_EQ(rng.NextBounded(1000), 811u);
+  EXPECT_EQ(DigestOf64(seeded, [](Pcg32& r) { return r.NextBounded(1000); }),
+            0x5cc956f02a4f1aa3u);
+}
+
+// NextGaussian is the transform of its draw and nothing more: a caller may
+// make the draws serially and transform them elsewhere.
+TEST(Pcg32Test, GaussianIsTheTransformOfItsDraw) {
+  Pcg32 whole(20120827, 7);
+  Pcg32 split = whole;
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(whole.NextGaussian(),
+              Pcg32::GaussianFromDraw(split.NextGaussianDraw()));
+    EXPECT_EQ(whole(), split());  // the states stayed in step
+  }
 }
 
 // --- Units ---------------------------------------------------------------

@@ -1,15 +1,19 @@
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/units.h"
 #include "core/synth/fidelity.h"
 #include "core/synth/scale_down.h"
 #include "core/synth/synthesizer.h"
 #include "core/synth/workload_model.h"
 #include "gtest/gtest.h"
+#include "trace/trace_io.h"
 #include "workloads/paper_workloads.h"
 #include "workloads/trace_generator.h"
 #include "workloads/workload_spec.h"
@@ -167,6 +171,24 @@ TEST(WorkloadModelTest, ParserBoundsInputFilesByThePathIdSpace) {
   }
 }
 
+// total_jobs is bounded by the uint32 id space; 99999999999999 used to end
+// in an uncaught std::bad_alloc in swim_synth gen.
+TEST(WorkloadModelTest, ParserBoundsTotalJobsByTheIdSpace) {
+  auto model = BuildModel(SourceTrace(400));
+  ASSERT_TRUE(model.ok());
+  const std::string text = ModelToText(*model);
+  auto at_bound =
+      ModelFromText(WithField(text, "total_jobs", std::to_string(kMaxJobs)));
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status();
+  EXPECT_EQ(at_bound->total_jobs, kMaxJobs);
+  for (const std::string& jobs :
+       {std::to_string(kMaxJobs + 1), std::string("99999999999999")}) {
+    auto parsed = ModelFromText(WithField(text, "total_jobs", jobs));
+    ASSERT_FALSE(parsed.ok()) << jobs;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << jobs;
+  }
+}
+
 // --- Synthesis --------------------------------------------------------------
 
 TEST(SynthesizerTest, ProducesRequestedJobs) {
@@ -241,6 +263,124 @@ TEST(SynthesizerTest, RejectsEmptyModel) {
   WorkloadModel model;
   model.span_seconds = 100;
   EXPECT_FALSE(SynthesizeTrace(model).ok());
+}
+
+// Options that used to abort (std::bad_alloc on the row vector) or
+// silently produce NaN rows are rejected up front.
+TEST(SynthesizerTest, RejectsUnusableOptions) {
+  auto model = BuildModel(SourceTrace(400));
+  ASSERT_TRUE(model.ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<SynthesisOptions> bad;
+  bad.emplace_back().job_count = kMaxJobs + 1;
+  bad.emplace_back().job_count = 99999999999999u;
+  for (double v : {nan, inf, -inf, -0.1}) {
+    bad.emplace_back().jitter_sigma = v;
+    bad.emplace_back().span_seconds = v;
+  }
+  for (const SynthesisOptions& options : bad) {
+    auto synth = SynthesizeTrace(*model, options);
+    ASSERT_FALSE(synth.ok()) << options.job_count << " "
+                             << options.jitter_sigma << " "
+                             << options.span_seconds;
+    EXPECT_EQ(synth.status().code(), StatusCode::kInvalidArgument);
+  }
+  // The model's own count is bounded too when job_count defers to it.
+  WorkloadModel huge = *model;
+  huge.total_jobs = 99999999999999u;
+  auto synth = SynthesizeTrace(huge);
+  ASSERT_FALSE(synth.ok());
+  EXPECT_EQ(synth.status().code(), StatusCode::kInvalidArgument);
+  // Zero jitter is a plain resample.
+  SynthesisOptions plain;
+  plain.job_count = 50;
+  plain.jitter_sigma = 0.0;
+  EXPECT_TRUE(SynthesizeTrace(*model, plain).ok());
+}
+
+// --- Golden synthesis digests ----------------------------------------------
+
+/// Runs `body` with SWIM_THREADS set to `threads`, then restores it.
+template <typename Body>
+void WithThreads(const char* threads, Body&& body) {
+  const char* old = std::getenv("SWIM_THREADS");
+  const std::string saved = old ? old : "";
+  ::setenv("SWIM_THREADS", threads, 1);
+  body();
+  if (old) {
+    ::setenv("SWIM_THREADS", saved.c_str(), 1);
+  } else {
+    ::unsetenv("SWIM_THREADS");
+  }
+}
+
+uint64_t Digest(const std::string& text) {
+  return Checksum64(text.data(), text.size());
+}
+
+trace::Trace GoldenSource(const char* workload) {
+  auto spec = workloads::PaperWorkloadByName(workload);
+  SWIM_CHECK_OK(spec.status());
+  workloads::GeneratorOptions options;
+  options.job_count_override = 3000;
+  options.seed = 42;
+  auto trace = workloads::GenerateTrace(*spec, options);
+  SWIM_CHECK_OK(trace.status());
+  return *std::move(trace);
+}
+
+struct GoldenSynthesis {
+  SynthesisMethod method;
+  size_t jobs;
+  uint64_t csv_digest;
+};
+
+struct GoldenModel {
+  const char* workload;
+  uint64_t model_digest;
+  std::vector<GoldenSynthesis> syntheses;
+};
+
+// XXH64 of the model text and of each synthesized trace's CSV. FB-2010
+// carries input paths only; CC-b adds names and output paths, so
+// DecorateJobName and the output history run. The exemplar cap sits below
+// the source size so the reservoir replaces, and the largest synthesis
+// spans more than one 64k-job block. The values must hold at every lane
+// count and across any rewrite of BuildModel or SynthesizeTrace.
+TEST(SynthesisGoldenTest, DigestsArePinnedAtAnyLaneCount) {
+  const std::vector<GoldenModel> golden = {
+      {"FB-2010",
+       0x7990ec8716945305ull,
+       {{SynthesisMethod::kEmpirical, 70000, 0x75dadb4c2b0b91c4ull},
+        {SynthesisMethod::kParametricLognormal, 5000, 0x905713e689727959ull}}},
+      {"CC-b",
+       0xdb2ac220aecd8908ull,
+       {{SynthesisMethod::kEmpirical, 20000, 0x37ba82cb4aa422ceull},
+        {SynthesisMethod::kParametricLognormal, 5000, 0xc888411963e8457eull}}},
+  };
+  for (const GoldenModel& g : golden) {
+    const trace::Trace source = GoldenSource(g.workload);
+    for (const char* threads : {"1", "4"}) {
+      SCOPED_TRACE(std::string(g.workload) + " SWIM_THREADS=" + threads);
+      WithThreads(threads, [&] {
+        ModelOptions model_options;
+        model_options.exemplar_cap = 1000;
+        auto model = BuildModel(source, model_options);
+        ASSERT_TRUE(model.ok()) << model.status();
+        EXPECT_EQ(Digest(ModelToText(*model)), g.model_digest);
+        for (const GoldenSynthesis& s : g.syntheses) {
+          SynthesisOptions options;
+          options.job_count = s.jobs;
+          options.method = s.method;
+          auto synth = SynthesizeTrace(*model, options);
+          ASSERT_TRUE(synth.ok()) << synth.status();
+          EXPECT_EQ(Digest(trace::TraceToCsv(*synth)), s.csv_digest)
+              << "jobs=" << s.jobs;
+        }
+      });
+    }
+  }
 }
 
 // --- Fidelity metric ----------------------------------------------------------

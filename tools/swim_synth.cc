@@ -6,10 +6,11 @@
 //
 // Trace inputs may be CSV or STF1 (sniffed from the magic bytes); gen
 // writes STF1 when the output path ends in .stf/.stf1, CSV otherwise.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/string_util.h"
 #include "core/synth/fidelity.h"
 #include "core/synth/synthesizer.h"
 #include "core/synth/workload_model.h"
@@ -53,13 +54,20 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (command == "gen") {
-    auto model = core::LoadModel(argv[2]);
-    if (!model.ok()) return Fail(model.status());
     core::SynthesisOptions options;
     if (argc > 4) {
-      options.job_count =
-          static_cast<size_t>(std::strtoull(argv[4], nullptr, 10));
+      int64_t jobs = 0;
+      if (!ParseInt64(argv[4], &jobs) || jobs <= 0) {
+        std::fprintf(stderr,
+                     "swim_synth gen: [jobs] must be a positive integer, "
+                     "got '%s'\n",
+                     argv[4]);
+        return Usage();
+      }
+      options.job_count = static_cast<size_t>(jobs);
     }
+    auto model = core::LoadModel(argv[2]);
+    if (!model.ok()) return Fail(model.status());
     auto synth = core::SynthesizeTrace(*model, options);
     if (!synth.ok()) return Fail(synth.status());
     Status written = trace::WriteTraceAuto(*synth, argv[3]);
