@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
@@ -79,8 +80,21 @@ std::string FirstWordOfJobName(std::string_view job_name) {
 }
 
 bool ParseDouble(std::string_view text, double* value) {
-  std::string buffer(StripWhitespace(text));
-  if (buffer.empty()) return false;
+  const std::string_view field = StripWhitespace(text);
+  if (field.empty()) return false;
+  // Fast path: from_chars rounds exactly as strtod does but needs no
+  // NUL-terminated copy. It is taken only when it reads the whole field
+  // without error and the value is finite; anything else (a '+' sign, hex,
+  // inf/nan, a range error, junk) goes to strtod below, so the accepted
+  // strings and every parsed bit are those of strtod alone.
+  double fast = 0.0;
+  const char* last = field.data() + field.size();
+  const auto [end_fast, error] = std::from_chars(field.data(), last, fast);
+  if (error == std::errc() && end_fast == last && std::isfinite(fast)) {
+    *value = fast;
+    return true;
+  }
+  std::string buffer(field);
   errno = 0;
   char* end = nullptr;
   double parsed = std::strtod(buffer.c_str(), &end);
@@ -94,8 +108,18 @@ bool ParseDouble(std::string_view text, double* value) {
 }
 
 bool ParseInt64(std::string_view text, int64_t* value) {
-  std::string buffer(StripWhitespace(text));
-  if (buffer.empty()) return false;
+  const std::string_view field = StripWhitespace(text);
+  if (field.empty()) return false;
+  // Fast path as in ParseDouble: from_chars accepts only [-]digits in
+  // range, which strtoll reads identically; the rest goes to strtoll.
+  int64_t fast = 0;
+  const char* last = field.data() + field.size();
+  const auto [end_fast, error] = std::from_chars(field.data(), last, fast);
+  if (error == std::errc() && end_fast == last) {
+    *value = fast;
+    return true;
+  }
+  std::string buffer(field);
   errno = 0;
   char* end = nullptr;
   long long parsed = std::strtoll(buffer.c_str(), &end, 10);

@@ -32,10 +32,14 @@ bool EndsWith(std::string_view text, std::string_view suffix);
 /// before the first separator.
 std::string FirstWordOfJobName(std::string_view job_name);
 
-/// Parses a double, requiring the whole string be consumed.
+/// Parses a double, requiring the whole string (less surrounding ASCII
+/// whitespace) be consumed. Accepts exactly what strtod accepts, with its
+/// bits: signs, hex, inf/nan, and gradual underflow; overflow fails.
 bool ParseDouble(std::string_view text, double* value);
 
-/// Parses a signed 64-bit integer, requiring the whole string be consumed.
+/// Parses a signed 64-bit integer, requiring the whole string (less
+/// surrounding ASCII whitespace) be consumed. Accepts exactly what
+/// strtoll(base 10) accepts; out-of-range values fail.
 bool ParseInt64(std::string_view text, int64_t* value);
 
 }  // namespace swim

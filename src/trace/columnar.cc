@@ -4,20 +4,16 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/checksum.h"
+#include "common/file_image.h"
 #include "common/flat_hash.h"
 #include "common/string_util.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define SWIM_COLUMNAR_HAS_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace swim::trace {
 
@@ -259,14 +255,12 @@ Status WriteTraceColumnar(const Trace& trace, const std::string& path) {
     std::fclose(out);
     return IoError("flush failed: " + path);
   }
-#if defined(SWIM_COLUMNAR_HAS_MMAP)
   // One fsync for the whole file: the encoding was a single buffered
   // stream, so a crash leaves either the old file or a complete new one.
   if (fsync(fileno(out)) != 0) {
     std::fclose(out);
     return IoError("fsync failed: " + path);
   }
-#endif
   if (std::fclose(out) != 0) return IoError("close failed: " + path);
   return Status::Ok();
 }
@@ -275,165 +269,43 @@ Status WriteTraceColumnar(const Trace& trace, const std::string& path) {
 // View
 // ---------------------------------------------------------------------------
 
-void ColumnarTraceView::AlignedFree::operator()(unsigned char* p) const {
-  ::operator delete[](p, alignment);
-}
-
-ColumnarTraceView::Buffer ColumnarTraceView::AllocateBuffer(size_t size) {
-  constexpr size_t kHugePage = size_t{2} << 20;
-  const std::align_val_t alignment{size >= kHugePage ? kHugePage
-                                                     : kStf1Alignment};
-  Buffer buffer(static_cast<unsigned char*>(::operator new[](size, alignment)),
-                AlignedFree{alignment});
-#if defined(SWIM_COLUMNAR_HAS_MMAP) && defined(MADV_HUGEPAGE)
-  // Advisory only: without huge pages the buffer works the same, slower.
-  if (size >= kHugePage) madvise(buffer.get(), size, MADV_HUGEPAGE);
-#endif
-  return buffer;
-}
-
-ColumnarTraceView::~ColumnarTraceView() {
-#if defined(SWIM_COLUMNAR_HAS_MMAP)
-  if (mapped_ && data_ != nullptr) {
-    munmap(const_cast<unsigned char*>(data_), size_);
-  }
-#endif
-}
-
-ColumnarTraceView::ColumnarTraceView(ColumnarTraceView&& other) noexcept
-    : data_(other.data_),
-      size_(other.size_),
-      mapped_(other.mapped_),
-      owned_(std::move(other.owned_)),
-      metadata_(std::move(other.metadata_)),
-      job_count_(other.job_count_),
-      name_count_(other.name_count_),
-      path_count_(other.path_count_),
-      sections_(other.sections_),
-      section_bytes_(other.section_bytes_),
-      section_checksums_(other.section_checksums_) {
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.mapped_ = false;
-}
-
-ColumnarTraceView& ColumnarTraceView::operator=(
-    ColumnarTraceView&& other) noexcept {
-  if (this == &other) return *this;
-#if defined(SWIM_COLUMNAR_HAS_MMAP)
-  if (mapped_ && data_ != nullptr) {
-    munmap(const_cast<unsigned char*>(data_), size_);
-  }
-#endif
-  data_ = other.data_;
-  size_ = other.size_;
-  mapped_ = other.mapped_;
-  owned_ = std::move(other.owned_);
-  metadata_ = std::move(other.metadata_);
-  job_count_ = other.job_count_;
-  name_count_ = other.name_count_;
-  path_count_ = other.path_count_;
-  sections_ = other.sections_;
-  section_bytes_ = other.section_bytes_;
-  section_checksums_ = other.section_checksums_;
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.mapped_ = false;
-  return *this;
-}
-
 StatusOr<ColumnarTraceView> ColumnarTraceView::Open(
     const std::string& path, const ColumnarOptions& options) {
   ColumnarTraceView view;
-#if defined(SWIM_COLUMNAR_HAS_MMAP)
-  if (options.allow_mmap) {
-    int fd = open(path.c_str(), O_RDONLY);
-    if (fd < 0) return IoError("cannot open for reading: " + path);
-    struct stat st;
-    if (fstat(fd, &st) != 0) {
-      close(fd);
-      return IoError("cannot stat: " + path);
-    }
-    const size_t size = static_cast<size_t>(st.st_size);
-    if (size > 0) {
-      void* mapping = mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-      close(fd);
-      if (mapping != MAP_FAILED) {
-        view.data_ = static_cast<const unsigned char*>(mapping);
-        view.size_ = size;
-        view.mapped_ = true;
-        Status status = view.Init();
-        if (!status.ok()) return status;
-        return view;
-      }
-      // mmap refused (unusual filesystem, resource limit): fall through to
-      // the buffered read below, which yields an identical view.
-    } else {
-      close(fd);
-      return CorruptError("empty file");
-    }
-  }
-#endif
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (!in) return IoError("cannot open for reading: " + path);
-  if (std::fseek(in, 0, SEEK_END) != 0) {
-    std::fclose(in);
-    return IoError("cannot seek: " + path);
-  }
-  const long end = std::ftell(in);
-  if (end < 0) {
-    std::fclose(in);
-    return IoError("cannot tell: " + path);
-  }
-  std::rewind(in);
-  const size_t size = static_cast<size_t>(end);
-  if (size == 0) {
-    std::fclose(in);
-    return CorruptError("empty file");
-  }
-  Buffer buffer = AllocateBuffer(size);
-  if (std::fread(buffer.get(), 1, size, in) != size) {
-    std::fclose(in);
-    return IoError("read failed: " + path);
-  }
-  std::fclose(in);
-  view.data_ = buffer.get();
-  view.size_ = size;
-  view.mapped_ = false;
-  view.owned_ = std::move(buffer);
-  Status status = view.Init();
-  if (!status.ok()) return status;
+  SWIM_ASSIGN_OR_RETURN(view.image_, options.allow_mmap
+                                         ? FileImage::Map(path)
+                                         : FileImage::Read(path));
+  SWIM_RETURN_IF_ERROR(view.Init());
   return view;
 }
 
 StatusOr<ColumnarTraceView> ColumnarTraceView::FromBytes(
     std::string_view bytes) {
-  if (bytes.empty()) return CorruptError("empty file");
   // Copy into an aligned buffer: callers hand arbitrary strings and the
   // column views require kStf1Alignment.
-  Buffer buffer = AllocateBuffer(bytes.size());
-  std::memcpy(buffer.get(), bytes.data(), bytes.size());
   ColumnarTraceView view;
-  view.data_ = buffer.get();
-  view.size_ = bytes.size();
-  view.mapped_ = false;
-  view.owned_ = std::move(buffer);
-  Status status = view.Init();
-  if (!status.ok()) return status;
+  view.image_ = FileImage::Allocate(bytes.size());
+  if (!bytes.empty()) {
+    std::memcpy(view.image_.mutable_data(), bytes.data(), bytes.size());
+  }
+  SWIM_RETURN_IF_ERROR(view.Init());
   return view;
 }
 
 Status ColumnarTraceView::Init() {
-  if (size_ < sizeof(Stf1Header)) {
-    return CorruptError("truncated: " + std::to_string(size_) +
+  const unsigned char* data = image_.data();
+  const size_t size = image_.size();
+  if (size == 0) return CorruptError("empty file");
+  if (size < sizeof(Stf1Header)) {
+    return CorruptError("truncated: " + std::to_string(size) +
                         " bytes, need a 64-byte header");
   }
   Stf1Header header;
-  std::memcpy(&header, data_, sizeof(header));
+  std::memcpy(&header, data, sizeof(header));
   if (header.magic != kStf1Magic) {
     return CorruptError("bad magic (not an STF1 trace)");
   }
-  if (Checksum64(data_, offsetof(Stf1Header, header_checksum)) !=
+  if (Checksum64(data, offsetof(Stf1Header, header_checksum)) !=
       header.header_checksum) {
     return CorruptError("header checksum mismatch");
   }
@@ -447,13 +319,20 @@ Status ColumnarTraceView::Init() {
     return CorruptError("unexpected section count " +
                         std::to_string(header.section_count));
   }
+  if (header.machines < 0) {
+    return CorruptError("negative machines " +
+                        std::to_string(header.machines));
+  }
+  if (header.year < 0) {
+    return CorruptError("negative year " + std::to_string(header.year));
+  }
   if (header.table_offset % kStf1Alignment != 0 ||
-      header.table_offset > size_ ||
+      header.table_offset > size ||
       header.table_bytes != kStf1SectionCount * sizeof(Stf1Section) ||
-      header.table_bytes > size_ - header.table_offset) {
+      header.table_bytes > size - header.table_offset) {
     return CorruptError("section table out of bounds");
   }
-  const unsigned char* table = data_ + header.table_offset;
+  const unsigned char* table = data + header.table_offset;
   if (Checksum64(table, header.table_bytes) != header.table_checksum) {
     return CorruptError("section table checksum mismatch");
   }
@@ -476,8 +355,8 @@ Status ColumnarTraceView::Init() {
       return CorruptError(std::string("wrong element size for section ") +
                           name);
     }
-    if (entry.offset % kStf1Alignment != 0 || entry.offset > size_ ||
-        entry.bytes > size_ - entry.offset) {
+    if (entry.offset % kStf1Alignment != 0 || entry.offset > size ||
+        entry.bytes > size - entry.offset) {
       return CorruptError(std::string("section ") + name + " out of bounds");
     }
     if (IsJobColumn(entry.kind) &&
@@ -486,7 +365,7 @@ Status ColumnarTraceView::Init() {
       return CorruptError(std::string("section ") + name +
                           " does not match the job count");
     }
-    sections_[entry.kind] = data_ + entry.offset;
+    sections_[entry.kind] = data + entry.offset;
     section_bytes_[entry.kind] = entry.bytes;
     section_checksums_[entry.kind] = entry.checksum;
   }

@@ -4,11 +4,10 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
 #include <string>
 #include <string_view>
 
+#include "common/file_image.h"
 #include "common/span.h"
 #include "common/statusor.h"
 #include "trace/trace.h"
@@ -36,6 +35,8 @@ inline constexpr uint32_t kStf1Version = 1;
 /// Every section payload (and the section table) starts on this boundary,
 /// so mmap'd column pointers satisfy any scalar (and cache-line) alignment.
 inline constexpr size_t kStf1Alignment = 64;
+static_assert(kStf1Alignment <= FileImage::kAlignment,
+              "a read file image must satisfy the section alignment");
 
 /// Section payloads, in file order. v1 writes exactly these, always.
 enum class Stf1SectionKind : uint32_t {
@@ -91,8 +92,8 @@ struct Stf1Section {
 static_assert(sizeof(Stf1Section) == 32, "STF1 section entry must be 32 bytes");
 
 struct ColumnarOptions {
-  /// Use mmap when the platform has it; false forces the read() fallback
-  /// (identical results, used by tests and non-POSIX builds).
+  /// Map the file; false reads it into memory instead (identical results,
+  /// used by tests and by LoadTraceColumnar).
   bool allow_mmap = true;
   /// Verify every data-section checksum before materializing a Trace
   /// (one streaming pass at memory bandwidth). Opening a view never pays
@@ -111,15 +112,10 @@ struct ColumnarOptions {
 class ColumnarTraceView {
  public:
   ColumnarTraceView() = default;
-  ~ColumnarTraceView();
-  ColumnarTraceView(ColumnarTraceView&& other) noexcept;
-  ColumnarTraceView& operator=(ColumnarTraceView&& other) noexcept;
-  ColumnarTraceView(const ColumnarTraceView&) = delete;
-  ColumnarTraceView& operator=(const ColumnarTraceView&) = delete;
 
-  /// Maps (or, without mmap support / allow_mmap, reads) `path` and
-  /// validates its structure. Corruption of any validated region yields a
-  /// structured error, never a crash.
+  /// Maps (or, without allow_mmap, reads) `path` and validates its
+  /// structure. Corruption of any validated region yields a structured
+  /// error, never a crash; so does a path that is not a regular file.
   static StatusOr<ColumnarTraceView> Open(const std::string& path,
                                           const ColumnarOptions& options = {});
 
@@ -130,8 +126,8 @@ class ColumnarTraceView {
   const TraceMetadata& metadata() const { return metadata_; }
   size_t job_count() const { return job_count_; }
   /// True when backed by an actual mmap (false on the read() fallback).
-  bool mapped() const { return mapped_; }
-  size_t file_bytes() const { return size_; }
+  bool mapped() const { return image_.mapped(); }
+  size_t file_bytes() const { return image_.size(); }
 
   // Numeric job columns — Spans directly into the mapping, length
   // job_count(). No bytes are copied or faulted until an element is read.
@@ -183,18 +179,6 @@ class ColumnarTraceView {
   StatusOr<Trace> Materialize(int /*unused*/ = 0) const;
 
  private:
-  struct AlignedFree {
-    AlignedFree() noexcept : alignment(std::align_val_t{kStf1Alignment}) {}
-    explicit AlignedFree(std::align_val_t a) noexcept : alignment(a) {}
-    void operator()(unsigned char* p) const;
-    std::align_val_t alignment;
-  };
-  using Buffer = std::unique_ptr<unsigned char[], AlignedFree>;
-  /// An uninitialized buffer for a file image: kStf1Alignment-aligned, and
-  /// backed by huge pages where the platform offers them for large images,
-  /// which makes reading a 100 MB file into it about twice as fast.
-  static Buffer AllocateBuffer(size_t size);
-
   Status Init();
   const unsigned char* SectionData(Stf1SectionKind kind) const {
     return sections_[static_cast<size_t>(kind)];
@@ -208,10 +192,7 @@ class ColumnarTraceView {
                             sizeof(T));
   }
 
-  const unsigned char* data_ = nullptr;
-  size_t size_ = 0;
-  bool mapped_ = false;
-  Buffer owned_;
+  FileImage image_;
 
   TraceMetadata metadata_;
   size_t job_count_ = 0;

@@ -5,12 +5,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <limits>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/file_image.h"
 #include "common/parallel.h"
 #include "common/string_util.h"
 
@@ -307,22 +307,38 @@ Status DiagnosticToStatus(const ParseDiagnostic& diag) {
                               what);
 }
 
-/// Applies a "#key=value" metadata assignment to the trace.
-void ApplyMetadata(Trace* trace, std::string_view key, std::string_view value) {
+/// Applies a "#key=value" metadata assignment found on line `line`. The
+/// machines and year values must be integers in [0, INT32_MAX]; anything
+/// else fails the load instead of being truncated or ignored. Other keys
+/// are ignored.
+Status ApplyMetadata(std::string_view key, std::string_view value, int line,
+                     TraceMetadata* meta) {
   if (key == "name") {
-    trace->mutable_metadata().name = std::string(value);
-  } else if (key == "machines") {
-    int64_t v = 0;
-    if (ParseInt64(value, &v)) {
-      trace->mutable_metadata().machines = static_cast<int>(v);
-    }
-  } else if (key == "year") {
-    int64_t v = 0;
-    if (ParseInt64(value, &v)) {
-      trace->mutable_metadata().year = static_cast<int>(v);
-    }
+    meta->name = std::string(value);
+    return Status::Ok();
   }
+  int* target = key == "machines" ? &meta->machines
+                : key == "year"   ? &meta->year
+                                  : nullptr;
+  if (target == nullptr) return Status::Ok();
+  int64_t v = 0;
+  if (!ParseInt64(value, &v) || v < 0 ||
+      v > std::numeric_limits<int32_t>::max()) {
+    return InvalidArgumentError(
+        "line " + std::to_string(line) + ": #" + std::string(key) + "=" +
+        std::string(value) + " is not an integer in [0, 2147483647]");
+  }
+  *target = static_cast<int>(v);
+  return Status::Ok();
 }
+
+/// One "#key=value" line of the data region, applied in line order when
+/// the shards merge.
+struct MetadataLine {
+  std::string key;
+  std::string value;
+  int line = 0;
+};
 
 /// One logical CSV record: a view into the input plus the 1-based physical
 /// line number where it starts (used in diagnostics).
@@ -342,6 +358,21 @@ struct CsvRecord {
 /// lets skip/repair modes recover from a single stray quote.
 std::vector<CsvRecord> SplitRecords(std::string_view text) {
   std::vector<CsvRecord> records;
+  // Quotes are found with memchr, not by testing every byte: `next_quote`
+  // is the first quote not yet counted (npos when none is left), so a line
+  // without one costs a compare and a file without quotes one scan.
+  size_t next_quote = text.find('"');
+  // Flips `in_quotes` once per quote in text[begin, end). After an
+  // unclosed record, parsing resumes on lines whose quotes were already
+  // counted; the quote stayed open across each of them, so each holds an
+  // even number and skipping them leaves every line's parity unchanged.
+  auto toggle_quotes = [&](size_t begin, size_t end, bool* in_quotes) {
+    if (next_quote < begin) next_quote = text.find('"', begin);  // '#' line
+    while (next_quote < end) {
+      *in_quotes = !*in_quotes;
+      next_quote = text.find('"', next_quote + 1);
+    }
+  };
   size_t pos = 0;
   int line_no = 0;  // physical lines fully consumed
   while (pos < text.size()) {
@@ -352,11 +383,7 @@ std::vector<CsvRecord> SplitRecords(std::string_view text) {
     int consumed = 1;
 
     bool in_quotes = false;
-    if (text[pos] != '#') {
-      for (size_t i = pos; i < end; ++i) {
-        if (text[i] == '"') in_quotes = !in_quotes;
-      }
-    }
+    if (text[pos] != '#') toggle_quotes(pos, end, &in_quotes);
     if (in_quotes) {
       // Quote still open at end of line: scan continuation lines.
       size_t scan = after;
@@ -366,9 +393,7 @@ std::vector<CsvRecord> SplitRecords(std::string_view text) {
         size_t cnl = text.find('\n', scan);
         size_t cend = (cnl == std::string_view::npos) ? text.size() : cnl;
         size_t cafter = (cnl == std::string_view::npos) ? text.size() : cnl + 1;
-        for (size_t i = scan; i < cend; ++i) {
-          if (text[i] == '"') in_quotes = !in_quotes;
-        }
+        toggle_quotes(scan, cend, &in_quotes);
         ++span;
         if (!in_quotes) {
           end = cend;
@@ -478,7 +503,7 @@ std::string TraceToCsv(const Trace& trace) {
   return out;
 }
 
-StatusOr<Trace> TraceFromCsv(const std::string& csv_text,
+StatusOr<Trace> TraceFromCsv(std::string_view csv_text,
                              const ParseOptions& options,
                              ParseReport* report) {
   Trace trace;
@@ -496,7 +521,10 @@ StatusOr<Trace> TraceFromCsv(const std::string& csv_text,
     if (line.empty()) continue;
     if (line[0] == '#') {
       auto parts = Split(line.substr(1), '=');
-      if (parts.size() == 2) ApplyMetadata(&trace, parts[0], parts[1]);
+      if (parts.size() == 2) {
+        SWIM_RETURN_IF_ERROR(ApplyMetadata(parts[0], parts[1], records[i].line,
+                                           &trace.mutable_metadata()));
+      }
       continue;
     }
     if (line != kTraceCsvHeader) {
@@ -516,7 +544,7 @@ StatusOr<Trace> TraceFromCsv(const std::string& csv_text,
   // any thread count.
   struct Shard {
     std::vector<JobRecord> jobs;
-    std::vector<std::pair<std::string, std::string>> metadata;
+    std::vector<MetadataLine> metadata;
     Status error = Status::Ok();
     size_t rows = 0;
     size_t skipped = 0;
@@ -557,8 +585,8 @@ StatusOr<Trace> TraceFromCsv(const std::string& csv_text,
           if (line[0] == '#') {
             auto parts = Split(line.substr(1), '=');
             if (parts.size() == 2) {
-              shard.metadata.emplace_back(std::move(parts[0]),
-                                          std::move(parts[1]));
+              shard.metadata.push_back(
+                  {std::move(parts[0]), std::move(parts[1]), line_number});
             }
             continue;
           }
@@ -596,18 +624,21 @@ StatusOr<Trace> TraceFromCsv(const std::string& csv_text,
       options.threads);
 
   // The lowest-indexed shard with an error holds the earliest failing
-  // line; report it, like the serial parser's first-error behaviour.
+  // line; report it, like the serial parser's first-error behaviour. A
+  // shard's metadata lines all precede the row that stopped it, so they are
+  // applied (and checked) first.
   size_t total_jobs = 0;
   for (const Shard& shard : shards) {
+    for (const MetadataLine& meta : shard.metadata) {
+      SWIM_RETURN_IF_ERROR(ApplyMetadata(meta.key, meta.value, meta.line,
+                                         &trace.mutable_metadata()));
+    }
     if (!shard.error.ok()) return shard.error;
     total_jobs += shard.jobs.size();
   }
   std::vector<JobRecord> jobs;
   jobs.reserve(total_jobs);
   for (Shard& shard : shards) {
-    for (const auto& [key, value] : shard.metadata) {
-      ApplyMetadata(&trace, key, value);
-    }
     for (JobRecord& job : shard.jobs) jobs.push_back(std::move(job));
     if (report) {
       report->total_rows += shard.rows;
@@ -632,7 +663,7 @@ StatusOr<Trace> TraceFromCsv(const std::string& csv_text,
   return trace;
 }
 
-StatusOr<Trace> TraceFromCsv(const std::string& csv_text, int threads) {
+StatusOr<Trace> TraceFromCsv(std::string_view csv_text, int threads) {
   ParseOptions options;
   options.mode = ParseMode::kStrict;
   options.threads = threads;
@@ -674,11 +705,8 @@ Status WriteTraceCsv(const Trace& trace, const std::string& path) {
 StatusOr<Trace> ReadTraceCsv(const std::string& path,
                              const ParseOptions& options,
                              ParseReport* report) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return IoError("cannot open for reading: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return TraceFromCsv(buffer.str(), options, report);
+  SWIM_ASSIGN_OR_RETURN(FileImage image, FileImage::Read(path));
+  return TraceFromCsv(image.view(), options, report);
 }
 
 StatusOr<Trace> ReadTraceCsv(const std::string& path, int threads) {

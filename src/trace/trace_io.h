@@ -123,18 +123,21 @@ Status WriteTraceCsv(const Trace& trace, const std::string& path);
 /// non-null, receives the structured per-line outcome (useful in kSkip /
 /// kRepair; in kStrict it is filled only on success, and is then clean).
 /// Quoted fields may contain embedded newlines (records then span physical
-/// lines); a trailing '\r' is stripped from each physical line end.
+/// lines); a trailing '\r' is stripped from each physical line end. A
+/// "#machines=" or "#year=" value that is not an integer in [0, INT32_MAX]
+/// fails the load in every mode. The file is read with one sized read; a
+/// path that is not a regular file (a directory) yields IoError.
 StatusOr<Trace> ReadTraceCsv(const std::string& path,
                              const ParseOptions& options,
                              ParseReport* report = nullptr);
-StatusOr<Trace> TraceFromCsv(const std::string& csv_text,
+StatusOr<Trace> TraceFromCsv(std::string_view csv_text,
                              const ParseOptions& options,
                              ParseReport* report = nullptr);
 
 /// Strict-mode conveniences (historical signatures). `threads` bounds the
 /// parallel shard parse as in ParseOptions::threads.
 StatusOr<Trace> ReadTraceCsv(const std::string& path, int threads = 0);
-StatusOr<Trace> TraceFromCsv(const std::string& csv_text, int threads = 0);
+StatusOr<Trace> TraceFromCsv(std::string_view csv_text, int threads = 0);
 
 std::string TraceToCsv(const Trace& trace);
 

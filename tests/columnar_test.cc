@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <optional>
 #include <string>
@@ -648,6 +649,56 @@ TEST(ColumnarTest, OpenReportsMissingFile) {
   auto view = ColumnarTraceView::Open(TempPath("definitely_missing.stf1"));
   ASSERT_FALSE(view.ok());
   EXPECT_FALSE(view.status().message().empty());
+}
+
+// A directory opens and stats but is not a trace: every loader returns a
+// structured IoError, never takes its st_size for a byte count. An empty
+// file is a format error.
+TEST(ColumnarTest, LoadersRejectADirectoryAndAnEmptyFile) {
+  const std::string dir = TempPath("columnar_dir_input");
+  std::filesystem::create_directories(dir);
+  const std::string empty = TempPath("columnar_empty_input");
+  std::fclose(std::fopen(empty.c_str(), "wb"));
+  auto expect_error = [](const Status& status, StatusCode code,
+                         const char* text) {
+    EXPECT_EQ(status.code(), code) << status.ToString();
+    EXPECT_NE(status.message().find(text), std::string::npos)
+        << status.ToString();
+  };
+  expect_error(ReadTraceCsv(dir).status(), StatusCode::kIoError,
+               "not a regular file");
+  expect_error(LoadTraceColumnar(dir).status(), StatusCode::kIoError,
+               "not a regular file");
+  expect_error(ReadTraceCsv(empty).status(), StatusCode::kInvalidArgument,
+               "missing CSV header");
+  expect_error(LoadTraceColumnar(empty).status(),
+               StatusCode::kInvalidArgument, "empty file");
+  for (bool mmap : {true, false}) {
+    ColumnarOptions options;
+    options.allow_mmap = mmap;
+    expect_error(ColumnarTraceView::Open(dir, options).status(),
+                 StatusCode::kIoError, "not a regular file");
+    expect_error(ColumnarTraceView::Open(empty, options).status(),
+                 StatusCode::kInvalidArgument, "empty file");
+  }
+  std::filesystem::remove(dir);
+  std::remove(empty.c_str());
+}
+
+TEST(ColumnarTest, RejectsNegativeMachinesOrYear) {
+  const std::string bytes = TraceToColumnarBytes(BaseTrace());
+  auto machines = TraceFromColumnarBytes(PatchHeader(
+      bytes, [](Stf1Header* header) { header->machines = -5; }));
+  ASSERT_FALSE(machines.ok());
+  EXPECT_NE(machines.status().message().find("negative machines -5"),
+            std::string::npos)
+      << machines.status().ToString();
+  auto year = TraceFromColumnarBytes(PatchHeader(
+      bytes, [](Stf1Header* header) { header->year = -1; }));
+  ASSERT_FALSE(year.ok());
+  EXPECT_NE(year.status().message().find("negative year -1"),
+            std::string::npos)
+      << year.status().ToString();
 }
 
 TEST(ColumnarTest, FuzzedImagesNeverCrashTheReader) {

@@ -1,7 +1,15 @@
 #include <bit>
+#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/checksum.h"
@@ -364,6 +372,148 @@ TEST(StringUtilTest, ParseInt64) {
   EXPECT_EQ(value, -7);
   EXPECT_FALSE(ParseInt64("4.2", &value));
   EXPECT_FALSE(ParseInt64("", &value));
+}
+
+// The strtod/strtoll parsers ParseDouble/ParseInt64 had before their
+// from_chars fast path: the oracle for the differential tests below.
+bool OracleParseDouble(std::string_view text, double* value) {
+  std::string buffer(StripWhitespace(text));
+  if (buffer.empty()) return false;
+  errno = 0;
+  char* end = nullptr;
+  double parsed = std::strtod(buffer.c_str(), &end);
+  if (end != buffer.c_str() + buffer.size()) return false;
+  if (errno != 0 && (errno != ERANGE || !std::isfinite(parsed))) return false;
+  *value = parsed;
+  return true;
+}
+
+bool OracleParseInt64(std::string_view text, int64_t* value) {
+  std::string buffer(StripWhitespace(text));
+  if (buffer.empty()) return false;
+  errno = 0;
+  char* end = nullptr;
+  long long parsed = std::strtoll(buffer.c_str(), &end, 10);
+  if (errno != 0 || end != buffer.c_str() + buffer.size()) return false;
+  *value = parsed;
+  return true;
+}
+
+/// Both parsers must accept exactly what the oracle accepts, with the same
+/// bits. Returns a description of the first disagreement, or "".
+std::string CompareWithOracle(const std::string& text) {
+  double want_d = 0.0, got_d = 0.0;
+  const bool want_d_ok = OracleParseDouble(text, &want_d);
+  const bool got_d_ok = ParseDouble(text, &got_d);
+  if (want_d_ok != got_d_ok) return "ParseDouble acceptance: '" + text + "'";
+  if (want_d_ok && std::memcmp(&want_d, &got_d, sizeof(double)) != 0) {
+    return "ParseDouble bits: '" + text + "'";
+  }
+  int64_t want_i = 0, got_i = 0;
+  const bool want_i_ok = OracleParseInt64(text, &want_i);
+  const bool got_i_ok = ParseInt64(text, &got_i);
+  if (want_i_ok != got_i_ok) return "ParseInt64 acceptance: '" + text + "'";
+  if (want_i_ok && want_i != got_i) return "ParseInt64 value: '" + text + "'";
+  return "";
+}
+
+TEST(StringUtilTest, NumberParsersMatchStrtodOnEdgeCases) {
+  const char* const corpus[] = {
+      // signs and whitespace
+      "+5", "-5", "-0", "+0", "-0.0", " 7 ", "\t3\t", "\n8\r", " ", "",
+      "-", "+", "--5", "+-5", "- 5", "5 5",
+      // hex and partial forms
+      "0x1p3", "0X1P-2", "0x10", "0x", "-0x1p3", ".5", "5.", "-.5", ".",
+      "1e", "1e+", "1e-", "1e5x", "e5", "1.e5", "1.5E+3", "00012", "1,5",
+      "1_000", "0e0", "1e0005",
+      // special values
+      "inf", "-inf", "+inf", "INF", "infinity", "Infinity", "nan", "-nan",
+      "NaN", "nan(123)", "nanx", "infx",
+      // range edges
+      "5e-324", "4.9406564584124654e-324", "2.4703282292062327e-324",
+      "2.4703282292062328e-324", "1e-324", "1e-400", "1e400", "-1e400",
+      "1.7976931348623157e308", "1.7976931348623158e308",
+      "1.7976931348623159e308", "2.2250738585072011e-308",
+      "2.2250738585072014e-308", "9007199254740993", "0.1",
+      "0.1000000000000000055511151231257827021181583404541015625",
+      "123456789012345678901234567890", "1e99999999999999999999",
+      "1e-99999999999999999999", "0e99999999999999999999",
+      "-9223372036854775808", "9223372036854775807",
+      "-9223372036854775809", "9223372036854775808",
+      "18446744073709551616", "-18446744073709551616",
+  };
+  for (const char* text : corpus) {
+    EXPECT_EQ(CompareWithOracle(text), "");
+  }
+  // The fast path itself, on the forms the CSV writer emits.
+  double value = 0.0;
+  ASSERT_TRUE(ParseDouble("5e-324", &value));
+  EXPECT_EQ(value, std::numeric_limits<double>::denorm_min());
+  ASSERT_TRUE(ParseDouble("-0", &value));
+  EXPECT_TRUE(std::signbit(value));
+  ASSERT_TRUE(ParseDouble("1e-400", &value));  // underflows to zero
+  EXPECT_EQ(value, 0.0);
+  EXPECT_FALSE(ParseDouble("1e400", &value));
+  int64_t integer = 0;
+  ASSERT_TRUE(ParseInt64("+5", &integer));
+  EXPECT_EQ(integer, 5);
+  EXPECT_FALSE(ParseInt64("9223372036854775808", &integer));
+}
+
+TEST(StringUtilTest, NumberParsersMatchStrtodOnRandomStrings) {
+  constexpr char kAlphabet[] = "0123456789+-.eExXabcdefABCDEF \t";
+  constexpr size_t kLetters = sizeof(kAlphabet) - 1;
+  Pcg32 rng(20120801, 7);
+  size_t mismatches = 0;
+  std::string first_mismatch;
+  auto check = [&](const std::string& text) {
+    const std::string diff = CompareWithOracle(text);
+    if (!diff.empty() && mismatches++ == 0) first_mismatch = diff;
+  };
+  std::string text;
+  for (int i = 0; i < 200000; ++i) {
+    text.clear();
+    const uint64_t length = 1 + rng.NextBounded(12);
+    for (uint64_t c = 0; c < length; ++c) {
+      text.push_back(kAlphabet[rng.NextBounded(kLetters)]);
+    }
+    check(text);
+  }
+  // Number-shaped strings, which the alphabet above rarely forms: an
+  // optional sign, digits, an optional fraction and exponent.
+  constexpr const char* kSigns[] = {"", "", "-", "+"};
+  for (int i = 0; i < 100000; ++i) {
+    text = kSigns[rng.NextBounded(4)];
+    const uint64_t digits = rng.NextBounded(22);
+    for (uint64_t d = 0; d < digits; ++d) {
+      text.push_back(static_cast<char>('0' + rng.NextBounded(10)));
+    }
+    if (rng.NextBounded(2) == 0) {
+      text.push_back('.');
+      const uint64_t fraction = rng.NextBounded(20);
+      for (uint64_t d = 0; d < fraction; ++d) {
+        text.push_back(static_cast<char>('0' + rng.NextBounded(10)));
+      }
+    }
+    if (rng.NextBounded(3) == 0) {
+      text.push_back(rng.NextBounded(2) == 0 ? 'e' : 'E');
+      text += kSigns[rng.NextBounded(4)];
+      text += std::to_string(rng.NextBounded(700));
+    }
+    check(text);
+  }
+  // Every bit pattern class, written the way the CSV writer and printf
+  // write doubles.
+  char buffer[64];
+  for (int i = 0; i < 50000; ++i) {
+    const double value =
+        std::bit_cast<double>((uint64_t{rng()} << 32) | rng());
+    check(std::string(buffer, std::to_chars(buffer, buffer + sizeof(buffer),
+                                            value).ptr));
+    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+    check(buffer);
+  }
+  EXPECT_EQ(mismatches, 0u) << first_mismatch;
 }
 
 }  // namespace

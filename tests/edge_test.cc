@@ -10,7 +10,6 @@
 #include "core/synth/workload_model.h"
 #include "gtest/gtest.h"
 #include "stats/empirical_cdf.h"
-#include "stats/histogram.h"
 #include "trace/trace.h"
 #include "trace/trace_io.h"
 
@@ -87,18 +86,6 @@ TEST(EdgeCdfTest, LogCurveNonPositiveSamplesStayFinite) {
   ASSERT_FALSE(flat.x.empty());
   for (double x : flat.x) EXPECT_TRUE(std::isfinite(x));
   EXPECT_DOUBLE_EQ(flat.fraction.back(), 1.0);
-}
-
-// --- Histogram rendering ------------------------------------------------------
-
-TEST(EdgeHistogramTest, ToStringListsNonEmptyBins) {
-  stats::LogHistogram h(1.0, 1e4, 1);
-  h.Add(50);
-  h.Add(5000);
-  std::string text = h.ToString();
-  EXPECT_NE(text.find("1"), std::string::npos);
-  // Two populated bins -> two lines.
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
 }
 
 // --- Units boundaries ------------------------------------------------------------

@@ -7,7 +7,6 @@
 #include "stats/correlation.h"
 #include "stats/descriptive.h"
 #include "stats/empirical_cdf.h"
-#include "stats/histogram.h"
 #include "stats/regression.h"
 #include "stats/sampling.h"
 #include "stats/zipf.h"
@@ -164,39 +163,6 @@ TEST(EmpiricalCdfTest, LogCurveMonotone) {
     EXPECT_GE(curve.fraction[i], curve.fraction[i - 1]);
   }
   EXPECT_DOUBLE_EQ(curve.fraction.back(), 1.0);
-}
-
-// --- Histograms -------------------------------------------------------------
-
-TEST(LogHistogramTest, BinsAndOverflow) {
-  LogHistogram h(1.0, 1e6, 1);
-  h.Add(0.5);    // underflow
-  h.Add(10);     // decade 1
-  h.Add(1e7);    // overflow
-  EXPECT_DOUBLE_EQ(h.total_weight(), 3.0);
-  EXPECT_DOUBLE_EQ(h.BinWeight(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.BinWeight(h.bin_count() - 1), 1.0);
-  auto cumulative = h.CumulativeFractions();
-  EXPECT_DOUBLE_EQ(cumulative.back(), 1.0);
-}
-
-TEST(LogHistogramTest, WeightsAccumulate) {
-  LogHistogram h(1.0, 1e3, 2);
-  h.Add(50, 2.5);
-  h.Add(50, 1.5);
-  EXPECT_DOUBLE_EQ(h.total_weight(), 4.0);
-}
-
-TEST(LinearHistogramTest, Basic) {
-  LinearHistogram h(0.0, 10.0, 5);
-  h.Add(-1);   // clamped to first bin
-  h.Add(3);
-  h.Add(9.9);
-  h.Add(100);  // clamped to last bin
-  EXPECT_DOUBLE_EQ(h.BinWeight(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.BinWeight(1), 1.0);
-  EXPECT_DOUBLE_EQ(h.BinWeight(4), 2.0);
-  EXPECT_DOUBLE_EQ(h.BinLowerEdge(2), 4.0);
 }
 
 // --- Regression --------------------------------------------------------------

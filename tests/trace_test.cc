@@ -1,4 +1,5 @@
 #include <atomic>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -6,8 +7,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/random.h"
 #include "gtest/gtest.h"
+#include "trace/csv_mutator.h"
 #include "trace/filters.h"
 #include "trace/frameworks.h"
 #include "trace/job_record.h"
@@ -353,6 +356,47 @@ TEST(TraceIoTest, MetadataCommentsAfterHeader) {
   ASSERT_EQ(parsed->size(), 1u);
 }
 
+TEST(TraceIoTest, RejectsMachinesOrYearOutsideInt32) {
+  // #machines / #year must be integers in [0, INT32_MAX], before or after
+  // the header and in every mode: 4294967297 must not wrap to 1, and -5 or
+  // junk must not be kept or ignored.
+  const std::string row = "1,n,0,1,1,0,1,1,0,1,0,a,b\n";
+  struct Case {
+    std::string csv;
+    std::string error;
+  };
+  const Case cases[] = {
+      {"#machines=4294967297\n" + std::string(kTraceCsvHeader) + "\n" + row,
+       "line 1: #machines=4294967297 is not an integer in [0, 2147483647]"},
+      {"#name=x\n#machines=-5\n" + std::string(kTraceCsvHeader) + "\n" + row,
+       "line 2: #machines=-5 is not an integer"},
+      {"#year=20x9\n" + std::string(kTraceCsvHeader) + "\n" + row,
+       "line 1: #year=20x9 is not an integer"},
+      {std::string(kTraceCsvHeader) + "\n" + row + "#year=-1\n" + row,
+       "line 3: #year=-1 is not an integer"},
+      {std::string(kTraceCsvHeader) + "\n" + row + "#machines=2147483648\n",
+       "line 3: #machines=2147483648 is not an integer"},
+  };
+  for (const Case& c : cases) {
+    for (ParseMode mode :
+         {ParseMode::kStrict, ParseMode::kSkip, ParseMode::kRepair}) {
+      ParseOptions options;
+      options.mode = mode;
+      auto parsed = TraceFromCsv(c.csv, options);
+      ASSERT_FALSE(parsed.ok()) << c.csv;
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(parsed.status().message().find(c.error), std::string::npos)
+          << parsed.status().ToString();
+    }
+  }
+  // The bounds themselves are accepted.
+  auto bounds = TraceFromCsv("#machines=2147483647\n#year=0\n" +
+                             std::string(kTraceCsvHeader) + "\n" + row);
+  ASSERT_TRUE(bounds.ok()) << bounds.status().ToString();
+  EXPECT_EQ(bounds->metadata().machines, 2147483647);
+  EXPECT_EQ(bounds->metadata().year, 0);
+}
+
 TEST(TraceIoTest, RejectsMidFieldQuote) {
   // A quote opening mid-field (ab"cd) or junk after a closing quote
   // ("ab"cd) silently mis-parsed before; both must be malformed now.
@@ -364,6 +408,127 @@ TEST(TraceIoTest, RejectsMidFieldQuote) {
   std::string junk = std::string(kTraceCsvHeader) +
                      "\n1,\"na\"me,0,1,1,0,1,1,0,1,0,a,b\n";
   EXPECT_FALSE(TraceFromCsv(junk).ok());
+}
+
+// --- CSV golden digests ------------------------------------------------
+
+/// A 13,000-record CSV document built to stress every branch of the
+/// parser: quoted multi-line names (some on the records either side of the
+/// 4096-record shard boundaries), CRLF endings (also inside a quoted
+/// field), "#key=value" lines amid the data (one with a lone quote),
+/// numbers only strtod reads ('+', hex, padding, subnormals, 17 digits),
+/// and, when `corrupt`, every 37th row damaged by CsvMutator.
+std::string GoldenCsvDocument(bool corrupt) {
+  Pcg32 rng(2010, 17);
+  const CsvMutator mutator(4242);
+  std::string csv = "#name=golden\r\n#machines=600\n#year=2010\r\n" +
+                    std::string(kTraceCsvHeader) + "\r\n";
+  char number[64];
+  auto shortest = [&](double value) {
+    return std::string(number, std::to_chars(number, number + sizeof(number),
+                                             value).ptr);
+  };
+  size_t record = 0;  // records after the header, as the shards count them
+  for (int i = 0; i < 13000; ++i) {
+    if (i % 1000 == 500) {
+      csv += "#name=golden-" + std::to_string(i) + "\n";
+      csv += "#machines=" + std::to_string(600 + i) + "\r\n";
+      csv += "#year=2011\n#no assignment here\n#a=b=c\n#unknown=5\n\n";
+      csv += "#note=\"an open quote in a comment\n";
+      record += 8;
+    }
+    const size_t in_shard = record++ % 4096;
+    std::string name = "job" + std::to_string(i);
+    if (in_shard <= 1 || in_shard == 4095 || i % 97 == 0) {
+      name = "\"multi\nline \"\"quoted\"\", name " + std::to_string(i);
+      if (i % 2 == 0) name += "\r\nthird line";
+      name += "\"";
+    }
+    const double submit = i * 1.5 + rng.NextDouble();
+    const double duration = 1.0 + rng.NextDouble() * 3600.0;
+    const double input = std::floor(rng.NextDouble() * 1e12);
+    const double shuffle = i % 3 == 0 ? 0.0 : rng.NextDouble() * 1e9;
+    const double output = rng.NextDouble() * 1e10;
+    const int64_t maps = 1 + static_cast<int64_t>(rng.NextBounded(5000));
+    const int64_t reduces = i % 3 == 0 ? 0 : 1 + rng.NextBounded(200);
+    std::string row = std::to_string(i) + "," + name + "," + shortest(submit) +
+                      ",";
+    switch (i % 11) {
+      case 0:
+        std::snprintf(number, sizeof(number), "%.17g", duration);
+        row += number;
+        break;
+      case 1:
+        row += "0x1p3";  // hex: 8 seconds
+        break;
+      case 2:
+        row += " +" + shortest(duration) + "\t";
+        break;
+      default:
+        row += shortest(duration);
+    }
+    row += "," + shortest(input) + "," + shortest(shuffle) + ",";
+    row += i % 13 == 0 ? "5e-324" : shortest(output);
+    row += "," + std::string(i % 7 == 0 ? "+" : "") + std::to_string(maps) +
+           "," + std::to_string(reduces) + "," +
+           shortest(maps * rng.NextDouble() * 60.0) + "," +
+           shortest(reduces * rng.NextDouble() * 60.0) + ",in/" +
+           std::to_string(rng.NextBounded(300)) + ",out/" + std::to_string(i);
+    row += i % 4 == 0 ? "\r\n" : "\n";
+    if (corrupt && i % 37 == 0) row = mutator.Mutate(row, i);
+    csv += row;
+  }
+  return csv;
+}
+
+TEST(TraceIoTest, GoldenDigestsAtAnyThreadCount) {
+  // XXH64 of the re-serialized trace and of the report text (or of the
+  // error, when the mode fails the document). Pinned on the strtod parser
+  // that predates the from_chars fast path and the memchr record split.
+  struct Golden {
+    bool corrupt;
+    ParseMode mode;
+    const char* trace_digest;
+    const char* report_digest;
+  };
+  const Golden goldens[] = {
+      {false, ParseMode::kStrict, "b568eb6db7d2a40c", "354be83b35555c5f"},
+      {false, ParseMode::kSkip, "b568eb6db7d2a40c", "a6e321aa03e495f0"},
+      {false, ParseMode::kRepair, "b568eb6db7d2a40c", "9c5c881b0be64c16"},
+      {true, ParseMode::kStrict, "fda704f8a0a6fef3", "ef46db3751d8e999"},
+      {true, ParseMode::kSkip, "9ad44389778b660e", "3fd47b392db71822"},
+      {true, ParseMode::kRepair, "0b4f60ebb82ec080", "5c533dd31e0b3466"},
+  };
+  auto hex = [](const std::string& text) {
+    char out[17];
+    std::snprintf(out, sizeof(out), "%016llx",
+                  static_cast<unsigned long long>(
+                      Checksum64(text.data(), text.size())));
+    return std::string(out);
+  };
+  const std::string documents[] = {GoldenCsvDocument(false),
+                                   GoldenCsvDocument(true)};
+  for (const Golden& golden : goldens) {
+    for (int threads : {1, 4}) {
+      ParseOptions options;
+      options.mode = golden.mode;
+      options.threads = threads;
+      ParseReport report;
+      auto parsed =
+          TraceFromCsv(documents[golden.corrupt ? 1 : 0], options, &report);
+      const std::string trace_text =
+          parsed.ok() ? TraceToCsv(*parsed) : parsed.status().ToString();
+      const std::string report_text = parsed.ok() ? report.ToString() : "";
+      SCOPED_TRACE(std::string(ParseModeName(golden.mode)) +
+                   (golden.corrupt ? " corrupt" : " clean") + " threads=" +
+                   std::to_string(threads));
+      if (golden.mode != ParseMode::kStrict || !golden.corrupt) {
+        EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+      }
+      EXPECT_EQ(hex(trace_text), golden.trace_digest);
+      EXPECT_EQ(hex(report_text), golden.report_digest);
+    }
+  }
 }
 
 // --- Lenient parse modes ------------------------------------------------
