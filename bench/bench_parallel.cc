@@ -1,13 +1,15 @@
-// Serial-vs-parallel throughput for the three parallelized hot paths:
-// the full AnalyzeWorkload stage pipeline, CSV trace ingest, and k-means.
-// Also asserts the determinism contract (identical output at any thread
-// count) end to end on the bench-scale FB-2010 trace; exits non-zero on
-// any mismatch so perf CI doubles as a correctness gate.
+// Serial-vs-parallel throughput for the parallelized hot paths: the full
+// AnalyzeWorkload stage pipeline, CSV trace ingest, k-means, trace
+// generation and CSV encoding. Also asserts the determinism contract
+// (identical output at any thread count) end to end on the bench-scale
+// FB-2010 trace; exits non-zero on any mismatch so perf CI doubles as a
+// correctness gate.
 //
 // Usage: bench_parallel [--json <path>]
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,6 +31,22 @@ double TimeSeconds(Fn&& fn) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+/// Runs `fn` with SWIM_THREADS set to `lanes` (the lane count of every
+/// ParallelFor that takes its default), then restores the variable.
+template <typename Fn>
+double TimeAtLanes(int lanes, Fn&& fn) {
+  const char* old = std::getenv("SWIM_THREADS");
+  const std::string saved = old ? old : "";
+  ::setenv("SWIM_THREADS", std::to_string(lanes).c_str(), 1);
+  const double seconds = TimeSeconds(fn);
+  if (old) {
+    ::setenv("SWIM_THREADS", saved.c_str(), 1);
+  } else {
+    ::unsetenv("SWIM_THREADS");
+  }
+  return seconds;
 }
 
 void Report(const char* name, size_t items, double serial_sec,
@@ -120,6 +138,43 @@ int Run(int argc, char** argv) {
     deterministic = false;
   }
   Report("kmeans", points.size(), kmeans_serial, kmeans_parallel, threads,
+         &json);
+
+  // --- Trace generation: serial draws + parallel row fill ---------------
+  StatusOr<trace::Trace> serial_trace = InvalidArgumentError("pending");
+  StatusOr<trace::Trace> parallel_trace = InvalidArgumentError("pending");
+  auto spec = workloads::PaperWorkloadByName("FB-2010");
+  SWIM_CHECK_OK(spec.status());
+  workloads::GeneratorOptions gen_options;
+  gen_options.seed = kBenchSeed;
+  gen_options.job_count_override = kJobCap;
+  double generate_serial = TimeAtLanes(1, [&]() {
+    serial_trace = workloads::GenerateTrace(*spec, gen_options);
+  });
+  double generate_parallel = TimeAtLanes(threads, [&]() {
+    parallel_trace = workloads::GenerateTrace(*spec, gen_options);
+  });
+  SWIM_CHECK_OK(serial_trace.status());
+  SWIM_CHECK_OK(parallel_trace.status());
+  if (serial_trace->jobs() != parallel_trace->jobs()) {
+    std::printf("  !! generate: serial and parallel traces DIFFER\n");
+    deterministic = false;
+  }
+  Report("generate", kJobCap, generate_serial, generate_parallel, threads,
+         &json);
+
+  // --- CSV encode: chunked parallel row formatting ----------------------
+  std::string serial_csv;
+  std::string parallel_csv;
+  double encode_serial =
+      TimeAtLanes(1, [&]() { serial_csv = trace::TraceToCsv(trace); });
+  double encode_parallel =
+      TimeAtLanes(threads, [&]() { parallel_csv = trace::TraceToCsv(trace); });
+  if (serial_csv != parallel_csv) {
+    std::printf("  !! csv_encode: serial and parallel bytes DIFFER\n");
+    deterministic = false;
+  }
+  Report("csv_encode", trace.size(), encode_serial, encode_parallel, threads,
          &json);
 
   std::printf("  determinism (1 vs %d threads): %s\n", threads,

@@ -1,10 +1,61 @@
 #include "trace/trace.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
+#include "common/logging.h"
 #include "trace/columnar.h"
 
 namespace swim::trace {
+namespace {
+
+/// Maps a submit time to an unsigned key that orders as `<` orders the
+/// doubles, with -0.0 equal to +0.0. NaN gets a key past the infinities
+/// instead of breaking the sort.
+uint64_t SubmitKey(double t) {
+  if (t == 0.0) t = 0.0;  // -0.0 ties with +0.0
+  const uint64_t bits = std::bit_cast<uint64_t>(t);
+  constexpr uint64_t kSign = uint64_t{1} << 63;
+  return (bits & kSign) ? ~bits : bits | kSign;
+}
+
+/// std::stable_sort by submit_time without moving records in the sort:
+/// sorts (key, index) pairs, whose index breaks ties as stability does,
+/// then moves each record once along the cycles of the permutation.
+void StableSortBySubmit(std::vector<JobRecord>& jobs) {
+  SWIM_CHECK_LE(jobs.size(), kMaxJobs);
+  struct Key {
+    uint64_t time;
+    uint32_t index;
+  };
+  std::vector<Key> keys(jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    keys[i] = {SubmitKey(jobs[i].submit_time), static_cast<uint32_t>(i)};
+  }
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    return a.time != b.time ? a.time < b.time : a.index < b.index;
+  });
+  // Slot `to` takes the record at keys[to].index; a placed slot is marked
+  // by pointing its key at itself.
+  for (size_t start = 0; start < jobs.size(); ++start) {
+    if (keys[start].index == start) continue;
+    JobRecord held = std::move(jobs[start]);
+    size_t to = start;
+    for (;;) {
+      const size_t from = keys[to].index;
+      keys[to].index = static_cast<uint32_t>(to);
+      if (from == start) {
+        jobs[to] = std::move(held);
+        break;
+      }
+      jobs[to] = std::move(jobs[from]);
+      to = from;
+    }
+  }
+}
+
+}  // namespace
 
 Trace Trace::FromColumns(std::shared_ptr<const ColumnarTraceView> view) {
   Trace trace(view->metadata());
@@ -144,7 +195,7 @@ void Trace::SortLocked() const {
     return a.submit_time < b.submit_time;
   };
   if (!std::is_sorted(jobs_.begin(), jobs_.end(), by_submit)) {
-    std::stable_sort(jobs_.begin(), jobs_.end(), by_submit);
+    StableSortBySubmit(jobs_);
   }
   path_indexed_.store(false, std::memory_order_relaxed);  // ids follow order
   name_indexed_.store(false, std::memory_order_relaxed);

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -16,6 +17,10 @@
 namespace swim::trace {
 
 class ColumnarTraceView;
+
+/// The most jobs a trace holds: the submit-time sort keys index rows with
+/// uint32_t.
+inline constexpr size_t kMaxJobs = std::numeric_limits<uint32_t>::max();
 
 /// Cluster-level metadata accompanying a trace (Table 1 columns that are
 /// not derivable from the job stream itself).

@@ -1,10 +1,11 @@
 #include "trace/trace_io.h"
 
+#include <algorithm>
 #include <charconv>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <string_view>
 #include <utility>
@@ -65,11 +66,17 @@ void AppendDouble(double value, std::string* out) {
   out->append(buffer, static_cast<size_t>(result.ptr - buffer));
 }
 
+/// Appends an integer field.
+template <typename Int>
+void AppendInt(Int value, std::string* out) {
+  char buffer[24];
+  auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out->append(buffer, static_cast<size_t>(result.ptr - buffer));
+}
+
 /// Appends one CSV data row (kTraceCsvHeader order, trailing newline).
 void AppendCsvRow(const JobRecord& job, std::string* out) {
-  char buffer[32];
-  out->append(buffer, static_cast<size_t>(std::snprintf(
-                          buffer, sizeof(buffer), "%" PRIu64, job.job_id)));
+  AppendInt(job.job_id, out);
   out->push_back(',');
   AppendQuoted(job.name, out);
   out->push_back(',');
@@ -83,12 +90,9 @@ void AppendCsvRow(const JobRecord& job, std::string* out) {
   out->push_back(',');
   AppendDouble(job.output_bytes, out);
   out->push_back(',');
-  out->append(buffer, static_cast<size_t>(std::snprintf(
-                          buffer, sizeof(buffer), "%" PRId64, job.map_tasks)));
+  AppendInt(job.map_tasks, out);
   out->push_back(',');
-  out->append(buffer,
-              static_cast<size_t>(std::snprintf(buffer, sizeof(buffer),
-                                                "%" PRId64, job.reduce_tasks)));
+  AppendInt(job.reduce_tasks, out);
   out->push_back(',');
   AppendDouble(job.map_task_seconds, out);
   out->push_back(',');
@@ -98,6 +102,62 @@ void AppendCsvRow(const JobRecord& job, std::string* out) {
   out->push_back(',');
   AppendQuoted(job.output_path, out);
   out->push_back('\n');
+}
+
+/// The most bytes AppendCsvRow can write for `job`: three integers of at
+/// most 20 characters, seven shortest-round-trip doubles of at most 24,
+/// 13 separators, and each string fully quoted with every byte escaped.
+size_t CsvRowBound(const JobRecord& job) {
+  auto quoted = [](const std::string& s) { return 2 * s.size() + 2; };
+  return 3 * 20 + 7 * 24 + 13 + quoted(job.name) + quoted(job.input_path) +
+         quoted(job.output_path);
+}
+
+/// Rows per encoder chunk. Fixed (independent of thread count), and the
+/// chunks are emitted in row order, so the bytes are the same at any
+/// parallelism.
+constexpr size_t kEncodeChunkRows = 1024;
+/// Chunks formatted per ParallelFor round: at most this many chunks'
+/// bytes (~2.5 MB for the paper workloads) are staged at once.
+constexpr size_t kEncodeRoundChunks = 16;
+
+/// The one CSV row encoder behind TraceToCsv and WriteTraceCsv. Formats
+/// the rows in kEncodeChunkRows-row chunks, a round of chunks at a time
+/// under ParallelFor, and hands each chunk's bytes to `sink` in row order.
+/// Stops early, returning false, when `sink` returns false.
+bool EncodeCsvRows(const std::vector<JobRecord>& jobs,
+                   const std::function<bool(std::string_view)>& sink) {
+  const size_t round_rows = kEncodeChunkRows * kEncodeRoundChunks;
+  std::vector<std::string> chunks(
+      std::min(kEncodeRoundChunks,
+               (jobs.size() + kEncodeChunkRows - 1) / kEncodeChunkRows));
+  for (size_t round = 0; round < jobs.size(); round += round_rows) {
+    const size_t round_end = std::min(jobs.size(), round + round_rows);
+    // Size every chunk here, so the workers never allocate: what a worker
+    // allocates stays cached in its malloc arena and raised later peaks.
+    for (size_t lo = round; lo < round_end; lo += kEncodeChunkRows) {
+      size_t bound = 0;
+      for (size_t i = lo; i < std::min(round_end, lo + kEncodeChunkRows); ++i) {
+        bound += CsvRowBound(jobs[i]);
+      }
+      chunks[(lo - round) / kEncodeChunkRows].reserve(bound);
+    }
+    ParallelFor(round, round_end, kEncodeChunkRows, [&](size_t lo, size_t hi) {
+      // Format into a local string: neighbouring slots share cache lines,
+      // and every append writes the string's size.
+      std::string chunk;
+      chunk.swap(chunks[(lo - round) / kEncodeChunkRows]);
+      chunk.clear();
+      for (size_t i = lo; i < hi; ++i) AppendCsvRow(jobs[i], &chunk);
+      chunk.swap(chunks[(lo - round) / kEncodeChunkRows]);
+    });
+    const size_t round_chunks =
+        (round_end - round + kEncodeChunkRows - 1) / kEncodeChunkRows;
+    for (size_t c = 0; c < round_chunks; ++c) {
+      if (!sink(chunks[c])) return false;
+    }
+  }
+  return true;
 }
 
 /// Appends the "#key=value" metadata comments plus the column header.
@@ -492,14 +552,28 @@ std::string ParseReport::ToString() const {
 }
 
 std::string TraceToCsv(const Trace& trace) {
-  // One output string, append-only formatting: no ostringstream, no
-  // per-field temporaries. ~96 bytes/row is the observed average for the
-  // generated paper workloads; reserving it keeps growth to O(log n)
-  // reallocations.
+  const std::vector<JobRecord>& jobs = trace.jobs();
   std::string out;
-  out.reserve(128 + trace.size() * 96);
   AppendCsvPrologue(trace.metadata(), &out);
-  for (const auto& job : trace.jobs()) AppendCsvRow(job, &out);
+  const size_t prologue = out.size();
+  size_t rows = 0;
+  EncodeCsvRows(jobs, [&](std::string_view chunk) {
+    rows = std::min(jobs.size(), rows + kEncodeChunkRows);
+    if (out.size() + chunk.size() > out.capacity()) {
+      // Reserve for every row at the mean row size so far, plus 1/8. Spare
+      // capacity is never written, so it costs address space, not
+      // resident memory; a short guess costs one more copy.
+      const double per_row =
+          static_cast<double>(out.size() - prologue + chunk.size()) /
+          static_cast<double>(rows);
+      out.reserve(prologue + static_cast<size_t>(
+                                 per_row * 1.125 *
+                                 static_cast<double>(jobs.size())) +
+                  chunk.size());
+    }
+    out.append(chunk);
+    return true;
+  });
   return out;
 }
 
@@ -671,30 +745,17 @@ StatusOr<Trace> TraceFromCsv(std::string_view csv_text, int threads) {
 }
 
 Status WriteTraceCsv(const Trace& trace, const std::string& path) {
-  // Streams through one reused row buffer flushed in ~1 MiB chunks, so a
-  // multi-GB trace writes without ever holding its full CSV image in
-  // memory (TraceToCsv still offers the in-memory form).
-  constexpr size_t kFlushBytes = 1 << 20;
+  // Writes chunk by chunk, so a multi-GB trace never has its full CSV
+  // image in memory (TraceToCsv offers the in-memory form).
   std::FILE* out = std::fopen(path.c_str(), "wb");
   if (!out) return IoError("cannot open for writing: " + path);
-  std::string buffer;
-  buffer.reserve(kFlushBytes + 4096);
-  AppendCsvPrologue(trace.metadata(), &buffer);
-  auto flush = [&]() {
-    if (buffer.empty()) return true;
-    const bool ok =
-        std::fwrite(buffer.data(), 1, buffer.size(), out) == buffer.size();
-    buffer.clear();
-    return ok;
+  auto write = [&](std::string_view bytes) {
+    return std::fwrite(bytes.data(), 1, bytes.size(), out) == bytes.size();
   };
-  for (const auto& job : trace.jobs()) {
-    AppendCsvRow(job, &buffer);
-    if (buffer.size() >= kFlushBytes && !flush()) {
-      std::fclose(out);
-      return IoError("write failed: " + path);
-    }
-  }
-  if (!flush() || std::fflush(out) != 0) {
+  std::string prologue;
+  AppendCsvPrologue(trace.metadata(), &prologue);
+  if (!write(prologue) || !EncodeCsvRows(trace.jobs(), write) ||
+      std::fflush(out) != 0) {
     std::fclose(out);
     return IoError("write failed: " + path);
   }

@@ -1,11 +1,13 @@
 #include "workloads/trace_generator.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/random.h"
 #include "stats/sampling.h"
 #include "workloads/file_population.h"
@@ -36,16 +38,49 @@ std::vector<double> BuildRateEnvelope(const ArrivalSpec& arrival,
   return rate;
 }
 
-/// Per-job dimension sampling around a job type's medians. `shared` is the
-/// per-job common factor that induces correlation between data size and
-/// compute time; `rng` provides independent per-dimension noise.
+/// A job dimension sampled around its class median, and the share of the
+/// class's log-sigma it spreads by. Durations spread less than sizes: a
+/// class is defined by its latency envelope (e.g. "small jobs" finish
+/// interactively).
+struct Dimension {
+  double JobTypeSpec::*median;
+  double trace::JobRecord::*field;
+  double sigma_scale;
+};
+/// The dimensions in the order their dims_rng draws are made.
+constexpr std::array<Dimension, 6> kDimensions = {{
+    {&JobTypeSpec::input_bytes, &trace::JobRecord::input_bytes, 1.0},
+    {&JobTypeSpec::shuffle_bytes, &trace::JobRecord::shuffle_bytes, 1.0},
+    {&JobTypeSpec::output_bytes, &trace::JobRecord::output_bytes, 1.0},
+    {&JobTypeSpec::map_task_seconds, &trace::JobRecord::map_task_seconds, 1.0},
+    {&JobTypeSpec::reduce_task_seconds,
+     &trace::JobRecord::reduce_task_seconds, 1.0},
+    {&JobTypeSpec::duration_seconds, &trace::JobRecord::duration, 0.5},
+}};
+
+/// Jobs whose dims_rng draws are buffered at once (~8 MB).
+constexpr size_t kDrawBlockJobs = size_t{1} << 16;
+/// Jobs per ParallelFor chunk of the row fill.
+constexpr size_t kFillGrain = 4096;
+
+/// What dims_rng drew for one job: the shared factor's Gaussian, the
+/// noise Gaussian of each dimension with a positive median, and the
+/// typical-task uniform.
+struct JobDraws {
+  Pcg32::GaussianDraw shared;
+  std::array<Pcg32::GaussianDraw, kDimensions.size()> noise;
+  double typical_task_u;
+};
+
+/// One dimension sampled around its (positive) class median. `shared` is
+/// the per-job common factor that induces correlation between data size
+/// and compute time; `noise` is the dimension's independent deviate.
 double SampleDimension(double median, double log_sigma, double shared,
-                       Pcg32& rng) {
-  if (median <= 0.0) return 0.0;
+                       double noise) {
   // shared^2-weight + independent^2-weight = 1 keeps the marginal sigma.
   constexpr double kSharedLoading = 0.8;
   constexpr double kIndependentLoading = 0.6;
-  double z = kSharedLoading * shared + kIndependentLoading * rng.NextGaussian();
+  double z = kSharedLoading * shared + kIndependentLoading * noise;
   return median * std::exp(log_sigma * z);
 }
 
@@ -58,6 +93,10 @@ StatusOr<trace::Trace> GenerateTrace(const WorkloadSpec& spec,
   const size_t total_jobs = options.job_count_override > 0
                                 ? options.job_count_override
                                 : spec.total_jobs;
+  if (total_jobs > trace::kMaxJobs) {
+    return InvalidArgumentError("job count " + std::to_string(total_jobs) +
+                                " exceeds " + std::to_string(trace::kMaxJobs));
+  }
   const double span = options.span_override_seconds > 0.0
                           ? options.span_override_seconds
                           : spec.span_seconds;
@@ -147,54 +186,80 @@ StatusOr<trace::Trace> GenerateTrace(const WorkloadSpec& spec,
 
   FilePopulationSim files(spec.files, spec.columns, file_rng, total_jobs);
 
+  // Each class's name grammar and its word weights.
+  std::vector<const std::vector<NameWeight>*> grammars;
+  std::vector<std::vector<double>> name_weights;
+  for (const JobTypeSpec& jt : spec.job_types) {
+    grammars.push_back(jt.name_words.empty() ? &spec.default_name_words
+                                             : &jt.name_words);
+    name_weights.emplace_back();
+    for (const auto& nw : *grammars.back()) {
+      name_weights.back().push_back(nw.weight);
+    }
+  }
+
+  // --- 2-4. Rows ------------------------------------------------------------
+  // Per block of jobs: one serial pass makes every dims_rng draw, in the
+  // order the draws are part of the output (the shared factor, one draw
+  // per dimension with a positive median, the typical-task uniform); a
+  // ParallelFor turns them into row values, identical at any lane count;
+  // then names and paths follow serially, since each path re-access
+  // samples earlier jobs.
   std::vector<trace::JobRecord> jobs(total_jobs);
-  for (size_t i = 0; i < total_jobs; ++i) {
-    const JobTypeSpec& jt = spec.job_types[schedule[i].second];
-    trace::JobRecord& job = jobs[i];
-    job.job_id = i + 1;
-    job.submit_time = schedule[i].first;
-
-    double shared = dims_rng.NextGaussian();
-    job.input_bytes =
-        SampleDimension(jt.input_bytes, jt.log_sigma, shared, dims_rng);
-    job.shuffle_bytes =
-        SampleDimension(jt.shuffle_bytes, jt.log_sigma, shared, dims_rng);
-    job.output_bytes =
-        SampleDimension(jt.output_bytes, jt.log_sigma, shared, dims_rng);
-    job.map_task_seconds =
-        SampleDimension(jt.map_task_seconds, jt.log_sigma, shared, dims_rng);
-    job.reduce_task_seconds = SampleDimension(jt.reduce_task_seconds,
-                                              jt.log_sigma, shared, dims_rng);
-    // Durations spread less than sizes: a class is defined by its latency
-    // envelope (e.g. "small jobs" finish interactively).
-    job.duration = SampleDimension(jt.duration_seconds, 0.5 * jt.log_sigma,
-                                   shared, dims_rng);
-
-    // Task counts: tasks last tens of seconds in Hadoop; very small jobs
-    // degenerate to a single wave of one map (and one reduce) task - the
-    // straggler-detection hazard the paper highlights in section 6.2.
-    double typical_task = dims_rng.NextDouble(20.0, 60.0);
-    job.map_tasks = std::max<int64_t>(
-        1, static_cast<int64_t>(job.map_task_seconds / typical_task));
-    if (jt.reduce_task_seconds > 0.0) {
-      job.reduce_tasks = std::max<int64_t>(
-          1, static_cast<int64_t>(job.reduce_task_seconds / typical_task));
-    }
-
-    // Names.
-    if (spec.columns.names) {
-      const std::vector<NameWeight>& grammar =
-          jt.name_words.empty() ? spec.default_name_words : jt.name_words;
-      if (!grammar.empty()) {
-        std::vector<double> weights;
-        weights.reserve(grammar.size());
-        for (const auto& nw : grammar) weights.push_back(nw.weight);
-        size_t pick = name_rng.NextDiscrete(weights);
-        job.name = DecorateJobName(grammar[pick].word, job.job_id, name_rng);
+  std::vector<JobDraws> draws(std::min(kDrawBlockJobs, total_jobs));
+  for (size_t block = 0; block < total_jobs; block += kDrawBlockJobs) {
+    const size_t block_end = std::min(total_jobs, block + kDrawBlockJobs);
+    for (size_t i = block; i < block_end; ++i) {
+      const JobTypeSpec& jt = spec.job_types[schedule[i].second];
+      JobDraws& d = draws[i - block];
+      d.shared = dims_rng.NextGaussianDraw();
+      for (size_t f = 0; f < kDimensions.size(); ++f) {
+        if (jt.*kDimensions[f].median > 0.0) {
+          d.noise[f] = dims_rng.NextGaussianDraw();
+        }
       }
+      d.typical_task_u = dims_rng.NextDouble();
     }
-
-    files.AssignPaths(job);
+    ParallelFor(block, block_end, kFillGrain, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        const JobTypeSpec& jt = spec.job_types[schedule[i].second];
+        const JobDraws& d = draws[i - block];
+        trace::JobRecord& job = jobs[i];
+        job.job_id = i + 1;
+        job.submit_time = schedule[i].first;
+        const double shared = Pcg32::GaussianFromDraw(d.shared);
+        for (size_t f = 0; f < kDimensions.size(); ++f) {
+          const Dimension& dim = kDimensions[f];
+          const double median = jt.*dim.median;
+          job.*dim.field =
+              median > 0.0
+                  ? SampleDimension(median, dim.sigma_scale * jt.log_sigma,
+                                    shared, Pcg32::GaussianFromDraw(d.noise[f]))
+                  : 0.0;
+        }
+        // Task counts: tasks last tens of seconds in Hadoop; very small
+        // jobs degenerate to a single wave of one map (and one reduce)
+        // task - the straggler-detection hazard the paper highlights in
+        // section 6.2.
+        const double typical_task = 20.0 + (60.0 - 20.0) * d.typical_task_u;
+        job.map_tasks = std::max<int64_t>(
+            1, static_cast<int64_t>(job.map_task_seconds / typical_task));
+        if (jt.reduce_task_seconds > 0.0) {
+          job.reduce_tasks = std::max<int64_t>(
+              1, static_cast<int64_t>(job.reduce_task_seconds / typical_task));
+        }
+      }
+    });
+    for (size_t i = block; i < block_end; ++i) {
+      const size_t type = schedule[i].second;
+      trace::JobRecord& job = jobs[i];
+      if (spec.columns.names && !grammars[type]->empty()) {
+        size_t pick = name_rng.NextDiscrete(name_weights[type]);
+        job.name = DecorateJobName((*grammars[type])[pick].word, job.job_id,
+                                   name_rng);
+      }
+      files.AssignPaths(job);
+    }
   }
 
   trace::TraceMetadata metadata = spec.metadata;

@@ -4,7 +4,6 @@
 #include "common/random.h"
 #include "storage/access_stream.h"
 #include "storage/cache.h"
-#include "storage/hdfs.h"
 #include "trace/trace.h"
 
 namespace swim::storage {
@@ -171,83 +170,6 @@ TEST(CacheTest, BoundedNeverBeatsUnbounded) {
   EXPECT_LE(ReplayAccesses(stream, lru).hits, upper);
   EXPECT_LE(ReplayAccesses(stream, fifo).hits, upper);
   EXPECT_LE(ReplayAccesses(stream, lfu).hits, upper);
-}
-
-// --- HDFS namespace -----------------------------------------------------------
-
-TEST(HdfsTest, CreateStatDelete) {
-  HdfsNamespace hdfs(HdfsOptions{});
-  ASSERT_TRUE(hdfs.CreateFile("/a", 300e6).ok());
-  EXPECT_TRUE(hdfs.Exists("/a"));
-  auto info = hdfs.Stat("/a");
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->blocks.size(), 3u);  // 300MB / 128MB -> 3 blocks
-  EXPECT_DOUBLE_EQ(hdfs.total_stored_bytes(), 300e6);
-  ASSERT_TRUE(hdfs.DeleteFile("/a").ok());
-  EXPECT_FALSE(hdfs.Exists("/a"));
-  EXPECT_DOUBLE_EQ(hdfs.total_stored_bytes(), 0.0);
-}
-
-TEST(HdfsTest, CreateDuplicateFails) {
-  HdfsNamespace hdfs(HdfsOptions{});
-  ASSERT_TRUE(hdfs.CreateFile("/a", 10).ok());
-  EXPECT_EQ(hdfs.CreateFile("/a", 10).code(), StatusCode::kAlreadyExists);
-}
-
-TEST(HdfsTest, WriteReplaces) {
-  HdfsNamespace hdfs(HdfsOptions{});
-  ASSERT_TRUE(hdfs.WriteFile("/a", 100).ok());
-  ASSERT_TRUE(hdfs.WriteFile("/a", 999).ok());
-  EXPECT_DOUBLE_EQ(hdfs.Stat("/a")->bytes, 999.0);
-  EXPECT_EQ(hdfs.file_count(), 1u);
-}
-
-TEST(HdfsTest, ReplicationPlacesDistinctNodes) {
-  HdfsOptions options;
-  options.nodes = 5;
-  options.replication = 3;
-  HdfsNamespace hdfs(options);
-  ASSERT_TRUE(hdfs.CreateFile("/a", 1e9).ok());
-  auto info = hdfs.Stat("/a");
-  ASSERT_TRUE(info.ok());
-  for (const auto& block : info->blocks) {
-    ASSERT_EQ(block.nodes.size(), 3u);
-    EXPECT_NE(block.nodes[0], block.nodes[1]);
-    EXPECT_NE(block.nodes[1], block.nodes[2]);
-    EXPECT_NE(block.nodes[0], block.nodes[2]);
-  }
-}
-
-TEST(HdfsTest, NodeBytesConserved) {
-  HdfsOptions options;
-  options.nodes = 4;
-  options.replication = 2;
-  HdfsNamespace hdfs(options);
-  ASSERT_TRUE(hdfs.CreateFile("/a", 500e6).ok());
-  double node_total = 0;
-  for (int n = 0; n < hdfs.node_count(); ++n) node_total += hdfs.NodeBytes(n);
-  EXPECT_NEAR(node_total, hdfs.total_physical_bytes(), 1.0);
-  ASSERT_TRUE(hdfs.DeleteFile("/a").ok());
-  for (int n = 0; n < hdfs.node_count(); ++n) {
-    EXPECT_NEAR(hdfs.NodeBytes(n), 0.0, 1e-6);
-  }
-}
-
-TEST(HdfsTest, RejectsBadArguments) {
-  HdfsNamespace hdfs(HdfsOptions{});
-  EXPECT_FALSE(hdfs.CreateFile("", 10).ok());
-  EXPECT_FALSE(hdfs.CreateFile("/a", -5).ok());
-  EXPECT_FALSE(hdfs.DeleteFile("/missing").ok());
-  EXPECT_FALSE(hdfs.Stat("/missing").ok());
-}
-
-TEST(HdfsTest, ReplicationClampedToNodeCount) {
-  HdfsOptions options;
-  options.nodes = 2;
-  options.replication = 5;
-  HdfsNamespace hdfs(options);
-  ASSERT_TRUE(hdfs.CreateFile("/a", 10).ok());
-  EXPECT_EQ(hdfs.Stat("/a")->blocks[0].nodes.size(), 2u);
 }
 
 }  // namespace

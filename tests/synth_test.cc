@@ -17,6 +17,7 @@
 #include "workloads/paper_workloads.h"
 #include "workloads/trace_generator.h"
 #include "workloads/workload_spec.h"
+#include "with_threads.h"
 
 namespace swim::core {
 namespace {
@@ -300,20 +301,6 @@ TEST(SynthesizerTest, RejectsUnusableOptions) {
 }
 
 // --- Golden synthesis digests ----------------------------------------------
-
-/// Runs `body` with SWIM_THREADS set to `threads`, then restores it.
-template <typename Body>
-void WithThreads(const char* threads, Body&& body) {
-  const char* old = std::getenv("SWIM_THREADS");
-  const std::string saved = old ? old : "";
-  ::setenv("SWIM_THREADS", threads, 1);
-  body();
-  if (old) {
-    ::setenv("SWIM_THREADS", saved.c_str(), 1);
-  } else {
-    ::unsetenv("SWIM_THREADS");
-  }
-}
 
 uint64_t Digest(const std::string& text) {
   return Checksum64(text.data(), text.size());

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <cmath>
@@ -17,6 +18,7 @@
 #include "trace/summary.h"
 #include "trace/trace.h"
 #include "trace/trace_io.h"
+#include "with_threads.h"
 
 namespace swim::trace {
 namespace {
@@ -713,6 +715,106 @@ TEST(TraceTest, CopyAndMovePreserveJobsAndMetadata) {
   ASSERT_EQ(moved.size(), 2u);
   EXPECT_EQ(moved.metadata().name, "copy-src");
   EXPECT_EQ(moved.name_ids().size(), 2u);
+}
+
+// --- Sorting and writing ------------------------------------------------
+
+/// Seeded shuffles of 120k jobs whose submit times take 48 distinct
+/// values, -0.0 and +0.0 among them, must come out of SetJobs in exactly
+/// std::stable_sort's order: ties keep their input order, and -0.0 ties
+/// with +0.0.
+TEST(TraceTest, SetJobsMatchesStableSortOracle) {
+  constexpr size_t kJobs = 120000;
+  std::vector<double> times = {-0.0, 0.0};
+  for (int v = 1; v < 47; ++v) times.push_back(v * 1800.0);
+  times.push_back(5e-324);
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Pcg32 rng(seed);
+    std::vector<JobRecord> jobs;
+    jobs.reserve(kJobs);
+    for (size_t i = 0; i < kJobs; ++i) {
+      jobs.push_back(MakeJob(i + 1, times[rng.NextBounded(times.size())]));
+    }
+    for (size_t i = kJobs - 1; i > 0; --i) {
+      std::swap(jobs[i], jobs[rng.NextBounded(i + 1)]);
+    }
+    std::vector<std::pair<double, uint64_t>> oracle;
+    for (const JobRecord& job : jobs) {
+      oracle.emplace_back(job.submit_time, job.job_id);
+    }
+    std::stable_sort(oracle.begin(), oracle.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+
+    Trace trace;
+    trace.SetJobs(std::move(jobs));
+    const std::vector<JobRecord>& sorted = trace.jobs();
+    ASSERT_EQ(sorted.size(), kJobs);
+    size_t mismatches = 0;
+    for (size_t i = 0; i < kJobs; ++i) {
+      const JobRecord& job = sorted[i];
+      if (job.job_id != oracle[i].second ||
+          std::signbit(job.submit_time) != std::signbit(oracle[i].first) ||
+          job.submit_time != oracle[i].first ||
+          job.name != "job_" + std::to_string(job.job_id) ||
+          job.output_path != "out/" + std::to_string(job.job_id)) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+
+    // Already sorted: same order, same storage.
+    std::vector<JobRecord> again = sorted;
+    const JobRecord* storage = again.data();
+    Trace resorted;
+    resorted.SetJobs(std::move(again));
+    EXPECT_EQ(resorted.jobs().data(), storage);
+    EXPECT_TRUE(resorted.jobs() == sorted);
+  }
+}
+
+/// WriteTraceCsv and TraceToCsv share one encoder: a file holds exactly
+/// the in-memory bytes, in row order, here with quoted multi-line names on
+/// every row, so on both sides of every chunk boundary, at one and at four
+/// lanes.
+TEST(TraceIoTest, WriterMatchesEncoderAcrossChunkBoundaries) {
+  Trace trace;
+  trace.mutable_metadata().name = "chunks";
+  trace.mutable_metadata().machines = 12;
+  std::vector<JobRecord> jobs;
+  for (uint64_t i = 0; i < 9000; ++i) {
+    // Tied submit times: the parse keeps file order, so it also shows
+    // whether the rows were written in order.
+    JobRecord job = MakeJob(i + 1, static_cast<double>(i / 3000));
+    job.name = "etl, \"step\"\nline two of " + std::to_string(i);
+    if (i % 3 == 0) job.input_path = "in/\"quoted\",\n" + std::to_string(i);
+    jobs.push_back(std::move(job));
+  }
+  trace.SetJobs(std::move(jobs));
+  const std::string path = ::testing::TempDir() + "/swim_chunk_writer.csv";
+  for (const char* threads : {"1", "4"}) {
+    SCOPED_TRACE(std::string("SWIM_THREADS=") + threads);
+    WithThreads(threads, [&] {
+      const std::string csv = TraceToCsv(trace);
+      ASSERT_TRUE(WriteTraceCsv(trace, path).ok());
+      std::FILE* in = std::fopen(path.c_str(), "rb");
+      ASSERT_NE(in, nullptr);
+      std::string written;
+      char buffer[1 << 16];
+      size_t got = 0;
+      while ((got = std::fread(buffer, 1, sizeof(buffer), in)) > 0) {
+        written.append(buffer, got);
+      }
+      std::fclose(in);
+      EXPECT_TRUE(written == csv);
+      auto parsed = TraceFromCsv(csv);
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      EXPECT_TRUE(parsed->jobs() == trace.jobs());
+    });
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

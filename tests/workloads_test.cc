@@ -1,6 +1,8 @@
+#include <cstdio>
 #include <set>
 #include <string>
 
+#include "common/checksum.h"
 #include "common/units.h"
 #include "gtest/gtest.h"
 #include "common/string_util.h"
@@ -9,6 +11,7 @@
 #include "workloads/paper_workloads.h"
 #include "workloads/trace_generator.h"
 #include "workloads/workload_spec.h"
+#include "with_threads.h"
 
 namespace swim::workloads {
 namespace {
@@ -190,6 +193,21 @@ TEST(TraceGeneratorTest, RejectsInvalidSpec) {
   EXPECT_FALSE(GenerateTrace(spec).ok());
 }
 
+/// A job count past the uint32 row-index space is an InvalidArgument
+/// status, from the override or from the spec, never an exception.
+TEST(TraceGeneratorTest, RejectsJobCountBeyondRowIndexSpace) {
+  GeneratorOptions options;
+  options.job_count_override = trace::kMaxJobs + 1;
+  auto trace = GenerateTrace(TinySpec(), options);
+  ASSERT_FALSE(trace.ok());
+  EXPECT_EQ(trace.status().code(), StatusCode::kInvalidArgument);
+  WorkloadSpec spec = TinySpec();
+  spec.total_jobs = static_cast<size_t>(-5);
+  trace = GenerateTrace(spec);
+  ASSERT_FALSE(trace.ok());
+  EXPECT_EQ(trace.status().code(), StatusCode::kInvalidArgument);
+}
+
 // --- Paper workload catalog ----------------------------------------------------
 
 TEST(PaperWorkloadsTest, AllSevenPresentAndValid) {
@@ -290,6 +308,51 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, PaperWorkloadGenerationTest,
                            }
                            return name;
                          });
+
+// --- Golden generator + encoder digests -------------------------------------
+
+/// XXH64 of TraceToCsv(GenerateTrace(workload)) at the default seed, for
+/// every paper workload at 20k jobs and FB-2010 at 200k, at one and four
+/// lanes. Pinned on the serial generator and the serial CSV encoder that
+/// predate the parallel row fill and the chunked encoder.
+TEST(TraceGeneratorTest, GoldenCsvDigestsAtAnyThreadCount) {
+  struct Golden {
+    const char* workload;
+    size_t jobs;
+    const char* csv_digest;
+  };
+  const Golden goldens[] = {
+      {"CC-a", 20000, "4e3a03fd792123c3"},
+      {"CC-b", 20000, "08fd79c1a73733dc"},
+      {"CC-c", 20000, "09fd22311d1ded83"},
+      {"CC-d", 20000, "1e957cb7b8c67fb4"},
+      {"CC-e", 20000, "4ec628f7a1262097"},
+      {"FB-2009", 20000, "6458b57fdc20e516"},
+      {"FB-2010", 20000, "c042d52c69e99471"},
+      {"FB-2010", 200000, "b326482397596738"},
+  };
+  ASSERT_EQ(PaperWorkloadNames().size(), 7u);
+  for (const Golden& g : goldens) {
+    auto spec = PaperWorkloadByName(g.workload);
+    ASSERT_TRUE(spec.ok());
+    GeneratorOptions options;
+    options.job_count_override = g.jobs;
+    for (const char* threads : {"1", "4"}) {
+      SCOPED_TRACE(std::string(g.workload) + " jobs=" +
+                   std::to_string(g.jobs) + " SWIM_THREADS=" + threads);
+      WithThreads(threads, [&] {
+        auto trace = GenerateTrace(*spec, options);
+        ASSERT_TRUE(trace.ok()) << trace.status();
+        const std::string csv = trace::TraceToCsv(*trace);
+        char hex[17];
+        std::snprintf(hex, sizeof(hex), "%016llx",
+                      static_cast<unsigned long long>(
+                          Checksum64(csv.data(), csv.size())));
+        EXPECT_EQ(std::string(hex), g.csv_digest);
+      });
+    }
+  }
+}
 
 }  // namespace
 }  // namespace swim::workloads
