@@ -27,7 +27,10 @@
 // heap head, so the cost per event may grow only by the heap's log
 // factor. A third run makes every task straggle (--stragglers 1 at 600
 // nodes), the case that used to scan a backlog of thousands per grant
-// and ran for minutes.
+// and ran for minutes. The same all-stragglers run under fair, SRPT and
+// deadline follows, informational (no gate): their PickJob still scans
+// the runnable set. Each row also prints how many of the run's events
+// the event queue coalesced into runs of equal grants.
 //
 // --json <path> emits {name, jobs_per_sec, threads, median_seconds,
 // repeats, warmups} rows (jobs, events or configs per second; the
@@ -268,27 +271,32 @@ int main(int argc, char** argv) {
   const trace::Trace fb = bench::BenchTrace("FB-2010", 200000);
   struct SaturationCase {
     const char* name;
+    const char* policy;
     int nodes;
     double straggler_probability;
     int repeats;
   };
+  // The first three rows feed the gates below.
   const SaturationCase saturation_cases[] = {
-      {"saturation/fifo_600_nodes", 600, 0.0, 3},
-      {"saturation/fifo_250_nodes", 250, 0.0, 3},
-      {"saturation/fifo_600_nodes_stragglers1", 600, 1.0, 1},
+      {"saturation/fifo_600_nodes", "fifo", 600, 0.0, 3},
+      {"saturation/fifo_250_nodes", "fifo", 250, 0.0, 3},
+      {"saturation/fifo_600_nodes_stragglers1", "fifo", 600, 1.0, 1},
+      {"saturation/fair_600_nodes_stragglers1", "fair", 600, 1.0, 1},
+      {"saturation/srpt_600_nodes_stragglers1", "srpt", 600, 1.0, 1},
+      {"saturation/deadline_600_nodes_stragglers1", "deadline", 600, 1.0, 1},
   };
   double seconds[std::size(saturation_cases)] = {};
   double seconds_per_event[std::size(saturation_cases)] = {};
   for (size_t c = 0; c < std::size(saturation_cases); ++c) {
     const SaturationCase& scenario = saturation_cases[c];
-    sim::ReplayOptions fifo;
-    fifo.cluster.nodes = scenario.nodes;
-    fifo.scheduler = "fifo";
-    fifo.straggler_probability = scenario.straggler_probability;
+    sim::ReplayOptions options;
+    options.cluster.nodes = scenario.nodes;
+    options.scheduler = scenario.policy;
+    options.straggler_probability = scenario.straggler_probability;
     StatusOr<sim::ReplayResult> result = InvalidArgumentError("not run");
     bench::BenchTiming timing =
         bench::MedianOpsPerSec(0, 0, scenario.repeats, [&] {
-          result = sim::ReplayTrace(fb, fifo);
+          result = sim::ReplayTrace(fb, options);
           SWIM_CHECK_OK(result.status());
         });
     const sim::EngineCounters& engine = result->engine;
@@ -298,11 +306,13 @@ int main(int argc, char** argv) {
     timing.ops_per_sec =
         static_cast<double>(engine.events) / timing.median_seconds;
     std::printf(
-        "  %-40s %6.1f%% util  %8.3fs  %6.1f ns/event  peak runnable "
-        "maps %lld\n",
+        "  %-44s %6.1f%% util  %8.3fs  %6.1f ns/event  peak runnable "
+        "maps %lld  coalesced %lld of %lld events\n",
         scenario.name, 100.0 * result->utilization, timing.median_seconds,
         1e9 * seconds_per_event[c],
-        static_cast<long long>(engine.peak_runnable_maps));
+        static_cast<long long>(engine.peak_runnable_maps),
+        static_cast<long long>(engine.coalesced_events),
+        static_cast<long long>(engine.events));
     json.Add(scenario.name, timing, 1);
   }
   const double per_event_ratio = seconds_per_event[1] / seconds_per_event[0];

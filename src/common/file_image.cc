@@ -8,10 +8,10 @@
 #include <cerrno>
 #include <utility>
 
+#include "common/huge_pages.h"
+
 namespace swim {
 namespace {
-
-constexpr size_t kHugePage = size_t{2} << 20;
 
 /// Closes the descriptor on every return path.
 struct ScopedFd {
@@ -56,16 +56,14 @@ void FileImage::Release() {
 FileImage FileImage::Allocate(size_t size) {
   FileImage image;
   if (size == 0) return image;
-  image.alignment_ = std::align_val_t{size >= kHugePage ? kHugePage
-                                                        : kAlignment};
+  image.alignment_ = std::align_val_t{size >= kHugePageBytes ? kHugePageBytes
+                                                             : kAlignment};
   image.data_ =
       static_cast<unsigned char*>(::operator new[](size, image.alignment_));
   image.size_ = size;
-#if defined(MADV_HUGEPAGE)
-  // Advisory only: without huge pages the buffer works the same, slower.
-  // With them, reading a 100 MB file into it is about twice as fast.
-  if (size >= kHugePage) madvise(image.data_, size, MADV_HUGEPAGE);
-#endif
+  // With huge pages, reading a 100 MB file into the buffer is about twice
+  // as fast.
+  AdviseHugePages(image.data_, size);
   return image;
 }
 

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/huge_pages.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "stats/radix_sort.h"
@@ -224,7 +225,11 @@ StatusOr<trace::Trace> SynthesizeTrace(const WorkloadModel& model,
   // Non-negative, so the radix order equals std::sort's.
   stats::RadixSortDoubles(&submit_times);
 
-  std::vector<trace::JobRecord> jobs(job_count);
+  // Huge pages before the first touch: the row fill below would otherwise
+  // fault the fresh array in 4 KiB at a time.
+  std::vector<trace::JobRecord> jobs;
+  ReserveHugePages(jobs, job_count);
+  jobs.resize(job_count);
   if (options.method == SynthesisMethod::kEmpirical) {
     FillEmpiricalRows(model, options.jitter_sigma, submit_times, job_rng,
                       jobs);

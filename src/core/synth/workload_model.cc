@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/huge_pages.h"
 #include "common/string_util.h"
 #include "core/analysis/data_access.h"
 #include "core/analysis/temporal.h"
@@ -52,7 +53,7 @@ StatusOr<WorkloadModel> BuildModel(const trace::Trace& trace,
   stats::ReservoirSampler<size_t> sampler(
       std::max<size_t>(1, options.exemplar_cap), rng.Fork());
   for (size_t i = 0; i < jobs.size(); ++i) sampler.Add(i);
-  model.exemplars.reserve(sampler.sample().size());
+  ReserveHugePages(model.exemplars, sampler.sample().size());
   for (size_t i : sampler.sample()) {
     trace::JobRecord& exemplar = model.exemplars.emplace_back(jobs[i]);
     exemplar.input_path.clear();

@@ -18,12 +18,14 @@ namespace swim::sim {
 ///   E Pop();              // undefined on an empty queue
 ///   bool empty() / size_t size()
 ///
-/// The element type E only needs public `double time` and `uint64_t seq`
-/// members. Both implementations below take an allocator (default
-/// std::allocator) so the replay engine can back every bucket and heap
-/// node with a per-lane Arena. Property tests drive them with the same
-/// event streams as a std::priority_queue reference and assert identical
-/// pop order. Two implementations:
+/// The element type E needs public `double time` and `uint64_t seq`
+/// members; CalendarEventQueue also needs `bool SamePayload(const E&)
+/// const`, true when every member but seq holds the same bits. Both
+/// implementations below take an allocator (default std::allocator) so
+/// the replay engine can back every bucket and heap node with a per-lane
+/// Arena. Property tests drive them with the same event streams as a
+/// std::priority_queue reference and assert identical pop order. Two
+/// implementations:
 ///
 ///   DaryEventHeap:      4-ary implicit heap, O(log n) with a ~2x better
 ///                       constant than the binary heap (shallower tree,
@@ -33,7 +35,9 @@ namespace swim::sim {
 ///                       the bucket ring - which delegates to DaryEventHeap
 ///                       while the queue is small (sparse tails: the drain
 ///                       at the end of a replay, tiny traces), switching
-///                       representation with hysteresis.
+///                       representation with hysteresis. Runs of pushes
+///                       that differ only by consecutive seqs share one
+///                       entry.
 
 /// `a` pops before `b`: ascending (time, seq).
 template <typename E>
@@ -56,6 +60,10 @@ class DaryEventHeap {
     heap_.push_back(std::move(event));
     SiftUp(heap_.size() - 1);
   }
+
+  /// The next element to pop. The caller may raise its key in place only
+  /// to one that still pops before every other element.
+  E& Top() { return heap_.front(); }
 
   E Pop() {
     E top = std::move(heap_.front());
@@ -125,14 +133,24 @@ class DaryEventHeap {
 ///     direct search) instead of sweeping year by year - this is what
 ///     makes a week-long idle gap between two jobs cost one jump instead
 ///     of millions of empty bucket visits.
-///   - Below `kHeapBelow` events the whole queue lives in a DaryEventHeap
+///   - Below `kHeapBelow` entries the whole queue lives in a DaryEventHeap
 ///     (a bucket ring is all overhead when nearly empty); it migrates to
 ///     calendar form above `kCalendarAbove`. The thresholds are separated
 ///     so a queue oscillating around the boundary does not thrash.
+///   - Run-length entries. An entry stands for `repeat` events that are
+///     equal but for their seqs, which run from the entry's seq upward. A
+///     push that continues the last pushed entry (same payload, the next
+///     seq) only increments its repeat: a saturated replay grants a freed
+///     slot's worth of work to the same job at the same instant many times
+///     over. No other event can hold a seq inside a run, so a run pops
+///     wherever its first event would, and popping one event advances the
+///     entry's seq in place: the entry stays the minimum. The last pushed
+///     entry waits in `open_` until a push does not continue it; Pop
+///     compares it with the stored minimum.
 ///
-/// Resize policy: the ring doubles when occupancy exceeds 2 events/bucket
+/// Resize policy: the ring doubles when occupancy exceeds 2 entries/bucket
 /// and halves below 1/4, and the width is re-estimated from the live
-/// event span on each rebuild - both deterministic functions of the queue
+/// entry span on each rebuild - both deterministic functions of the queue
 /// contents, so replay output cannot depend on allocation history.
 template <typename E, typename Alloc = std::allocator<E>>
 class CalendarEventQueue {
@@ -141,44 +159,64 @@ class CalendarEventQueue {
   /// All internal storage — the small-queue heap, the bucket ring, and
   /// every bucket's item vector — allocates through (rebinds of) `alloc`.
   explicit CalendarEventQueue(const Alloc& alloc)
-      : alloc_(alloc), heap_(alloc), buckets_(BucketAlloc(alloc)) {}
+      : alloc_(alloc), heap_(alloc_), buckets_(BucketAlloc(alloc)) {}
 
   bool empty() const { return size_ == 0; }
+  /// Events pending, counting each event of a run.
   size_t size() const { return size_; }
+  /// Pushes absorbed into a run instead of stored as an entry.
+  uint64_t coalesced() const { return coalesced_; }
 
   void Push(E event) {
     ++size_;
-    if (heap_mode_) {
-      heap_.Push(std::move(event));
-      if (size_ > kCalendarAbove) SwitchToCalendar();
+    if (open_.repeat > 0 && event.seq == open_.seq + open_.repeat &&
+        event.SamePayload(open_)) {
+      ++open_.repeat;
+      ++coalesced_;
       return;
     }
-    Insert(std::move(event));
-    if (size_ > buckets_.size() * 2) Rebuild(buckets_.size() * 2);
+    if (open_.repeat > 0) Store(std::move(open_));
+    static_cast<E&>(open_) = std::move(event);
+    open_.repeat = 1;
   }
 
   E Pop() {
     --size_;
+    if (entries_ == 0) return TakeOne(open_);
+    const size_t due = heap_mode_ ? 0 : FindDue();
+    Entry& front = heap_mode_ ? heap_.Top() : buckets_[due].Front();
+    if (open_.repeat > 0 && EventBefore(open_, front)) return TakeOne(open_);
+    if (front.repeat > 1) return TakeOne(front);
+    --entries_;
     if (heap_mode_) return heap_.Pop();
-    E event = PopCalendar();
-    if (size_ < kHeapBelow) {
+    E event = TakeFront(buckets_[due]);
+    if (entries_ < kHeapBelow) {
       SwitchToHeap();
-    } else if (size_ * 4 < buckets_.size() && buckets_.size() > kMinBuckets) {
+    } else if (entries_ * 4 < buckets_.size() &&
+               buckets_.size() > kMinBuckets) {
       Rebuild(buckets_.size() / 2);
     }
     return event;
   }
 
  private:
+  /// `repeat` events: this one and its copies at seq + 1, seq + 2, ...
+  struct Entry : E {
+    uint64_t repeat = 0;
+  };
+
+  using EntryAlloc =
+      typename std::allocator_traits<Alloc>::template rebind_alloc<Entry>;
+
   struct Bucket {
-    std::vector<E, Alloc> items;
+    std::vector<Entry, EntryAlloc> items;
     size_t head = 0;  // items[0, head) already popped
 
     Bucket() = default;
-    explicit Bucket(const Alloc& alloc) : items(alloc) {}
+    explicit Bucket(const EntryAlloc& alloc) : items(alloc) {}
 
     bool IsEmpty() const { return head == items.size(); }
-    const E& Front() const { return items[head]; }
+    Entry& Front() { return items[head]; }
   };
 
   using BucketAlloc =
@@ -187,6 +225,15 @@ class CalendarEventQueue {
   static constexpr size_t kHeapBelow = 48;
   static constexpr size_t kCalendarAbove = 96;
   static constexpr size_t kMinBuckets = 64;
+
+  /// Hands out the run's first event and advances the run past it; a run
+  /// left with repeat 0 is empty (the caller drops a stored one).
+  static E TakeOne(Entry& run) {
+    E event = run;
+    ++run.seq;
+    --run.repeat;
+    return event;
+  }
 
   /// Virtual bucket number of `time`; clamped so extreme times cannot
   /// overflow the division into uint64 territory.
@@ -201,17 +248,29 @@ class CalendarEventQueue {
     return static_cast<size_t>(virtual_bucket & mask_);
   }
 
-  void Insert(E event) {
-    uint64_t vb = VirtualBucket(event.time);
+  /// Files a closed run into the heap or the bucket ring.
+  void Store(Entry entry) {
+    ++entries_;
+    if (heap_mode_) {
+      heap_.Push(std::move(entry));
+      if (entries_ > kCalendarAbove) SwitchToCalendar();
+      return;
+    }
+    Insert(std::move(entry));
+    if (entries_ > buckets_.size() * 2) Rebuild(buckets_.size() * 2);
+  }
+
+  void Insert(Entry entry) {
+    uint64_t vb = VirtualBucket(entry.time);
     if (vb < cursor_vb_) cursor_vb_ = vb;  // never skip a late re-push
     Bucket& bucket = buckets_[RingIndex(vb)];
-    if (bucket.IsEmpty() || !EventBefore(event, bucket.items.back())) {
-      bucket.items.push_back(std::move(event));
+    if (bucket.IsEmpty() || !EventBefore(entry, bucket.items.back())) {
+      bucket.items.push_back(std::move(entry));
       return;
     }
     auto pos = std::upper_bound(bucket.items.begin() + bucket.head,
-                                bucket.items.end(), event, EventBefore<E>);
-    bucket.items.insert(pos, std::move(event));
+                                bucket.items.end(), entry, EventBefore<Entry>);
+    bucket.items.insert(pos, std::move(entry));
   }
 
   E TakeFront(Bucket& bucket) {
@@ -228,7 +287,9 @@ class CalendarEventQueue {
     return event;
   }
 
-  E PopCalendar() {
+  /// Ring index of the bucket whose front is the earliest stored entry;
+  /// moves the cursor to it.
+  size_t FindDue() {
     const size_t n = buckets_.size();
     // One pass over the ring, advancing the virtual-bucket cursor: a
     // bucket's front is due iff it belongs to the cursor's virtual bucket
@@ -239,7 +300,7 @@ class CalendarEventQueue {
       Bucket& bucket = buckets_[RingIndex(vb)];
       if (!bucket.IsEmpty() && VirtualBucket(bucket.Front().time) == vb) {
         cursor_vb_ = vb;
-        return TakeFront(bucket);
+        return RingIndex(vb);
       }
     }
     // Nothing due within one full ring: an idle gap. Jump the cursor to
@@ -253,7 +314,7 @@ class CalendarEventQueue {
       }
     }
     cursor_vb_ = VirtualBucket(buckets_[best].Front().time);
-    return TakeFront(buckets_[best]);
+    return best;
   }
 
   static size_t NextPowerOfTwo(size_t value) {
@@ -262,34 +323,35 @@ class CalendarEventQueue {
     return result;
   }
 
-  void InitBuckets(std::vector<E, Alloc> events, size_t bucket_count) {
+  void InitBuckets(std::vector<Entry, EntryAlloc> entries,
+                   size_t bucket_count) {
     bucket_count = std::max(NextPowerOfTwo(bucket_count), kMinBuckets);
     // The prototype bucket carries the allocator; assign copies it (and
     // with it the arena) into every ring slot.
     buckets_.assign(bucket_count, Bucket(alloc_));
     mask_ = bucket_count - 1;
-    // Width from the live span: ~1 event per virtual bucket keeps both
+    // Width from the live span: ~1 entry per virtual bucket keeps both
     // insert (short sorted runs) and pop (few empty visits) O(1).
     double lo = 0.0, hi = 0.0;
-    if (!events.empty()) {
-      lo = hi = events.front().time;
-      for (const E& event : events) {
-        lo = std::min(lo, event.time);
-        hi = std::max(hi, event.time);
+    if (!entries.empty()) {
+      lo = hi = entries.front().time;
+      for (const Entry& entry : entries) {
+        lo = std::min(lo, entry.time);
+        hi = std::max(hi, entry.time);
       }
     }
     double span = hi - lo;
-    width_ = span > 0.0 ? span / static_cast<double>(events.size()) : 1.0;
+    width_ = span > 0.0 ? span / static_cast<double>(entries.size()) : 1.0;
     // Keep virtual bucket numbers well inside uint64 even for times far
     // from zero with a tiny span.
     width_ = std::max(width_, (std::abs(hi) + 1.0) * 1e-12);
     cursor_vb_ = VirtualBucket(lo);
-    for (E& event : events) Insert(std::move(event));
+    for (Entry& entry : entries) Insert(std::move(entry));
   }
 
   void SwitchToCalendar() {
     heap_mode_ = false;
-    InitBuckets(heap_.TakeAll(), size_);
+    InitBuckets(heap_.TakeAll(), entries_);
   }
 
   void SwitchToHeap() {
@@ -304,20 +366,25 @@ class CalendarEventQueue {
   }
 
   void Rebuild(size_t bucket_count) {
-    std::vector<E, Alloc> events(alloc_);
-    events.reserve(size_);
+    std::vector<Entry, EntryAlloc> entries(alloc_);
+    entries.reserve(entries_);
     for (Bucket& bucket : buckets_) {
       for (size_t k = bucket.head; k < bucket.items.size(); ++k) {
-        events.push_back(std::move(bucket.items[k]));
+        entries.push_back(std::move(bucket.items[k]));
       }
     }
-    InitBuckets(std::move(events), bucket_count);
+    InitBuckets(std::move(entries), bucket_count);
   }
 
   bool heap_mode_ = true;
   size_t size_ = 0;
-  Alloc alloc_;
-  DaryEventHeap<E, Alloc> heap_;
+  /// Entries stored in the heap or the ring; `open_` is not among them.
+  size_t entries_ = 0;
+  uint64_t coalesced_ = 0;
+  /// The last pushed run while it has events left (repeat > 0).
+  Entry open_;
+  EntryAlloc alloc_;
+  DaryEventHeap<Entry, EntryAlloc> heap_;
   std::vector<Bucket, BucketAlloc> buckets_;
   size_t mask_ = 0;
   double width_ = 1.0;

@@ -36,8 +36,11 @@
 #include "sim/replay.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <type_traits>
 
@@ -52,29 +55,49 @@ namespace {
 
 constexpr size_t kNone = static_cast<size_t>(-1);
 
+constexpr double kHorizonSeconds = kMaxReplayHours * 3600.0;
+
 /// Tasks of a kind within a job are homogeneous, so a wave of them is
 /// simulated as one event carrying a count - this keeps event volume
 /// proportional to scheduling decisions, not task counts, and is what lets
 /// month-long million-job traces replay in seconds.
+///
+/// Members are ordered widest first so an event takes 56 bytes and a
+/// queue entry (an event plus its run length) one 64-byte cache line.
 struct Event {
-  double time = 0.0;
-  uint64_t seq = 0;  // FIFO tie-break for simultaneous events
-  enum class Kind {
+  enum class Kind : uint8_t {
     kArrival,
     kTasksDone,
     kTasksFailed,  // attempts dying mid-flight (probability failures)
     kNodeLoss,     // whole-node loss; self-reschedules while work remains
     kWake,         // retry backoff expired; re-enter the grant loop
-  } kind = Kind::kArrival;
+  };
+
+  double time = 0.0;
+  uint64_t seq = 0;  // FIFO tie-break for simultaneous events
   size_t job_index = 0;
-  TaskKind task_kind = TaskKind::kMap;
   int64_t count = 0;
-  /// Attempt level the batch was launched at (failure bookkeeping).
-  int attempt = 1;
   /// Slot-seconds one task of the batch occupies until this event fires -
   /// the waste charged per task if the attempt dies instead of completing.
   double unit_seconds = 0.0;
+  /// Attempt level the batch was launched at (failure bookkeeping).
+  int attempt = 1;
+  TaskKind task_kind = TaskKind::kMap;
+  Kind kind = Kind::kArrival;
+
+  /// Every member but seq holds the same bits: the event queue may then
+  /// keep this event and its predecessor as one run (sim/event_queue.h).
+  bool SamePayload(const Event& other) const {
+    return std::bit_cast<uint64_t>(time) ==
+               std::bit_cast<uint64_t>(other.time) &&
+           kind == other.kind && job_index == other.job_index &&
+           task_kind == other.task_kind && count == other.count &&
+           attempt == other.attempt &&
+           std::bit_cast<uint64_t>(unit_seconds) ==
+               std::bit_cast<uint64_t>(other.unit_seconds);
+  }
 };
+static_assert(sizeof(Event) <= 56);
 
 /// Integrates busy-slot counts into hourly buckets. An advance across H
 /// hours costs O(1) for the boundary slices plus one write per interior
@@ -301,8 +324,39 @@ class ReplayEngine {
   void PushEvent(double time, Event::Kind kind, size_t job_index,
                  TaskKind task_kind, int64_t count, int attempt,
                  double unit_seconds) {
-    queue_.Push(Event{time, seq_++, kind, job_index, task_kind, count,
-                      attempt, unit_seconds});
+    Enqueue(Event{.time = time,
+                  .seq = seq_++,
+                  .job_index = job_index,
+                  .count = count,
+                  .unit_seconds = unit_seconds,
+                  .attempt = attempt,
+                  .task_kind = task_kind,
+                  .kind = kind});
+  }
+
+  /// Job i's arrival, under seq i: the seq it held when every arrival was
+  /// queued before the first pop.
+  void PushArrival(size_t i) {
+    Enqueue(Event{.time = jobs_[i].submit_time,
+                  .seq = i,
+                  .job_index = i,
+                  .kind = Event::Kind::kArrival});
+  }
+
+  /// Node losses form a Poisson process cut off at the replay horizon: a
+  /// loss drawn past it is not queued, so a very low rate loses no node
+  /// rather than failing the run.
+  void PushNodeLoss(double time) {
+    if (time <= kHorizonSeconds) {
+      PushEvent(time, Event::Kind::kNodeLoss, 0, TaskKind::kMap, 0, 1, 0.0);
+    }
+  }
+
+  void Enqueue(const Event& event) {
+    if (!(event.time <= kHorizonSeconds) && !past_horizon_) {
+      past_horizon_ = event;
+    }
+    queue_.Push(event);
   }
 
   void LaunchBatch(size_t job_index, TaskKind kind, double now,
@@ -342,6 +396,9 @@ class ReplayEngine {
   std::unique_ptr<Scheduler> scheduler_;
   CalendarEventQueue<Event, ArenaAllocator<Event>> queue_;
   uint64_t seq_ = 0;
+  /// The first job event queued past the replay horizon; the run stops
+  /// there.
+  std::optional<Event> past_horizon_;
 
   int64_t total_map_slots_ = 0;
   int64_t total_reduce_slots_ = 0;
@@ -789,10 +846,11 @@ StatusOr<ReplayResult> ReplayEngine::Run() {
     }
   }
 
-  for (size_t i = 0; i < n; ++i) {
-    PushEvent(jobs_[i].submit_time, Event::Kind::kArrival, i,
-              TaskKind::kMap, 0, 1, 0.0);
-  }
+  // Arrivals stream from the submit-sorted job table: only the next one
+  // is queued, pushed when its predecessor pops, and arrival i keeps seq
+  // i, so the pop order is that of queueing all of them up front.
+  PushArrival(0);
+  seq_ = n;
 
   total_map_slots_ = options_.cluster.total_map_slots();
   total_reduce_slots_ = options_.cluster.total_reduce_slots();
@@ -808,12 +866,12 @@ StatusOr<ReplayResult> ReplayEngine::Run() {
   const double first_submit = tpl_.first_submit();
   const double loss_rate_per_second = failures_.node_loss_per_hour / 3600.0;
   if (loss_rate_per_second > 0.0) {
-    PushEvent(first_submit + loss_rng_.NextExponential(loss_rate_per_second),
-              Event::Kind::kNodeLoss, 0, TaskKind::kMap, 0, 1, 0.0);
+    PushNodeLoss(first_submit +
+                 loss_rng_.NextExponential(loss_rate_per_second));
   }
 
   double last_finish = 0.0;
-  while (!queue_.empty()) {
+  while (!queue_.empty() && !past_horizon_) {
     Event event = queue_.Pop();
     int64_t busy = (total_map_slots_ - free_map_slots_) +
                    (total_reduce_slots_ - free_reduce_slots_);
@@ -822,6 +880,7 @@ StatusOr<ReplayResult> ReplayEngine::Run() {
     SimJob& job = jobs_[event.job_index];
     switch (event.kind) {
       case Event::Kind::kArrival:
+        if (event.job_index + 1 < n) PushArrival(event.job_index + 1);
         arrived_[event.job_index] = 1;
         LinkActive(event.job_index);
         // Admission gates only eligible jobs (arrived AND parent-free):
@@ -868,9 +927,8 @@ StatusOr<ReplayResult> ReplayEngine::Run() {
         // Self-reschedule while the simulation still has work; stop when
         // this was the last event so the loop terminates.
         if (!queue_.empty()) {
-          PushEvent(event.time + loss_rng_.NextExponential(
-                                     loss_rate_per_second),
-                    Event::Kind::kNodeLoss, 0, TaskKind::kMap, 0, 1, 0.0);
+          PushNodeLoss(event.time +
+                       loss_rng_.NextExponential(loss_rate_per_second));
         }
         break;
       }
@@ -1004,6 +1062,19 @@ StatusOr<ReplayResult> ReplayEngine::Run() {
     }
     ScheduleLoop(event.time);
   }
+  // Checked before the meter sees the event: past the horizon its hourly
+  // buckets alone would take gigabytes.
+  if (past_horizon_) {
+    char when[96];
+    std::snprintf(when, sizeof(when),
+                  " has an event at t=%g s, more than %.0f hours (100 years) "
+                  "after time zero",
+                  past_horizon_->time, kMaxReplayHours);
+    return InvalidArgumentError(
+        "job " +
+        std::to_string(jobs_[past_horizon_->job_index].record->job_id) +
+        when);
+  }
 
   for (const SimJob& job : jobs_) {
     if (job.finish_time < 0.0) ++result_.unfinished_jobs;
@@ -1018,6 +1089,8 @@ StatusOr<ReplayResult> ReplayEngine::Run() {
       first_submit);
   // Every event pushed was popped: the loop above drains the queue.
   result_.engine.events = static_cast<int64_t>(seq_);
+  result_.engine.coalesced_events =
+      static_cast<int64_t>(queue_.coalesced());
   result_.engine.peak_runnable_maps =
       static_cast<int64_t>(runnable_maps_.peak_size());
   result_.engine.peak_runnable_reduces =

@@ -15,6 +15,15 @@
 
 namespace swim::sim {
 
+/// Replay horizon: a run in which a job's event (its arrival, the end of a
+/// task wave) lands more than this many hours (100 years) after time zero,
+/// where the hourly occupancy axis starts, fails with InvalidArgumentError
+/// before the meter sizes its buckets. Submit times are non-negative, so
+/// this also bounds the span after the first submit. Node losses are not
+/// drawn past it. A fixed limit, not an option: past it the hourly buckets
+/// alone would take gigabytes.
+inline constexpr double kMaxReplayHours = 100 * 8766.0;
+
 /// Hadoop 1.x-style slot cluster (the paper's trace era): each node offers
 /// fixed map and reduce slots; the TaskTracker heartbeat / JobTracker
 /// assignment loop is abstracted into instantaneous slot grants.
@@ -230,6 +239,9 @@ struct SlaStats {
 struct EngineCounters {
   /// Events popped off the event queue.
   int64_t events = 0;
+  /// Of those, pushes the queue absorbed into a run of equal events
+  /// rather than storing them as entries of their own.
+  int64_t coalesced_events = 0;
   /// Slot grants: task batches the grant loop launched, one PickJob
   /// decision each (preemption launches are counted in SlaStats).
   int64_t grants = 0;

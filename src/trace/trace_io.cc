@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/file_image.h"
+#include "common/huge_pages.h"
 #include "common/parallel.h"
 #include "common/string_util.h"
 
@@ -710,8 +711,10 @@ StatusOr<Trace> TraceFromCsv(std::string_view csv_text,
     if (!shard.error.ok()) return shard.error;
     total_jobs += shard.jobs.size();
   }
+  // Huge pages before the first touch: the merge would otherwise fault
+  // the fresh row array in 4 KiB at a time.
   std::vector<JobRecord> jobs;
-  jobs.reserve(total_jobs);
+  ReserveHugePages(jobs, total_jobs);
   for (Shard& shard : shards) {
     for (JobRecord& job : shard.jobs) jobs.push_back(std::move(job));
     if (report) {

@@ -1083,6 +1083,7 @@ TEST(GoldenReplayTest, DigestCoversResultsButNotEngineCounters) {
   ReplayResult counted = *result;
   counted.engine.events += 1;
   counted.engine.grants += 1;
+  counted.engine.coalesced_events += 1;
   counted.engine.peak_runnable_maps += 1;
   EXPECT_EQ(ReplayResultDigest(counted), digest);
   ReplayResult moved = *result;
@@ -1095,6 +1096,130 @@ TEST(GoldenReplayTest, DigestCoversResultsButNotEngineCounters) {
   ReplayResult scheduler = *result;
   scheduler.scheduler = "Fair";
   EXPECT_NE(ReplayResultDigest(scheduler), digest);
+}
+
+// Arrivals that share their instant with queued task completions while
+// node losses run: submits come in pairs every 10 s and every task lasts a
+// multiple of 10 s, so most arrivals pop between waves ending at the same
+// time. The digests were taken on the engine that queued every arrival
+// before the first pop; streaming them must keep each arrival's place.
+trace::Trace TiedArrivals() {
+  trace::Trace t;
+  for (int i = 0; i < 160; ++i) {
+    const int64_t maps = 1 + i % 4;
+    t.AddJob(SimpleJob(static_cast<uint64_t>(i + 1), 10.0 * (i / 2), maps,
+                       10.0 * static_cast<double>(maps) * (1 + i % 3),
+                       i % 5 == 0 ? 2 : 0, 40.0, i % 7 == 0 ? 5e12 : 1e6));
+  }
+  return t;
+}
+
+TEST(GoldenReplayTest, ArrivalsTiedWithCompletionsUnderNodeLoss) {
+  const std::pair<const char*, uint64_t> want[] = {
+      {"fifo", 0x2ad182c7b46415cf},
+      {"fair", 0x19512a22413145ca},
+      {"two-tier", 0x4acd5218abff7b44},
+      {"srpt", 0xe34bfff3e3a9b026},
+      {"deadline", 0xf33465a2452b0c3a},
+  };
+  ReplayOptions options = SmallCluster();
+  options.cluster.nodes = 3;
+  options.failures.node_loss_per_hour = 40.0;
+  options.failures.max_attempts = 6;
+  for (const auto& [policy, digest] : want) {
+    options.scheduler = policy;
+    auto result = ReplayTrace(TiedArrivals(), options);
+    ASSERT_TRUE(result.ok()) << policy;
+    EXPECT_GT(result->failures.node_losses, 0) << policy;
+    char actual[32];
+    std::snprintf(actual, sizeof(actual), "0x%016llx",
+                  static_cast<unsigned long long>(ReplayResultDigest(*result)));
+    EXPECT_EQ(ReplayResultDigest(*result), digest)
+        << policy << ": " << actual;
+  }
+}
+
+// --- Replay horizon ---------------------------------------------------------
+
+// Fb2010Style(46, 46) with job `index` edited by `edit`.
+trace::Trace WithOneJobEdited(size_t index,
+                              void (*edit)(trace::JobRecord& job)) {
+  std::vector<trace::JobRecord> jobs = Fb2010Style(46, 46).jobs();
+  edit(jobs[index]);
+  trace::Trace t;
+  for (const trace::JobRecord& job : jobs) t.AddJob(job);
+  return t;
+}
+
+// A run whose events pass the horizon fails before the occupancy meter
+// sizes its hourly buckets for them: with the rest of the trace near time
+// zero, the arena backing the run stays small.
+void ExpectRejectedPastHorizon(const trace::Trace& t, const char* what,
+                               bool near_zero = true) {
+  auto tpl = ReplayTemplate::Build(t);
+  ASSERT_TRUE(tpl.ok()) << what;
+  Arena arena;
+  auto result = tpl->Replay(ReplayOptions(), &arena);
+  ASSERT_FALSE(result.ok()) << what;
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << what;
+  EXPECT_NE(result.status().message().find("100 years"), std::string::npos)
+      << result.status().ToString();
+  if (near_zero) {
+    EXPECT_LE(arena.reserved_bytes(), size_t{1} << 20) << what;
+  }
+}
+
+TEST(ReplayHorizonTest, FarFutureEventsFailFastWithoutAllocating) {
+  ExpectRejectedPastHorizon(
+      WithOneJobEdited(20, [](trace::JobRecord& job) {
+        job.submit_time = 1e308;
+      }),
+      "submit 1e308");
+  ExpectRejectedPastHorizon(
+      WithOneJobEdited(20, [](trace::JobRecord& job) {
+        job.submit_time = 1e15;
+      }),
+      "submit 1e15");
+  ExpectRejectedPastHorizon(
+      WithOneJobEdited(20, [](trace::JobRecord& job) {
+        job.map_task_seconds = 1e300;
+      }),
+      "map_task_seconds 1e300");
+  trace::Trace lone;
+  lone.AddJob(SimpleJob(1, 1e308, 1, 10.0));
+  ExpectRejectedPastHorizon(lone, "a one-job trace at 1e308");
+}
+
+TEST(ReplayHorizonTest, HorizonBoundsEventsNotJustSubmits) {
+  const double horizon = kMaxReplayHours * 3600.0;
+  trace::Trace inside;
+  inside.AddJob(SimpleJob(1, horizon - 3600.0, 1, 1800.0));
+  auto result = ReplayTrace(inside, SmallCluster());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->outcomes.size(), 1u);
+  // Submitted inside the horizon, but its task ends past it.
+  trace::Trace ends_past;
+  ends_past.AddJob(SimpleJob(1, horizon - 3600.0, 1, 7200.0));
+  ExpectRejectedPastHorizon(ends_past, "a task ending past the horizon",
+                            /*near_zero=*/false);
+}
+
+TEST(ReplayHorizonTest, NodeLossesAreNotDrawnPastTheHorizon) {
+  // At 1e-9 losses per hour the first loss lands ~1e9 hours out: it is
+  // not queued, so the run loses no node instead of sizing hourly buckets
+  // out to it.
+  ReplayOptions options;
+  options.cluster.nodes = 10;
+  options.failures.node_loss_per_hour = 1e-9;
+  const trace::Trace t = Fb2010Style(46, 46);
+  Arena arena;
+  auto tpl = ReplayTemplate::Build(t, options);
+  ASSERT_TRUE(tpl.ok());
+  auto result = tpl->Replay(options, &arena);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->failures.node_losses, 0);
+  EXPECT_EQ(result->outcomes.size(), 46u);
+  EXPECT_LE(arena.reserved_bytes(), size_t{1} << 20);
 }
 
 // --- Runnable index ---------------------------------------------------------
@@ -1213,7 +1338,11 @@ TEST(RunnableSetTest, SaturatedFifoReportsDeepRunnableBacklog) {
     // Every job arrives (one event each) and launches at least one batch.
     EXPECT_GE(result->engine.events, 600);
     EXPECT_GE(result->engine.grants, 600);
+    EXPECT_LT(result->engine.coalesced_events, result->engine.events);
   }
+  // Freed slots granted one at a time to the same FIFO head at the same
+  // instant: runs of equal grants that the queue keeps as one entry.
+  EXPECT_GT(saturated->engine.coalesced_events, 0);
 }
 
 // --- SLA tier: deadlines, preemption, admission control --------------------

@@ -32,9 +32,13 @@
 // tickers completed/total cells to stderr (stdout stays clean for
 // redirection) so a 10k-configuration what-if sweep is observable while
 // it runs.
+//
+// Every numeric flag and list element is parsed whole and range-checked
+// into its type; anything else is a usage error naming the flag (exit 2).
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -63,6 +67,45 @@ int Usage() {
       "[--sweep-nodes N1,N2,...] [--sweep-seeds S1,S2,...]\n"
       "                   [--sweep-lanes N] [--sweep-progress]\n");
   return 2;
+}
+
+/// Parses `value` whole as an integer in [lo, the largest `Int`] (seeds:
+/// [0, INT64_MAX]); on failure prints a usage error naming `flag`.
+template <typename Int>
+bool IntFlag(const std::string& flag, const std::string& value, Int* out,
+             int64_t lo = std::numeric_limits<Int>::min()) {
+  constexpr int64_t hi = static_cast<int64_t>(std::min<uint64_t>(
+      std::numeric_limits<Int>::max(), std::numeric_limits<int64_t>::max()));
+  int64_t parsed = 0;
+  if (!swim::ParseInt64(value, &parsed) || parsed < lo || parsed > hi) {
+    std::fprintf(stderr, "%s needs an integer in [%lld, %lld], got '%s'\n",
+                 flag.c_str(), static_cast<long long>(lo),
+                 static_cast<long long>(hi), value.c_str());
+    return false;
+  }
+  *out = static_cast<Int>(parsed);
+  return true;
+}
+
+bool DoubleFlag(const std::string& flag, const std::string& value,
+                double* out) {
+  if (!swim::ParseDouble(value, out)) {
+    std::fprintf(stderr, "%s needs a number, got '%s'\n", flag.c_str(),
+                 value.c_str());
+    return false;
+  }
+  return true;
+}
+
+/// Parses a comma-separated list of integers into `out`, appending.
+template <typename Int>
+bool IntListFlag(const std::string& flag, const std::string& value,
+                 std::vector<Int>* out,
+                 int64_t lo = std::numeric_limits<Int>::min()) {
+  for (const std::string& element : swim::Split(value, ',')) {
+    if (!IntFlag(flag, element, &out->emplace_back(), lo)) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -99,12 +142,13 @@ int main(int argc, char** argv) {
       }
       value = argv[++i];
     }
+    bool parsed = true;
     if (flag == "--nodes") {
-      options.cluster.nodes = std::atoi(value.c_str());
+      parsed = IntFlag(flag, value, &options.cluster.nodes, 1);
     } else if (flag == "--scheduler") {
       options.scheduler = value;
     } else if (flag == "--stragglers") {
-      options.straggler_probability = std::atof(value.c_str());
+      parsed = DoubleFlag(flag, value, &options.straggler_probability);
     } else if (flag == "--on-error") {
       auto mode = trace::ParseModeFromName(value);
       if (!mode.ok()) {
@@ -113,35 +157,37 @@ int main(int argc, char** argv) {
       }
       parse_options.mode = *mode;
     } else if (flag == "--task-failures") {
-      options.failures.task_failure_probability = std::atof(value.c_str());
+      parsed = DoubleFlag(flag, value,
+                          &options.failures.task_failure_probability);
     } else if (flag == "--node-loss") {
-      options.failures.node_loss_per_hour = std::atof(value.c_str());
+      parsed = DoubleFlag(flag, value, &options.failures.node_loss_per_hour);
     } else if (flag == "--max-attempts") {
-      options.failures.max_attempts = std::atoi(value.c_str());
+      parsed = IntFlag(flag, value, &options.failures.max_attempts, 1);
     } else if (flag == "--retry-backoff") {
-      options.failures.retry_backoff_seconds = std::atof(value.c_str());
+      parsed =
+          DoubleFlag(flag, value, &options.failures.retry_backoff_seconds);
     } else if (flag == "--failure-point") {
-      options.failures.failure_point = std::atof(value.c_str());
+      parsed = DoubleFlag(flag, value, &options.failures.failure_point);
     } else if (flag == "--seed") {
-      options.seed = std::strtoull(value.c_str(), nullptr, 10);
+      parsed = IntFlag(flag, value, &options.seed);
     } else if (flag == "--sla-multiplier") {
       // One value sets the small (interactive) multiplier; "S,L" sets
       // both classes.
       std::vector<std::string> parts = Split(value, ',');
-      if (parts.empty() || parts[0].empty()) {
+      if (parts.empty() || parts[0].empty() || parts.size() > 2) {
         std::fprintf(stderr, "--sla-multiplier needs S or S,L\n");
         return 2;
       }
-      options.sla.small_multiplier = std::atof(parts[0].c_str());
-      if (parts.size() > 1 && !parts[1].empty()) {
-        options.sla.large_multiplier = std::atof(parts[1].c_str());
+      parsed = DoubleFlag(flag, parts[0], &options.sla.small_multiplier);
+      if (parsed && parts.size() > 1 && !parts[1].empty()) {
+        parsed = DoubleFlag(flag, parts[1], &options.sla.large_multiplier);
       }
     } else if (flag == "--preemption-budget") {
-      options.sla.preemption_budget = std::atoll(value.c_str());
+      parsed = IntFlag(flag, value, &options.sla.preemption_budget);
     } else if (flag == "--tenants") {
-      options.sla.tenants = std::atoi(value.c_str());
+      parsed = IntFlag(flag, value, &options.sla.tenants);
     } else if (flag == "--tenant-cap") {
-      options.sla.tenant_max_running = std::atoi(value.c_str());
+      parsed = IntFlag(flag, value, &options.sla.tenant_max_running);
     } else if (flag == "--sweep") {
       sweep = true;
       for (const std::string& policy : Split(value, ',')) {
@@ -149,27 +195,18 @@ int main(int argc, char** argv) {
       }
     } else if (flag == "--sweep-nodes") {
       sweep = true;
-      for (const std::string& n : Split(value, ',')) {
-        if (!n.empty()) sweep_nodes.push_back(std::atoi(n.c_str()));
-      }
+      parsed = IntListFlag(flag, value, &sweep_nodes, 1);
     } else if (flag == "--sweep-seeds") {
       sweep = true;
-      for (const std::string& s : Split(value, ',')) {
-        if (!s.empty()) {
-          sweep_seeds.push_back(std::strtoull(s.c_str(), nullptr, 10));
-        }
-      }
+      parsed = IntListFlag(flag, value, &sweep_seeds);
     } else if (flag == "--sweep-lanes") {
       sweep = true;
-      sweep_lanes = std::atoi(value.c_str());
-      if (sweep_lanes < 1) {
-        std::fprintf(stderr, "--sweep-lanes needs a positive lane count\n");
-        return 2;
-      }
+      parsed = IntFlag(flag, value, &sweep_lanes, 1);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return 2;
     }
+    if (!parsed) return 2;
   }
 
   // Validate every policy name up front: a typo'd --sweep=fare must die
