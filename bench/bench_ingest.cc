@@ -54,10 +54,6 @@ int main(int argc, char** argv) {
                 " jobs");
   trace::Trace t = bench::BenchTrace("FB-2010", jobs);
   const size_t n = t.size();
-  // Warm the id indexes so every serialization row measures serialization,
-  // not the first lazy index build.
-  (void)t.name_ids();
-  (void)t.input_path_ids();
 
   const std::string csv_path = TempPath("bench_ingest.csv");
   const std::string stf1_path = TempPath("bench_ingest.stf1");

@@ -74,7 +74,7 @@ constexpr double kCalendarCeilingSeconds = 10.28;
 /// and durations so event times spread realistically.
 swim::trace::Trace SyntheticTrace(size_t jobs, int64_t maps, int64_t reduces,
                                   uint64_t seed) {
-  swim::trace::Trace t;
+  std::vector<swim::trace::JobRecord> rows;
   swim::Pcg32 rng(seed, /*stream=*/0xbe7c);
   const double span = 24.0 * 3600.0;
   for (size_t i = 0; i < jobs; ++i) {
@@ -94,8 +94,10 @@ swim::trace::Trace SyntheticTrace(size_t jobs, int64_t maps, int64_t reduces,
                    (reduces > 0 ? job.reduce_task_seconds /
                                       static_cast<double>(reduces)
                                 : 0.0);
-    t.AddJob(std::move(job));
+    rows.push_back(std::move(job));
   }
+  swim::trace::Trace t;
+  t.SetJobs(std::move(rows));
   return t;
 }
 
@@ -202,7 +204,7 @@ int main(int argc, char** argv) {
   std::printf(
       "  %zu configurations (policy x nodes x failures x seed), "
       "%zu-job trace\n",
-      grid.size(), small.jobs().size());
+      grid.size(), small.size());
 
   // Pre-rebuild sweep inner loop: every cell pays its own trace -> jobs
   // conversion and allocates on the heap.

@@ -69,8 +69,6 @@ int main(int argc, char** argv) {
   bench::Banner("Streaming: generating FB-2010 at " + std::to_string(jobs) +
                 " jobs");
   trace::Trace full = bench::BenchTrace("FB-2010", jobs);
-  (void)full.name_ids();
-  (void)full.input_path_ids();
 
   const std::string full_path = TempPath("bench_streaming_full.stf1");
   const std::string grow_path = TempPath("bench_streaming_grow.stf1");
@@ -82,7 +80,7 @@ int main(int argc, char** argv) {
   const std::string prefix_bytes = [&] {
     trace::Trace prefix;
     prefix.mutable_metadata() = full.metadata();
-    for (size_t i = 0; i < prefix_jobs; ++i) prefix.AddJob(full.jobs()[i]);
+    for (size_t i = 0; i < prefix_jobs; ++i) prefix.AddJob(full.JobAt(i));
     return trace::TraceToColumnarBytes(prefix);
   }();
 

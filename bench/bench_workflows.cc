@@ -67,12 +67,14 @@ int main() {
   bg_options.span_override_seconds = options.span_seconds;
   auto background = workloads::GenerateTrace(*background_spec, bg_options);
   SWIM_CHECK_OK(background.status());
-  trace::Trace combined = wt->trace;
+  std::vector<trace::JobRecord> rows = wt->trace.jobs();
   for (auto job : background->jobs()) {
     job.job_id += 1000000;  // keep ids disjoint from workflow jobs
     job.name.clear();       // background jobs carry no workflow tags
-    combined.AddJob(std::move(job));
+    rows.push_back(std::move(job));
   }
+  trace::Trace combined(wt->trace.metadata());
+  combined.SetJobs(std::move(rows));
   std::printf("(+%zu background batch jobs on 40 nodes)\n",
               background->size());
   std::printf("  %-9s %18s %18s %14s\n", "policy", "wf latency p50",

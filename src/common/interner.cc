@@ -19,13 +19,15 @@ StringInterner& StringInterner::operator=(const StringInterner& other) {
 }
 
 uint32_t StringInterner::Intern(std::string_view text) {
-  auto it = ids_.find(text);
-  if (it != ids_.end()) return it->second;
-  uint32_t id = static_cast<uint32_t>(names_.size());
-  std::string_view stored = CopyToArena(text);
-  names_.push_back(stored);
-  ids_.TryEmplace(stored, id);
-  return id;
+  // One probe: insert the caller's bytes as the key, then repoint the key
+  // at the arena's copy (the same bytes, so the same hash and slot).
+  auto [it, inserted] =
+      ids_.TryEmplace(text, static_cast<uint32_t>(names_.size()));
+  if (inserted) {
+    it->first = CopyToArena(text);
+    names_.push_back(it->first);
+  }
+  return it->second;
 }
 
 uint32_t StringInterner::Find(std::string_view text) const {

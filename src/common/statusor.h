@@ -49,6 +49,8 @@ class StatusOr {
 
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
+  /// `*std::move(status_or)` moves the value out instead of copying it.
+  T operator*() && { return std::move(*this).value(); }
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 

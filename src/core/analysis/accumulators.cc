@@ -1,12 +1,32 @@
 #include "core/analysis/accumulators.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 
 #include "common/string_util.h"
 #include "trace/frameworks.h"
+#include "trace/trace.h"
 
 namespace swim::core {
+
+Status CheckHorizon(const trace::JobColumns& c, size_t begin, size_t end,
+                    double first_submit) {
+  constexpr double kHorizonSeconds = trace::kMaxTraceHours * 3600.0;
+  for (size_t i = begin; i < end; ++i) {
+    const double finish = c.submit_time[i] + c.duration[i];
+    if (!(finish - first_submit <= kHorizonSeconds)) {
+      char when[128];
+      std::snprintf(when, sizeof(when),
+                    " has an event at t=%g s, more than %.0f hours "
+                    "(100 years) after the first submit",
+                    finish, trace::kMaxTraceHours);
+      return InvalidArgumentError("job " + std::to_string(c.job_id[i]) +
+                                  when);
+    }
+  }
+  return Status::Ok();
+}
 
 SubmissionSeries SubmissionSeriesAccumulator::Series() const {
   SubmissionSeries out = series_;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/interner.h"
+#include "common/status.h"
 #include "core/analysis/compute.h"
 #include "core/analysis/data_access.h"
 #include "core/analysis/temporal.h"
@@ -27,6 +28,13 @@ namespace swim::core {
 // agree bit for bit by construction. The per-row calls are inline so the
 // drivers' row loops pay no indirect call.
 // ---------------------------------------------------------------------------
+
+/// Fails with InvalidArgumentError, naming the job, when a job of rows
+/// [begin, end) finishes more than trace::kMaxTraceHours after
+/// `first_submit`. Run it before any series is sized: past the horizon the
+/// hourly buckets alone would take gigabytes.
+Status CheckHorizon(const trace::JobColumns& columns, size_t begin,
+                    size_t end, double first_submit);
 
 /// Hourly submission series (Figures 7-9). Jobs are credited to their
 /// submission hour since the first observed submit.
@@ -247,60 +255,50 @@ struct ExactStages {
   /// The one row loop over columns: folds rows [begin, end) in order, then
   /// hands each row to `on_row(row, gaps)` (a ColumnRow) for the caller's
   /// own per-row work. `on_row` is inlined; the loop makes no indirect call
-  /// per row, and reads every column at a compile-time stride.
+  /// per row.
   template <typename OnRow>
   void ObserveColumns(const trace::JobColumns& c, size_t begin, size_t end,
                       OnRow&& on_row) {
     reaccess.Reserve(c.paths.size());
     auto name_of = [&c](uint32_t id) { return c.names[id]; };
-    trace::WithColumnLayout(c, [&](auto layout) {
-      // Local copies: the accumulators' byte-sized stores could alias the
-      // views inside `c`, forcing a reload of every column base per row.
-      const auto submit_time = c.submit_time;
-      const auto duration = c.duration;
-      const auto input_bytes = c.input_bytes;
-      const auto shuffle_bytes = c.shuffle_bytes;
-      const auto output_bytes = c.output_bytes;
-      const auto reduce_tasks = c.reduce_tasks;
-      const auto map_task_seconds = c.map_task_seconds;
-      const auto reduce_task_seconds = c.reduce_task_seconds;
-      const auto name_ids = c.name_id;
-      const auto input_path_ids = c.input_path_id;
-      const auto output_path_ids = c.output_path_id;
-      auto get = [&](const auto& column, size_t i) {
-        return layout.Get(column, i);
-      };
-      for (size_t i = begin; i < end; ++i) {
-        ColumnRow row;
-        row.submit = get(submit_time, i);
-        row.duration = get(duration, i);
-        row.shuffle_bytes = get(shuffle_bytes, i);
-        row.reduce_tasks = get(reduce_tasks, i);
-        row.reduce_task_seconds = get(reduce_task_seconds, i);
-        row.input_path_id = get(input_path_ids, i);
-        // TotalBytes() and TotalTaskSeconds() shapes, so sums match bit
-        // for bit with JobRecord-based code.
-        row.total_bytes = get(input_bytes, i) + row.shuffle_bytes +
-                          get(output_bytes, i);
-        row.task_seconds =
-            get(map_task_seconds, i) + row.reduce_task_seconds;
-        const ReaccessGaps gaps =
-            Observe(row.submit, row.submit + row.duration, row.total_bytes,
-                    row.task_seconds, row.input_path_id,
-                    get(output_path_ids, i));
-        const uint32_t name_id = get(name_ids, i);
-        if (name_id != kNoStringId) {
-          names.ObserveNameId(name_id, name_of, row.total_bytes,
-                              row.task_seconds);
-        }
-        on_row(row, gaps);
+    // Local copies: the accumulators' byte-sized stores could alias the
+    // views inside `c`, forcing a reload of every column base per row.
+    const double* const submit_time = c.submit_time;
+    const double* const duration = c.duration;
+    const double* const input_bytes = c.input_bytes;
+    const double* const shuffle_bytes = c.shuffle_bytes;
+    const double* const output_bytes = c.output_bytes;
+    const int64_t* const reduce_tasks = c.reduce_tasks;
+    const double* const map_task_seconds = c.map_task_seconds;
+    const double* const reduce_task_seconds = c.reduce_task_seconds;
+    const uint32_t* const name_ids = c.name_id;
+    const uint32_t* const input_path_ids = c.input_path_id;
+    const uint32_t* const output_path_ids = c.output_path_id;
+    for (size_t i = begin; i < end; ++i) {
+      ColumnRow row;
+      row.submit = submit_time[i];
+      row.duration = duration[i];
+      row.shuffle_bytes = shuffle_bytes[i];
+      row.reduce_tasks = reduce_tasks[i];
+      row.reduce_task_seconds = reduce_task_seconds[i];
+      row.input_path_id = input_path_ids[i];
+      // TotalBytes() and TotalTaskSeconds() shapes, so sums match bit for
+      // bit with JobRecord-based code.
+      row.total_bytes = input_bytes[i] + row.shuffle_bytes + output_bytes[i];
+      row.task_seconds = map_task_seconds[i] + row.reduce_task_seconds;
+      const ReaccessGaps gaps =
+          Observe(row.submit, row.submit + row.duration, row.total_bytes,
+                  row.task_seconds, row.input_path_id, output_path_ids[i]);
+      const uint32_t name_id = name_ids[i];
+      if (name_id != kNoStringId) {
+        names.ObserveNameId(name_id, name_of, row.total_bytes,
+                            row.task_seconds);
       }
-    });
+      on_row(row, gaps);
+    }
   }
 
-  /// Folds one job's series, popularity and re-access contributions. Row
-  /// sources without columns (parsed CSV rows) call this directly and feed
-  /// `names` themselves.
+  /// Folds one job's series, popularity and re-access contributions.
   ReaccessGaps Observe(double submit, double finish, double total_bytes,
                        double task_seconds, uint32_t input_id,
                        uint32_t output_id) {

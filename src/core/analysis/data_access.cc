@@ -13,19 +13,18 @@ namespace swim::core {
 namespace {
 
 // All path-keyed tables in this file are dense vectors indexed by the
-// trace's interned path ids (see Trace::path_interner), read through
-// Trace::columns(): one array index per touch instead of a string hash.
+// trace's path ids (see Trace::paths), read through Trace::columns(): one
+// array index per touch instead of a string hash.
 // Ids are assigned in first-appearance order, so every loop below is
 // deterministic.
 
-trace::StridedColumn<uint32_t> PathIds(const trace::JobColumns& c,
-                                       bool use_output) {
+const uint32_t* PathIds(const trace::JobColumns& c, bool use_output) {
   return use_output ? c.output_path_id : c.input_path_id;
 }
 
 FilePopularity ComputePopularity(const trace::Trace& trace, bool use_output) {
   const trace::JobColumns c = trace.columns();
-  const trace::StridedColumn<uint32_t> ids = PathIds(c, use_output);
+  const uint32_t* const ids = PathIds(c, use_output);
   stats::OnlineZipf counts;
   for (size_t i = 0; i < c.size; ++i) {
     if (ids[i] != kNoStringId) counts.Add(ids[i]);
@@ -37,8 +36,8 @@ FilePopularity ComputePopularity(const trace::Trace& trace, bool use_output) {
 /// path, dense-indexed by path id; entries never touched stay negative.
 std::vector<double> FileSizesById(const trace::JobColumns& c,
                                   bool use_output) {
-  const trace::StridedColumn<uint32_t> ids = PathIds(c, use_output);
-  const trace::StridedColumn<double> bytes =
+  const uint32_t* const ids = PathIds(c, use_output);
+  const double* const bytes =
       use_output ? c.output_bytes : c.input_bytes;
   std::vector<double> file_sizes(c.paths.size(), -1.0);
   for (size_t i = 0; i < c.size; ++i) {
@@ -52,7 +51,7 @@ std::vector<double> FileSizesById(const trace::JobColumns& c,
 /// Per job with such a path, the (final) size of the file it accessed.
 std::vector<double> JobFileSizes(const trace::JobColumns& c, bool use_output,
                                  const std::vector<double>& file_sizes) {
-  const trace::StridedColumn<uint32_t> ids = PathIds(c, use_output);
+  const uint32_t* const ids = PathIds(c, use_output);
   std::vector<double> job_file_sizes;
   job_file_sizes.reserve(c.size);
   for (size_t i = 0; i < c.size; ++i) {
@@ -78,10 +77,8 @@ ReaccessFractions ScanReaccess(const trace::Trace& trace, OnRead&& on_read) {
 
 }  // namespace
 
-stats::EmpiricalCdf ColumnCdf(trace::StridedColumn<double> column,
-                              size_t size) {
-  std::vector<double> values(size);
-  for (size_t i = 0; i < size; ++i) values[i] = column[i];
+stats::EmpiricalCdf ColumnCdf(const double* column, size_t size) {
+  std::vector<double> values(column, column + size);
   stats::RadixSortDoubles(&values);
   return stats::EmpiricalCdf::FromSorted(std::move(values));
 }

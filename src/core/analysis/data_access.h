@@ -24,8 +24,7 @@ DataSizeCdfs ComputeDataSizeCdfs(const trace::Trace& trace);
 
 /// One Figure 1 CDF: the first `size` values of `column`, copied and
 /// radix-sorted (RadixSortDoubles; a -0.0 size reads as +0.0).
-stats::EmpiricalCdf ColumnCdf(trace::StridedColumn<double> column,
-                              size_t size);
+stats::EmpiricalCdf ColumnCdf(const double* column, size_t size);
 
 /// File popularity analysis (paper Figure 2): access counts per distinct
 /// path, sorted descending, with the fitted Zipf slope. The paper finds

@@ -5,8 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/span.h"
-
 namespace swim::core {
 namespace {
 
@@ -163,9 +161,41 @@ StatusOr<FollowPoll> TraceFollower::PollCsv() {
       trace::Trace parsed,
       trace::TraceFromCsv(document, options_.csv_parse, &report));
   if (!parsed.empty()) {
-    SWIM_RETURN_IF_ERROR(analyzer_.ObserveJobs(
-        Span<const trace::JobRecord>(parsed.jobs().data(),
-                                     parsed.jobs().size())));
+    trace::JobColumns chunk = parsed.columns();
+    // Check the rows before the dictionaries grow, so a rejected chunk
+    // leaves no trace in them.
+    SWIM_RETURN_IF_ERROR(analyzer_.Validate(chunk, 0, chunk.size));
+    // The chunk's ids are first-appearance ids within the chunk, so
+    // interning its dictionaries in id order extends the follower's in
+    // first-appearance order over the whole stream; one table per
+    // dictionary maps the chunk's ids onto the follower's.
+    auto table = [](const StringInterner& from, StringInterner& to) {
+      std::vector<uint32_t> ids(from.size());
+      for (uint32_t id = 0; id < from.size(); ++id) {
+        ids[id] = to.Intern(from.NameOf(id));
+      }
+      return ids;
+    };
+    const std::vector<uint32_t> name_table = table(parsed.names(), csv_names_);
+    const std::vector<uint32_t> path_table = table(parsed.paths(), csv_paths_);
+    auto map = [&](const uint32_t* ids, const std::vector<uint32_t>& to) {
+      std::vector<uint32_t> mapped(ids, ids + chunk.size);
+      for (uint32_t& id : mapped) {
+        if (id != kNoStringId) id = to[id];
+      }
+      return mapped;
+    };
+    const std::vector<uint32_t> name_ids = map(chunk.name_id, name_table);
+    const std::vector<uint32_t> input_path_ids =
+        map(chunk.input_path_id, path_table);
+    const std::vector<uint32_t> output_path_ids =
+        map(chunk.output_path_id, path_table);
+    chunk.name_id = name_ids.data();
+    chunk.input_path_id = input_path_ids.data();
+    chunk.output_path_id = output_path_ids.data();
+    chunk.names = trace::DictionaryView(csv_names_);
+    chunk.paths = trace::DictionaryView(csv_paths_);
+    SWIM_RETURN_IF_ERROR(analyzer_.ObserveColumns(chunk, 0, chunk.size));
   }
   // Only now that the chunk is fully folded does the consumed mark move.
   consumed_bytes_ += cut;
@@ -180,6 +210,9 @@ StatusOr<FollowPoll> TraceFollower::PollCsv() {
 }
 
 StatusOr<StreamingReport> TraceFollower::Report() const {
+  if (format_ == trace::TraceFormat::kCsv) {
+    return analyzer_.Report(trace::DictionaryView(csv_paths_));
+  }
   return analyzer_.Report(has_view_ ? &view_ : nullptr);
 }
 

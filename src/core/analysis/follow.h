@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/interner.h"
 #include "common/statusor.h"
 #include "core/analysis/streaming.h"
 #include "trace/columnar.h"
@@ -25,13 +26,15 @@ namespace swim::core {
 //    and never scanned — verifies the already-consumed prefix is intact via
 //    spot checks (first/last consumed job id + submit time unchanged,
 //    dictionaries only ever grow), and streams only rows past the consumed
-//    mark. Section checksums are NOT re-verified per poll (that is O(file);
-//    run `swim_trace_tool verify` out of band for integrity audits).
+//    mark. Section checksums are NOT re-verified per poll (that is O(file));
+//    for an integrity audit, convert the file with `swim_convert`, which
+//    verifies every section checksum on input unless given --no-verify.
 //  - CSV: Poll() reads bytes past the consumed offset and cuts at the last
 //    record boundary — a newline at even quote parity, so a half-flushed
 //    quoted field is never split — parses just that chunk (with the
-//    canonical header prepended after the first chunk), and streams the
-//    parsed rows.
+//    canonical header prepended after the first chunk), maps the chunk's
+//    dictionary ids onto the follower's own dictionaries with one integer
+//    table per dictionary, and streams the chunk's columns.
 //
 // Either way a poll that observes a malformed state (shrunk file, mutated
 // prefix, corrupt header, unparseable chunk, out-of-order appends) returns
@@ -71,7 +74,7 @@ class TraceFollower {
 
   /// Renders the report over everything consumed so far (error when no
   /// rows have been consumed yet). Hot-file paths resolve through the
-  /// live STF1 dictionaries or the CSV interner.
+  /// live STF1 dictionaries or the follower's CSV dictionaries.
   StatusOr<StreamingReport> Report() const;
 
   const std::string& path() const { return path_; }
@@ -104,8 +107,12 @@ class TraceFollower {
   size_t seen_path_count_ = 0;
 
   // CSV state: byte offset of the first unconsumed byte (always a record
-  // boundary, so the cross-poll quote-parity state is always "outside").
+  // boundary, so the cross-poll quote-parity state is always "outside"),
+  // and the dictionaries every consumed chunk's ids were mapped onto, in
+  // first-appearance order over the consumed rows.
   uint64_t consumed_bytes_ = 0;
+  StringInterner csv_names_;
+  StringInterner csv_paths_;
   bool csv_header_consumed_ = false;
   bool csv_metadata_set_ = false;
 };

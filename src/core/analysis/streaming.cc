@@ -1,6 +1,5 @@
 #include "core/analysis/streaming.h"
 
-#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <optional>
@@ -65,10 +64,15 @@ void StreamingAnalyzer::ObserveExtras(double submit, double shuffle_bytes,
   ++jobs_;
 }
 
-Status StreamingAnalyzer::ValidateColumns(const trace::JobColumns& columns,
-                                          size_t begin, size_t end) const {
+Status StreamingAnalyzer::Validate(const trace::JobColumns& columns,
+                                   size_t begin, size_t end) const {
+  if (begin > end || end > columns.size) {
+    return InvalidArgumentError("streaming batch range out of bounds");
+  }
+  if (begin == end) return Status::Ok();
   // The admission bar every trace source shares, plus the streaming
-  // contract that submit times never run backwards.
+  // contract that submit times never run backwards and stay within the
+  // trace horizon.
   const double floor = jobs_ > 0 ? last_submit_
                                   : -std::numeric_limits<double>::infinity();
   std::optional<trace::RowViolation> bad =
@@ -77,27 +81,23 @@ Status StreamingAnalyzer::ValidateColumns(const trace::JobColumns& columns,
     return InvalidArgumentError("streaming batch row " +
                                 std::to_string(bad->row) + ": " + bad->what);
   }
-  return Status::Ok();
+  return CheckHorizon(columns, begin, end,
+                      jobs_ > 0 ? first_submit_ : columns.submit_time[begin]);
 }
 
 Status StreamingAnalyzer::ObserveColumns(const trace::ColumnarTraceView& view,
                                          size_t begin, size_t end) {
-  if (mode_ == Mode::kJobs) {
-    return FailedPreconditionError(
-        "streaming analyzer already bound to parsed-row input");
-  }
-  if (begin > end || end > view.job_count()) {
-    return InvalidArgumentError("streaming batch range out of bounds");
-  }
-  if (mode_ == Mode::kUnset) {
-    mode_ = Mode::kColumnar;
-    if (!metadata_set_) SetMetadata(view.metadata());
-  }
-  if (begin == end) return Status::Ok();
-  const trace::JobColumns c = view.columns();
+  if (!metadata_set_) SetMetadata(view.metadata());
+  return ObserveColumns(view.columns(), begin, end);
+}
+
+Status StreamingAnalyzer::ObserveColumns(const trace::JobColumns& c,
+                                         size_t begin, size_t end) {
   // Validate the whole batch before touching any accumulator, so a corrupt
   // append can never poison the analyzer's state.
-  SWIM_RETURN_IF_ERROR(ValidateColumns(c, begin, end));
+  SWIM_RETURN_IF_ERROR(Validate(c, begin, end));
+  if (begin == end) return Status::Ok();
+  if (jobs_ == 0) first_submit_ = c.submit_time[begin];
 
   exact_.ObserveColumns(
       c, begin, end, [&](const ColumnRow& row, const ReaccessGaps& gaps) {
@@ -107,10 +107,6 @@ Status StreamingAnalyzer::ObserveColumns(const trace::ColumnarTraceView& view,
       });
 
   // Parallel sketch build over fixed-size chunks, merged in chunk order.
-  const auto inputs = view.input_bytes();
-  const auto shuffles = view.shuffle_bytes();
-  const auto outputs = view.output_bytes();
-  const auto durations = view.durations();
   const size_t rows = end - begin;
   const size_t chunk_count = (rows + kSketchGrain - 1) / kSketchGrain;
   std::vector<stats::GkQuantileSketch> chunks(
@@ -120,101 +116,18 @@ Status StreamingAnalyzer::ObserveColumns(const trace::ColumnarTraceView& view,
       [&](size_t chunk_begin, size_t chunk_end) {
         stats::GkQuantileSketch* lane = &chunks[4 * (chunk_begin / kSketchGrain)];
         for (size_t i = begin + chunk_begin; i < begin + chunk_end; ++i) {
-          lane[0].Add(inputs[i]);
-          lane[1].Add(shuffles[i]);
-          lane[2].Add(outputs[i]);
-          lane[3].Add(durations[i]);
+          lane[0].Add(c.input_bytes[i]);
+          lane[1].Add(c.shuffle_bytes[i]);
+          lane[2].Add(c.output_bytes[i]);
+          lane[3].Add(c.duration[i]);
         }
       },
       options_.threads);
-  for (size_t c = 0; c < chunk_count; ++c) {
-    gk_input_.Merge(chunks[4 * c]);
-    gk_shuffle_.Merge(chunks[4 * c + 1]);
-    gk_output_.Merge(chunks[4 * c + 2]);
-    gk_duration_.Merge(chunks[4 * c + 3]);
-  }
-  ++batches_;
-  return Status::Ok();
-}
-
-Status StreamingAnalyzer::ObserveJobs(Span<const trace::JobRecord> jobs) {
-  if (mode_ == Mode::kColumnar) {
-    return FailedPreconditionError(
-        "streaming analyzer already bound to columnar input");
-  }
-  mode_ = Mode::kJobs;
-  if (jobs.empty()) return Status::Ok();
-
-  double prev_submit = jobs_ > 0 ? last_submit_
-                                 : -std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    const trace::JobRecord& job = jobs[i];
-    const double values[7] = {job.submit_time,      job.duration,
-                              job.input_bytes,      job.shuffle_bytes,
-                              job.output_bytes,     job.map_task_seconds,
-                              job.reduce_task_seconds};
-    for (double v : values) {
-      if (!std::isfinite(v)) {
-        return InvalidArgumentError("streaming batch job " +
-                                    std::to_string(job.job_id) +
-                                    ": non-finite value");
-      }
-    }
-    std::string violation = trace::ValidateJobRecord(job);
-    if (!violation.empty()) {
-      return InvalidArgumentError("streaming batch job " +
-                                  std::to_string(job.job_id) + ": " +
-                                  violation);
-    }
-    if (job.submit_time < prev_submit) {
-      return InvalidArgumentError(
-          "streaming batch not in submit order at job " +
-          std::to_string(job.job_id));
-    }
-    prev_submit = job.submit_time;
-  }
-
-  for (const trace::JobRecord& job : jobs) {
-    // Intern in the trace index build's order — input path before output
-    // path per job — so CSV-mode ids match the batch trace's ids exactly.
-    const uint32_t input_id = job.input_path.empty()
-                                  ? kNoStringId
-                                  : path_interner_.Intern(job.input_path);
-    const uint32_t output_id = job.output_path.empty()
-                                   ? kNoStringId
-                                   : path_interner_.Intern(job.output_path);
-    const double total_bytes = job.TotalBytes();
-    const double task_seconds = job.TotalTaskSeconds();
-    const ReaccessGaps gaps =
-        exact_.Observe(job.submit_time, job.FinishTime(), total_bytes,
-                       task_seconds, input_id, output_id);
-    ObserveExtras(job.submit_time, job.shuffle_bytes, job.reduce_tasks,
-                  job.reduce_task_seconds, total_bytes, task_seconds,
-                  input_id, gaps);
-    exact_.names.Observe(job.name, total_bytes, task_seconds);
-  }
-
-  const size_t rows = jobs.size();
-  const size_t chunk_count = (rows + kSketchGrain - 1) / kSketchGrain;
-  std::vector<stats::GkQuantileSketch> chunks(
-      4 * chunk_count, stats::GkQuantileSketch(options_.quantile_epsilon));
-  ParallelFor(
-      0, rows, kSketchGrain,
-      [&](size_t chunk_begin, size_t chunk_end) {
-        stats::GkQuantileSketch* lane = &chunks[4 * (chunk_begin / kSketchGrain)];
-        for (size_t i = chunk_begin; i < chunk_end; ++i) {
-          lane[0].Add(jobs[i].input_bytes);
-          lane[1].Add(jobs[i].shuffle_bytes);
-          lane[2].Add(jobs[i].output_bytes);
-          lane[3].Add(jobs[i].duration);
-        }
-      },
-      options_.threads);
-  for (size_t c = 0; c < chunk_count; ++c) {
-    gk_input_.Merge(chunks[4 * c]);
-    gk_shuffle_.Merge(chunks[4 * c + 1]);
-    gk_output_.Merge(chunks[4 * c + 2]);
-    gk_duration_.Merge(chunks[4 * c + 3]);
+  for (size_t k = 0; k < chunk_count; ++k) {
+    gk_input_.Merge(chunks[4 * k]);
+    gk_shuffle_.Merge(chunks[4 * k + 1]);
+    gk_output_.Merge(chunks[4 * k + 2]);
+    gk_duration_.Merge(chunks[4 * k + 3]);
   }
   ++batches_;
   return Status::Ok();
@@ -222,6 +135,12 @@ Status StreamingAnalyzer::ObserveJobs(Span<const trace::JobRecord> jobs) {
 
 StatusOr<StreamingReport> StreamingAnalyzer::Report(
     const trace::ColumnarTraceView* dictionaries) const {
+  return Report(dictionaries != nullptr ? dictionaries->columns().paths
+                                        : trace::DictionaryView());
+}
+
+StatusOr<StreamingReport> StreamingAnalyzer::Report(
+    const trace::DictionaryView& paths) const {
   if (jobs_ == 0) return InvalidArgumentError("empty trace");
   StreamingReport report;
   report.batches = batches_;
@@ -267,13 +186,8 @@ StatusOr<StreamingReport> StreamingAnalyzer::Report(
     StreamingHotFile hot;
     hot.count = entry.count;
     hot.error = entry.error;
-    if (mode_ == Mode::kJobs && entry.key < path_interner_.size()) {
-      hot.path = std::string(
-          path_interner_.NameOf(static_cast<uint32_t>(entry.key)));
-    } else if (dictionaries != nullptr &&
-               entry.key < dictionaries->path_count()) {
-      hot.path = std::string(
-          dictionaries->PathAt(static_cast<uint32_t>(entry.key)));
+    if (entry.key < paths.size()) {
+      hot.path = std::string(paths[static_cast<uint32_t>(entry.key)]);
     } else {
       hot.path = HotFileLabel(entry.key);
     }

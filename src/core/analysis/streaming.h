@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/interner.h"
-#include "common/span.h"
 #include "common/statusor.h"
 #include "core/analysis/accumulators.h"
 #include "core/analysis/compute.h"
@@ -17,9 +15,8 @@
 #include "stats/sketch/sliding_window.h"
 #include "stats/sketch/space_saving.h"
 #include "trace/columnar.h"
-#include "trace/job_record.h"
+#include "trace/job_columns.h"
 #include "trace/summary.h"
-#include "trace/trace.h"
 
 namespace swim::core {
 
@@ -27,8 +24,8 @@ namespace swim::core {
 // Streaming analysis — the zero-materialization fast path.
 //
 // StreamingAnalyzer folds the paper's analyses one batch at a time, straight
-// off ColumnarTraceView column spans (no JobRecord is ever built) or off
-// parsed CSV rows:
+// off column views (an STF1 file's, a loaded trace's or a parsed CSV
+// chunk's; no JobRecord is ever built):
 //
 //   exact (accumulators.h)            sketch-backed (bounded memory)
 //   ------------------------------    --------------------------------
@@ -40,12 +37,12 @@ namespace swim::core {
 //   job-name / framework shares
 //   under-10GB job fraction
 //
-// The exact stages are the same ExactStages accumulators, driven over STF1
+// The exact stages are the same ExactStages accumulators, driven over
 // columns by the same row loop (ExactStages::ObserveColumns) as the batch
 // AnalyzeWorkload, so those report fields match the batch report bit for
 // bit on the same rows by construction; on top of them this class adds
-// only input validation (the shared trace::FindInvalidRow bar) and the
-// sketches. Sketch stages answer within the
+// only input validation (the shared trace::FindInvalidRow bar and the
+// trace horizon) and the sketches. Sketch stages answer within the
 // configured rank epsilon of the SortedStats oracle. k-means classification
 // inherently needs a batch pass and is the one batch stage without a
 // streaming equivalent.
@@ -117,61 +114,63 @@ struct StreamingReport {
   double quantile_epsilon = 0.0;
 };
 
-/// One-pass incremental analyzer. Feed rows in submit order — either
-/// column spans from an STF1 view (zero materialization) or JobRecord
-/// spans from a CSV parse — then render a StreamingReport at any point.
-/// An instance is bound to one source kind by its first Observe call.
-/// Not thread-safe (one follower owns one analyzer); internally parallel.
+/// One-pass incremental analyzer. Feed rows in submit order as column
+/// views, then render a StreamingReport at any point. Every batch's ids
+/// must index one growing pair of dictionaries (an append-only STF1 file's,
+/// or a follower's). Not thread-safe (one follower owns one analyzer);
+/// internally parallel.
 class StreamingAnalyzer {
  public:
   explicit StreamingAnalyzer(StreamingOptions options = {});
 
-  /// Trace identity for the report header. Columnar batches adopt the
-  /// view's metadata automatically; CSV callers set it once after parsing.
+  /// Trace identity for the report header. STF1 batches adopt the view's
+  /// metadata automatically; other callers set it once.
   void SetMetadata(const trace::TraceMetadata& metadata);
 
-  /// Folds rows [begin, end) of `view`'s columns. Rows must continue the
-  /// submit-order stream (nondecreasing submit times across calls); values
-  /// are validated first, and a rejected batch leaves the analyzer
-  /// untouched. Dictionary ids may grow between calls (append-only files);
-  /// ids are validated against the view's current dictionaries.
+  /// Folds rows [begin, end) of `columns`. Rows must continue the
+  /// submit-order stream (nondecreasing submit times across calls) and stay
+  /// within the trace horizon (trace::kMaxTraceHours after the first
+  /// submit); values are validated first, and a rejected batch leaves the
+  /// analyzer untouched. Dictionaries may grow between calls; ids are
+  /// validated against the current ones.
+  Status ObserveColumns(const trace::JobColumns& columns, size_t begin,
+                        size_t end);
+
+  /// The same over rows [begin, end) of an STF1 view's columns.
   Status ObserveColumns(const trace::ColumnarTraceView& view, size_t begin,
                         size_t end);
 
-  /// Folds parsed rows (the CSV fallback). Jobs must be in submit order.
-  Status ObserveJobs(Span<const trace::JobRecord> jobs);
+  /// The checks ObserveColumns runs on a batch before folding it, alone.
+  Status Validate(const trace::JobColumns& columns, size_t begin,
+                  size_t end) const;
 
   size_t jobs_observed() const { return jobs_; }
-  size_t batches_observed() const { return batches_; }
-  const StreamingOptions& options() const { return options_; }
 
-  /// Renders the report. In columnar mode pass the current view so hot
-  /// files resolve to path strings (nullptr renders "path#<id>"); the CSV
-  /// mode resolves through its own interner. O(sketch + distinct files +
-  /// observed hours); the job stream is never revisited.
+  /// Renders the report; hot files resolve to strings through `paths`, the
+  /// current path dictionary (an id it lacks renders as "path#<id>").
+  /// O(sketch + distinct files + observed hours); the job stream is never
+  /// revisited.
+  StatusOr<StreamingReport> Report(const trace::DictionaryView& paths) const;
+  /// The same with an STF1 view's path dictionary (nullptr: none).
   StatusOr<StreamingReport> Report(
       const trace::ColumnarTraceView* dictionaries = nullptr) const;
 
  private:
-  enum class Mode { kUnset, kColumnar, kJobs };
-
-  Status ValidateColumns(const trace::JobColumns& columns, size_t begin,
-                         size_t end) const;
-  /// The streaming-only per-row update shared by both modes, after the
-  /// row's exact-stage fold returned `gaps`.
+  /// The streaming-only per-row update, after the row's exact-stage fold
+  /// returned `gaps`.
   void ObserveExtras(double submit, double shuffle_bytes, int64_t reduce_tasks,
                      double reduce_task_seconds, double total_bytes,
                      double task_seconds, uint32_t input_path_id,
                      const ReaccessGaps& gaps);
 
   StreamingOptions options_;
-  Mode mode_ = Mode::kUnset;
   trace::TraceMetadata metadata_;
   bool metadata_set_ = false;
   size_t jobs_ = 0;
   size_t batches_ = 0;
 
   // Streaming-only summary accumulators (row order).
+  double first_submit_ = 0.0;
   double last_submit_ = 0.0;
   double bytes_moved_ = 0.0;
   size_t map_only_ = 0;
@@ -194,10 +193,6 @@ class StreamingAnalyzer {
   stats::SlidingWindowSeries window_jobs_;
   stats::SlidingWindowSeries window_bytes_;
   stats::SlidingWindowSeries window_task_seconds_;
-
-  // CSV-mode path interner (first-appearance order, matching the trace's
-  // lazy index build: input path before output path per job).
-  StringInterner path_interner_;
 };
 
 /// Human-readable rendering, section for section the streaming analogue of

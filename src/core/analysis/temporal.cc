@@ -8,10 +8,14 @@
 namespace swim::core {
 
 SubmissionSeries ComputeSubmissionSeries(const trace::Trace& trace) {
+  const trace::JobColumns c = trace.columns();
   SubmissionSeriesAccumulator accumulator;
-  for (const auto& job : trace.jobs()) {
-    accumulator.Observe(job.submit_time, job.FinishTime(), job.TotalBytes(),
-                        job.TotalTaskSeconds());
+  for (size_t i = 0; i < c.size; ++i) {
+    // JobRecord's FinishTime, TotalBytes and TotalTaskSeconds shapes.
+    accumulator.Observe(
+        c.submit_time[i], c.submit_time[i] + c.duration[i],
+        c.input_bytes[i] + c.shuffle_bytes[i] + c.output_bytes[i],
+        c.map_task_seconds[i] + c.reduce_task_seconds[i]);
   }
   return accumulator.Series();
 }

@@ -47,9 +47,9 @@ StatusOr<WorkloadReport> AnalyzeWorkload(const trace::Trace& trace,
                                          const AnalysisOptions& options) {
   if (trace.empty()) return InvalidArgumentError("empty trace");
   WorkloadReport report;
-  // One column view for every stage; a row-backed trace builds its id
-  // indexes here, before the stages share it.
   const trace::JobColumns columns = trace.columns();
+  SWIM_RETURN_IF_ERROR(
+      CheckHorizon(columns, 0, columns.size, columns.submit_time[0]));
   // Each stage writes disjoint report fields and only reads the columns.
   std::vector<std::function<void()>> stages = {
       [&]() { ObserveExact(columns, &report); },

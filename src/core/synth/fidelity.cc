@@ -1,8 +1,8 @@
 #include "core/synth/fidelity.h"
 
 #include <cstdio>
-#include <functional>
 #include <sstream>
+#include <utility>
 
 #include "core/analysis/temporal.h"
 #include "stats/empirical_cdf.h"
@@ -10,17 +10,17 @@
 namespace swim::core {
 namespace {
 
-using Extractor = std::function<double(const trace::JobRecord&)>;
+/// One numeric column of a trace's columns.
+using Column = const double* trace::JobColumns::*;
 
 DimensionFidelity CompareDimension(const std::string& name,
                                    const trace::Trace& source,
                                    const trace::Trace& synthesized,
-                                   const Extractor& extractor) {
+                                   Column column) {
   auto values = [&](const trace::Trace& t) {
-    std::vector<double> v;
-    v.reserve(t.size());
-    for (const auto& job : t.jobs()) v.push_back(extractor(job));
-    return stats::EmpiricalCdf(std::move(v));
+    const trace::JobColumns c = t.columns();
+    const double* first = c.*column;
+    return stats::EmpiricalCdf(std::vector<double>(first, first + c.size));
   };
   stats::EmpiricalCdf a = values(source);
   stats::EmpiricalCdf b = values(synthesized);
@@ -37,18 +37,16 @@ DimensionFidelity CompareDimension(const std::string& name,
 FidelityReport CompareTraces(const trace::Trace& source,
                              const trace::Trace& synthesized) {
   FidelityReport report;
-  const std::vector<std::pair<std::string, Extractor>> dims = {
-      {"input_bytes", [](const auto& j) { return j.input_bytes; }},
-      {"shuffle_bytes", [](const auto& j) { return j.shuffle_bytes; }},
-      {"output_bytes", [](const auto& j) { return j.output_bytes; }},
-      {"duration", [](const auto& j) { return j.duration; }},
-      {"map_task_seconds", [](const auto& j) { return j.map_task_seconds; }},
-      {"reduce_task_seconds",
-       [](const auto& j) { return j.reduce_task_seconds; }},
+  const std::pair<const char*, Column> dims[] = {
+      {"input_bytes", &trace::JobColumns::input_bytes},
+      {"shuffle_bytes", &trace::JobColumns::shuffle_bytes},
+      {"output_bytes", &trace::JobColumns::output_bytes},
+      {"duration", &trace::JobColumns::duration},
+      {"map_task_seconds", &trace::JobColumns::map_task_seconds},
+      {"reduce_task_seconds", &trace::JobColumns::reduce_task_seconds},
   };
-  for (const auto& [name, extractor] : dims) {
-    DimensionFidelity d =
-        CompareDimension(name, source, synthesized, extractor);
+  for (const auto& [name, column] : dims) {
+    DimensionFidelity d = CompareDimension(name, source, synthesized, column);
     report.max_ks = std::max(report.max_ks, d.ks_distance);
     report.dimensions.push_back(std::move(d));
   }

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/huge_pages.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "stats/radix_sort.h"
@@ -56,11 +55,22 @@ LognormalFit FitLognormal(const std::vector<double>& values) {
   return fit;
 }
 
-/// The jittered dimensions, in the order their draws are made.
+/// The jittered dimensions, in the order their draws are made: the
+/// exemplar fields and the columns they fill.
 constexpr std::array<double trace::JobRecord::*, 6> kJitteredFields = {
     &trace::JobRecord::input_bytes,      &trace::JobRecord::shuffle_bytes,
     &trace::JobRecord::output_bytes,     &trace::JobRecord::duration,
     &trace::JobRecord::map_task_seconds, &trace::JobRecord::reduce_task_seconds,
+};
+const std::array<std::vector<double> trace::TraceColumns::*,
+                 kJitteredFields.size()>
+    kJitteredColumns = {
+        &trace::TraceColumns::input_bytes,
+        &trace::TraceColumns::shuffle_bytes,
+        &trace::TraceColumns::output_bytes,
+        &trace::TraceColumns::duration,
+        &trace::TraceColumns::map_task_seconds,
+        &trace::TraceColumns::reduce_task_seconds,
 };
 /// Exemplar mask bit: the job gets a decorated name (bits below it: the
 /// field of kJitteredFields at that index is jittered).
@@ -68,7 +78,7 @@ constexpr uint8_t kNamedBit = 1u << kJitteredFields.size();
 
 /// Jobs whose draws are buffered at once (~6 MB of uniforms).
 constexpr size_t kDrawBlockJobs = size_t{1} << 16;
-/// Jobs per ParallelFor chunk of the row fill.
+/// Jobs per ParallelFor chunk of the column fill.
 constexpr size_t kFillGrain = 4096;
 
 /// What job_rng drew for one job: the exemplar and, for each jittered
@@ -81,13 +91,13 @@ struct JobDraws {
 /// Empirical rows: each job resamples an exemplar and jitters its positive
 /// dimensions by exp(sigma * N(0,1) - sigma^2 / 2). All job_rng draws are
 /// made by one serial pass, job by job: the exemplar index, the Gaussian
-/// uniforms of each jittered field, the DecorateJobName draws. This order
-/// is part of the output (the golden digests pin it). A ParallelFor then
-/// turns the buffered uniforms into row values, so rows are identical at
-/// any lane count.
+/// uniforms of each jittered field, the DecorateJobName draws (the name is
+/// interned there, in job order). This order is part of the output (the
+/// golden digests pin it). A ParallelFor then turns the buffered uniforms
+/// into column values, so they are identical at any lane count.
 void FillEmpiricalRows(const WorkloadModel& model, double sigma,
                        const std::vector<double>& submit_times, Pcg32& job_rng,
-                       std::vector<trace::JobRecord>& jobs) {
+                       trace::TraceColumns& jobs, StringInterner& names) {
   const std::vector<trace::JobRecord>& exemplars = model.exemplars;
   // Which draws an exemplar's job makes, so the serial pass never reads
   // the exemplar rows. Jitter draws nothing for a zero value or sigma.
@@ -103,9 +113,10 @@ void FillEmpiricalRows(const WorkloadModel& model, double sigma,
     }
   }
 
-  std::vector<JobDraws> draws(std::min(kDrawBlockJobs, jobs.size()));
-  for (size_t block = 0; block < jobs.size(); block += kDrawBlockJobs) {
-    const size_t block_end = std::min(jobs.size(), block + kDrawBlockJobs);
+  const size_t job_count = jobs.size();
+  std::vector<JobDraws> draws(std::min(kDrawBlockJobs, job_count));
+  for (size_t block = 0; block < job_count; block += kDrawBlockJobs) {
+    const size_t block_end = std::min(job_count, block + kDrawBlockJobs);
     for (size_t i = block; i < block_end; ++i) {
       JobDraws& d = draws[i - block];
       d.exemplar = job_rng.NextBounded(exemplars.size());
@@ -113,30 +124,32 @@ void FillEmpiricalRows(const WorkloadModel& model, double sigma,
       for (size_t f = 0; f < kJitteredFields.size(); ++f) {
         if (mask & (1u << f)) d.jitter[f] = job_rng.NextGaussianDraw();
       }
-      if (mask & kNamedBit) {
-        jobs[i].name = workloads::DecorateJobName(exemplars[d.exemplar].name,
-                                                  i + 1, job_rng);
-      }
+      jobs.name_id[i] =
+          (mask & kNamedBit)
+              ? trace::InternField(
+                    workloads::DecorateJobName(exemplars[d.exemplar].name,
+                                               i + 1, job_rng),
+                    names)
+              : kNoStringId;
     }
     ParallelFor(block, block_end, kFillGrain, [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
         const JobDraws& d = draws[i - block];
         const trace::JobRecord& exemplar = exemplars[d.exemplar];
         const uint8_t mask = masks[d.exemplar];
-        trace::JobRecord& job = jobs[i];
-        job.job_id = i + 1;
-        job.submit_time = submit_times[i];
+        jobs.job_id[i] = i + 1;
+        jobs.submit_time[i] = submit_times[i];
         for (size_t f = 0; f < kJitteredFields.size(); ++f) {
           const double value = exemplar.*kJitteredFields[f];
-          job.*kJitteredFields[f] =
+          (jobs.*kJitteredColumns[f])[i] =
               (mask & (1u << f))
                   ? value * std::exp(sigma * Pcg32::GaussianFromDraw(
                                                  d.jitter[f]) -
                                      sigma * sigma / 2.0)
                   : value;
         }
-        job.map_tasks = exemplar.map_tasks;
-        job.reduce_tasks = exemplar.reduce_tasks;
+        jobs.map_tasks[i] = exemplar.map_tasks;
+        jobs.reduce_tasks[i] = exemplar.reduce_tasks;
       }
     });
   }
@@ -146,7 +159,7 @@ void FillEmpiricalRows(const WorkloadModel& model, double sigma,
 /// serially.
 void FillParametricRows(const WorkloadModel& model,
                         const std::vector<double>& submit_times,
-                        Pcg32& job_rng, std::vector<trace::JobRecord>& jobs) {
+                        Pcg32& job_rng, trace::TraceColumns& jobs) {
   std::array<LognormalFit, kJitteredFields.size()> fits;
   std::vector<double> values(model.exemplars.size());
   for (size_t f = 0; f < kJitteredFields.size(); ++f) {
@@ -156,19 +169,21 @@ void FillParametricRows(const WorkloadModel& model,
     fits[f] = FitLognormal(values);
   }
   for (size_t i = 0; i < jobs.size(); ++i) {
-    trace::JobRecord& job = jobs[i];
-    job.job_id = i + 1;
-    job.submit_time = submit_times[i];
+    jobs.job_id[i] = i + 1;
+    jobs.submit_time[i] = submit_times[i];
     for (size_t f = 0; f < kJitteredFields.size(); ++f) {
-      job.*kJitteredFields[f] = fits[f].Sample(job_rng);
+      (jobs.*kJitteredColumns[f])[i] = fits[f].Sample(job_rng);
     }
     double typical_task = job_rng.NextDouble(20.0, 60.0);
-    job.map_tasks = std::max<int64_t>(
-        1, static_cast<int64_t>(job.map_task_seconds / typical_task));
-    if (job.reduce_task_seconds > 0.0) {
-      job.reduce_tasks = std::max<int64_t>(
-          1, static_cast<int64_t>(job.reduce_task_seconds / typical_task));
-    }
+    jobs.map_tasks[i] = std::max<int64_t>(
+        1, static_cast<int64_t>(jobs.map_task_seconds[i] / typical_task));
+    jobs.reduce_tasks[i] =
+        jobs.reduce_task_seconds[i] > 0.0
+            ? std::max<int64_t>(1, static_cast<int64_t>(
+                                       jobs.reduce_task_seconds[i] /
+                                       typical_task))
+            : 0;
+    jobs.name_id[i] = kNoStringId;
   }
 }
 
@@ -225,14 +240,12 @@ StatusOr<trace::Trace> SynthesizeTrace(const WorkloadModel& model,
   // Non-negative, so the radix order equals std::sort's.
   stats::RadixSortDoubles(&submit_times);
 
-  // Huge pages before the first touch: the row fill below would otherwise
-  // fault the fresh array in 4 KiB at a time.
-  std::vector<trace::JobRecord> jobs;
-  ReserveHugePages(jobs, job_count);
-  jobs.resize(job_count);
+  trace::TraceColumns jobs;
+  jobs.Resize(job_count);
+  StringInterner names;
   if (options.method == SynthesisMethod::kEmpirical) {
     FillEmpiricalRows(model, options.jitter_sigma, submit_times, job_rng,
-                      jobs);
+                      jobs, names);
   } else {
     FillParametricRows(model, submit_times, job_rng, jobs);
   }
@@ -240,7 +253,14 @@ StatusOr<trace::Trace> SynthesizeTrace(const WorkloadModel& model,
   // they are assigned serially in submit order.
   workloads::FilePopulationSim files(model.file_model, model.columns,
                                      file_rng, job_count);
-  for (trace::JobRecord& job : jobs) files.AssignPaths(job);
+  for (size_t i = 0; i < job_count; ++i) {
+    const workloads::FilePopulationSim::PathIds paths = files.AssignPaths(
+        jobs.job_id[i], jobs.submit_time[i],
+        jobs.submit_time[i] + jobs.duration[i], jobs.input_bytes[i],
+        jobs.output_bytes[i]);
+    jobs.input_path_id[i] = paths.input;
+    jobs.output_path_id[i] = paths.output;
+  }
 
   trace::TraceMetadata metadata;
   metadata.name = model.source_name.empty() ? "synthetic"
@@ -248,9 +268,8 @@ StatusOr<trace::Trace> SynthesizeTrace(const WorkloadModel& model,
   metadata.has_names = model.columns.names;
   metadata.has_input_paths = model.columns.input_paths;
   metadata.has_output_paths = model.columns.output_paths;
-  trace::Trace result(metadata);
-  result.SetJobs(std::move(jobs));
-  return result;
+  return trace::Trace(std::move(metadata), std::move(jobs), std::move(names),
+                      files.TakePaths());
 }
 
 }  // namespace swim::core

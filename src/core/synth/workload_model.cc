@@ -10,6 +10,7 @@
 
 #include "common/huge_pages.h"
 #include "common/string_util.h"
+#include "core/analysis/accumulators.h"
 #include "core/analysis/data_access.h"
 #include "core/analysis/temporal.h"
 #include "stats/sampling.h"
@@ -19,16 +20,15 @@ namespace swim::core {
 namespace {
 
 workloads::TraceColumnAvailability InferColumns(const trace::Trace& trace) {
+  const trace::JobColumns c = trace.columns();
+  auto any = [&](const uint32_t* ids) {
+    return std::any_of(ids, ids + c.size,
+                       [](uint32_t id) { return id != kNoStringId; });
+  };
   workloads::TraceColumnAvailability columns;
-  columns.names = false;
-  columns.input_paths = false;
-  columns.output_paths = false;
-  for (const auto& job : trace.jobs()) {
-    if (!job.name.empty()) columns.names = true;
-    if (!job.input_path.empty()) columns.input_paths = true;
-    if (!job.output_path.empty()) columns.output_paths = true;
-    if (columns.names && columns.input_paths && columns.output_paths) break;
-  }
+  columns.names = any(c.name_id);
+  columns.input_paths = any(c.input_path_id);
+  columns.output_paths = any(c.output_path_id);
   return columns;
 }
 
@@ -37,6 +37,9 @@ workloads::TraceColumnAvailability InferColumns(const trace::Trace& trace) {
 StatusOr<WorkloadModel> BuildModel(const trace::Trace& trace,
                                    const ModelOptions& options) {
   if (trace.empty()) return InvalidArgumentError("empty trace");
+  const trace::JobColumns columns = trace.columns();
+  SWIM_RETURN_IF_ERROR(
+      CheckHorizon(columns, 0, columns.size, columns.submit_time[0]));
   WorkloadModel model;
   model.source_name = trace.metadata().name;
   model.span_seconds = std::max(trace.Span(), 3600.0);
@@ -48,17 +51,17 @@ StatusOr<WorkloadModel> BuildModel(const trace::Trace& trace,
   // The reservoir's draws do not depend on the items, so sampling row
   // indices picks the rows sampling the rows themselves would; only the
   // chosen rows are copied.
-  const std::vector<trace::JobRecord>& jobs = trace.jobs();
   Pcg32 rng(options.seed, /*stream=*/0x30de1);
   stats::ReservoirSampler<size_t> sampler(
       std::max<size_t>(1, options.exemplar_cap), rng.Fork());
-  for (size_t i = 0; i < jobs.size(); ++i) sampler.Add(i);
+  for (size_t i = 0; i < trace.size(); ++i) sampler.Add(i);
   ReserveHugePages(model.exemplars, sampler.sample().size());
   for (size_t i : sampler.sample()) {
-    trace::JobRecord& exemplar = model.exemplars.emplace_back(jobs[i]);
+    trace::JobRecord exemplar = trace.JobAt(i);
     exemplar.input_path.clear();
     exemplar.output_path.clear();
     exemplar.name = FirstWordOfJobName(exemplar.name);
+    model.exemplars.push_back(std::move(exemplar));
   }
 
   model.hourly_envelope = ComputeSubmissionSeries(trace).jobs_per_hour;
@@ -104,9 +107,17 @@ std::string ModelToText(const WorkloadModel& model) {
     os << model.hourly_envelope[i];
   }
   os << "\nexemplars:\n";
-  trace::Trace exemplar_trace;
-  for (const auto& job : model.exemplars) exemplar_trace.AddJob(job);
-  os << trace::TraceToCsv(exemplar_trace);
+  // The exemplars in their own order (a Trace would sort them): the draws
+  // of a synthesis index into this order.
+  trace::TraceColumns exemplars;
+  StringInterner names;
+  StringInterner paths;
+  exemplars.Resize(model.exemplars.size());
+  for (size_t i = 0; i < model.exemplars.size(); ++i) {
+    exemplars.SetJob(i, model.exemplars[i], names, paths);
+  }
+  os << trace::ColumnsToCsv(trace::TraceMetadata(),
+                            exemplars.View(names, paths));
   return os.str();
 }
 
@@ -181,7 +192,9 @@ StatusOr<WorkloadModel> ModelFromText(const std::string& text) {
   rest << is.rdbuf();
   SWIM_ASSIGN_OR_RETURN(trace::Trace exemplar_trace,
                         trace::TraceFromCsv(rest.str()));
-  model.exemplars = exemplar_trace.jobs();
+  for (size_t i = 0; i < exemplar_trace.size(); ++i) {
+    model.exemplars.push_back(exemplar_trace.JobAt(i));
+  }
   if (model.exemplars.empty()) {
     return InvalidArgumentError("model has no exemplars");
   }

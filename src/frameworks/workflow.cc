@@ -101,6 +101,7 @@ StatusOr<WorkflowTrace> GenerateWorkflowTrace(
   WorkflowTrace result;
   result.workflow_count = options.workflows;
   uint64_t next_job_id = 1;
+  std::vector<trace::JobRecord> jobs;
 
   for (uint64_t w = 0; w < options.workflows; ++w) {
     JobChain chain = SampleChain(options, rng);
@@ -123,7 +124,7 @@ StatusOr<WorkflowTrace> GenerateWorkflowTrace(
       result.workflow_of[launcher.job_id] = w;
       previous_job = launcher.job_id;
       submit += launcher.duration + rng.NextDouble(1.0, 5.0);
-      result.trace.AddJob(std::move(launcher));
+      jobs.push_back(std::move(launcher));
     }
 
     double stage_input =
@@ -171,15 +172,16 @@ StatusOr<WorkflowTrace> GenerateWorkflowTrace(
 
       stage_input = job.output_bytes;
       submit += job.duration + rng.NextDouble(1.0, 10.0);
-      result.trace.AddJob(std::move(job));
+      jobs.push_back(std::move(job));
     }
   }
+  result.trace.SetJobs(std::move(jobs));
   return result;
 }
 
-bool ParseWorkflowTag(const std::string& name, uint64_t* workflow_id) {
+bool ParseWorkflowTag(std::string_view name, uint64_t* workflow_id) {
   size_t position = name.find("W=");
-  if (position == std::string::npos) return false;
+  if (position == std::string_view::npos) return false;
   size_t begin = position + 2;
   size_t end = begin;
   while (end < name.size() &&
@@ -197,38 +199,44 @@ bool ParseWorkflowTag(const std::string& name, uint64_t* workflow_id) {
 
 WorkflowReport ReconstructWorkflows(const trace::Trace& trace) {
   WorkflowReport report;
+  const trace::JobColumns c = trace.columns();
+  // Each row's workflow tag, or kUntagged.
+  constexpr uint64_t kUntagged = ~uint64_t{0};
+  std::vector<uint64_t> workflow_of(c.size, kUntagged);
   FlatHashMap<uint64_t, WorkflowSummary> grouped;
-  for (const auto& job : trace.jobs()) {
+  for (size_t i = 0; i < c.size; ++i) {
+    const std::string_view name =
+        c.name_id[i] == kNoStringId ? std::string_view() : c.names[c.name_id[i]];
     uint64_t workflow_id = 0;
-    if (!ParseWorkflowTag(job.name, &workflow_id)) {
+    if (!ParseWorkflowTag(name, &workflow_id)) {
       ++report.untagged_jobs;
       continue;
     }
+    workflow_of[i] = workflow_id;
     ++report.tagged_jobs;
     WorkflowSummary& summary = grouped[workflow_id];
     if (summary.job_ids.empty()) {
       summary.workflow_id = workflow_id;
-      summary.input_bytes = job.input_bytes;
-      summary.framework =
-          trace::ClassifyFramework(FirstWordOfJobName(job.name));
-      summary.span_seconds = job.submit_time;  // temporarily: first submit
+      summary.input_bytes = c.input_bytes[i];
+      summary.framework = trace::ClassifyFramework(FirstWordOfJobName(name));
+      summary.span_seconds = c.submit_time[i];  // temporarily: first submit
     }
-    summary.job_ids.push_back(job.job_id);
-    summary.output_bytes = job.output_bytes;
-    summary.total_task_seconds += job.TotalTaskSeconds();
-    summary.critical_path_seconds += job.duration;
+    summary.job_ids.push_back(c.job_id[i]);
+    summary.output_bytes = c.output_bytes[i];
+    summary.total_task_seconds +=
+        c.map_task_seconds[i] + c.reduce_task_seconds[i];
+    summary.critical_path_seconds += c.duration[i];
     summary.span_seconds =
-        std::min(summary.span_seconds, job.submit_time);  // keep min submit
+        std::min(summary.span_seconds, c.submit_time[i]);  // keep min submit
     ++summary.stages;
   }
   // Second pass for spans (need max finish per workflow).
   FlatHashMap<uint64_t, double> last_finish;
   last_finish.reserve(grouped.size());
-  for (const auto& job : trace.jobs()) {
-    uint64_t workflow_id = 0;
-    if (!ParseWorkflowTag(job.name, &workflow_id)) continue;
-    double& finish = last_finish[workflow_id];
-    finish = std::max(finish, job.FinishTime());
+  for (size_t i = 0; i < c.size; ++i) {
+    if (workflow_of[i] == kUntagged) continue;
+    double& finish = last_finish[workflow_of[i]];
+    finish = std::max(finish, c.submit_time[i] + c.duration[i]);
   }
 
   // Emit in ascending workflow-id order (the order the std::map-based

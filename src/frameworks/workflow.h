@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/flat_hash.h"
@@ -86,7 +87,7 @@ struct WorkflowReport {
 WorkflowReport ReconstructWorkflows(const trace::Trace& trace);
 
 /// Parses the workflow tag from a job name; returns false when absent.
-bool ParseWorkflowTag(const std::string& name, uint64_t* workflow_id);
+bool ParseWorkflowTag(std::string_view name, uint64_t* workflow_id);
 
 }  // namespace swim::frameworks
 

@@ -55,7 +55,12 @@ namespace {
 
 constexpr size_t kNone = static_cast<size_t>(-1);
 
-constexpr double kHorizonSeconds = kMaxReplayHours * 3600.0;
+/// The trace horizon (trace::kMaxTraceHours) from time zero, where the
+/// hourly occupancy axis starts: a job event past it fails the run before
+/// the meter sizes its buckets. Submit times are non-negative, so this also
+/// bounds the span after the first submit. Node losses are not drawn past
+/// it.
+constexpr double kHorizonSeconds = trace::kMaxTraceHours * 3600.0;
 
 /// Tasks of a kind within a job are homogeneous, so a wave of them is
 /// simulated as one event carrying a count - this keeps event volume
@@ -1042,7 +1047,7 @@ StatusOr<ReplayResult> ReplayEngine::Run() {
           ReleaseAdmission(event.job_index, event.time);
           AccountSla(job, /*killed=*/false);
           JobOutcome outcome;
-          outcome.job_id = job.record->job_id;
+          outcome.job_id = job.job_id;
           outcome.submit_time = job.submit_time;
           outcome.latency = job.finish_time - job.submit_time;
           outcome.ideal_latency = job.IdealLatency();
@@ -1069,10 +1074,10 @@ StatusOr<ReplayResult> ReplayEngine::Run() {
     std::snprintf(when, sizeof(when),
                   " has an event at t=%g s, more than %.0f hours (100 years) "
                   "after time zero",
-                  past_horizon_->time, kMaxReplayHours);
+                  past_horizon_->time, trace::kMaxTraceHours);
     return InvalidArgumentError(
         "job " +
-        std::to_string(jobs_[past_horizon_->job_index].record->job_id) +
+        std::to_string(jobs_[past_horizon_->job_index].job_id) +
         when);
   }
 
@@ -1246,23 +1251,25 @@ StatusOr<ReplayTemplate> ReplayTemplate::Build(const trace::Trace& trace,
   tpl.sla_tenants_ = base.sla.tenants;
   tpl.dependencies_ = base.dependencies;
 
-  // Build the job skeletons (trace.jobs() is submit-sorted). This is the
+  // Build the job skeletons from the columns (submit-sorted). This is the
   // exact conversion the engine used to run per replay.
-  tpl.jobs_.reserve(trace.size());
-  for (const auto& record : trace.jobs()) {
+  const trace::JobColumns c = trace.columns();
+  tpl.jobs_.reserve(c.size);
+  for (size_t i = 0; i < c.size; ++i) {
     SimJob job;
-    job.record = &record;
-    job.submit_time = record.submit_time;
-    job.is_small = record.TotalBytes() < base.small_job_bytes;
-    job.maps_total = std::min(std::max<int64_t>(record.map_tasks, 1),
+    job.job_id = c.job_id[i];
+    job.submit_time = c.submit_time[i];
+    // JobRecord::TotalBytes' shape.
+    job.is_small = c.input_bytes[i] + c.shuffle_bytes[i] + c.output_bytes[i] <
+                   base.small_job_bytes;
+    job.maps_total = std::min(std::max<int64_t>(c.map_tasks[i], 1),
                               base.max_tasks_per_job);
     job.map_task_duration = std::max(
-        record.map_task_seconds / static_cast<double>(job.maps_total), 1e-3);
-    job.reduces_total =
-        std::min(record.reduce_tasks, base.max_tasks_per_job);
+        c.map_task_seconds[i] / static_cast<double>(job.maps_total), 1e-3);
+    job.reduces_total = std::min(c.reduce_tasks[i], base.max_tasks_per_job);
     if (job.reduces_total > 0) {
       job.reduce_task_duration =
-          std::max(record.reduce_task_seconds /
+          std::max(c.reduce_task_seconds[i] /
                        static_cast<double>(job.reduces_total),
                    1e-3);
     }
@@ -1275,7 +1282,7 @@ StatusOr<ReplayTemplate> ReplayTemplate::Build(const trace::Trace& trace,
                                              : base.sla.large_multiplier);
     if (base.sla.tenants > 0) {
       job.tenant_id = static_cast<int>(
-          record.job_id % static_cast<uint64_t>(base.sla.tenants));
+          job.job_id % static_cast<uint64_t>(base.sla.tenants));
     }
     if (job.is_small) ++tpl.small_job_count_;
     tpl.jobs_.push_back(job);
@@ -1290,7 +1297,7 @@ StatusOr<ReplayTemplate> ReplayTemplate::Build(const trace::Trace& trace,
     FlatHashMap<uint64_t, size_t> index_of;
     index_of.reserve(tpl.jobs_.size());
     for (size_t i = 0; i < tpl.jobs_.size(); ++i) {
-      index_of[tpl.jobs_[i].record->job_id] = i;
+      index_of[tpl.jobs_[i].job_id] = i;
     }
     const size_t n = tpl.jobs_.size();
     std::vector<uint32_t> counts(n, 0);

@@ -15,14 +15,6 @@
 
 namespace swim::sim {
 
-/// Replay horizon: a run in which a job's event (its arrival, the end of a
-/// task wave) lands more than this many hours (100 years) after time zero,
-/// where the hourly occupancy axis starts, fails with InvalidArgumentError
-/// before the meter sizes its buckets. Submit times are non-negative, so
-/// this also bounds the span after the first submit. Node losses are not
-/// drawn past it. A fixed limit, not an option: past it the hourly buckets
-/// alone would take gigabytes.
-inline constexpr double kMaxReplayHours = 100 * 8766.0;
 
 /// Hadoop 1.x-style slot cluster (the paper's trace era): each node offers
 /// fixed map and reduce slots; the TaskTracker heartbeat / JobTracker
@@ -315,8 +307,8 @@ uint64_t ReplayResultDigest(const ReplayResult& result);
 /// sla.tenants); Replay() rejects options that disagree with them — the
 /// sweep axes (scheduler, cluster size, seed, stragglers, failure model,
 /// sla.preemption_budget, sla.tenant_max_running) are all per-run. The template
-/// holds pointers into `trace`, which must outlive it. Thread-safe for
-/// concurrent Replay() calls: a run never writes template state.
+/// copies what it needs from `trace`. Thread-safe for concurrent Replay()
+/// calls: a run never writes template state.
 class ReplayTemplate {
  public:
   static StatusOr<ReplayTemplate> Build(const trace::Trace& trace,
@@ -356,7 +348,7 @@ class ReplayTemplate {
  private:
   ReplayTemplate() = default;
 
-  std::vector<SimJob> jobs_;  // initial-state skeletons, records -> trace
+  std::vector<SimJob> jobs_;  // initial-state skeletons
   std::vector<uint32_t> child_offsets_;
   std::vector<uint32_t> child_index_;
   double first_submit_ = 0.0;

@@ -3,8 +3,6 @@
 
 #include <cstdint>
 
-#include "trace/job_record.h"
-
 namespace swim::sim {
 
 enum class TaskKind { kMap, kReduce };
@@ -13,7 +11,7 @@ enum class TaskKind { kMap, kReduce };
 /// homogeneous (duration = task_seconds / task_count), matching the
 /// information available in per-job traces.
 struct SimJob {
-  const trace::JobRecord* record = nullptr;
+  uint64_t job_id = 0;
 
   int64_t maps_total = 0;
   int64_t maps_launched = 0;

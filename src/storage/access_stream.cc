@@ -5,21 +5,21 @@
 namespace swim::storage {
 
 std::vector<FileAccess> ExtractAccesses(const trace::Trace& trace) {
+  const trace::JobColumns c = trace.columns();
   std::vector<FileAccess> accesses;
-  accesses.reserve(trace.size() * 2);
-  const std::vector<uint32_t>& input_ids = trace.input_path_ids();
-  const std::vector<uint32_t>& output_ids = trace.output_path_ids();
-  const std::vector<trace::JobRecord>& jobs = trace.jobs();
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    const auto& job = jobs[i];
-    if (!job.input_path.empty()) {
-      accesses.push_back({job.submit_time, job.input_path, job.input_bytes,
-                          AccessKind::kRead, job.job_id, input_ids[i]});
+  accesses.reserve(c.size * 2);
+  for (size_t i = 0; i < c.size; ++i) {
+    if (c.input_path_id[i] != kNoStringId) {
+      accesses.push_back({c.submit_time[i],
+                          std::string(c.paths[c.input_path_id[i]]),
+                          c.input_bytes[i], AccessKind::kRead, c.job_id[i],
+                          c.input_path_id[i]});
     }
-    if (!job.output_path.empty()) {
-      accesses.push_back({job.FinishTime(), job.output_path,
-                          job.output_bytes, AccessKind::kWrite, job.job_id,
-                          output_ids[i]});
+    if (c.output_path_id[i] != kNoStringId) {
+      accesses.push_back({c.submit_time[i] + c.duration[i],
+                          std::string(c.paths[c.output_path_id[i]]),
+                          c.output_bytes[i], AccessKind::kWrite, c.job_id[i],
+                          c.output_path_id[i]});
     }
   }
   std::stable_sort(accesses.begin(), accesses.end(),
@@ -38,17 +38,6 @@ ComputeFileSizes(const std::vector<FileAccess>& accesses) {
   sizes.reserve(accesses.size());
   for (const auto& access : accesses) {
     double& size = sizes[access.path];
-    size = std::max(size, access.bytes);
-  }
-  return sizes;
-}
-
-std::vector<double> ComputeFileSizesById(
-    const std::vector<FileAccess>& accesses, size_t path_count) {
-  std::vector<double> sizes(path_count, 0.0);
-  for (const auto& access : accesses) {
-    if (access.path_id == kNoStringId) continue;
-    double& size = sizes[access.path_id];
     size = std::max(size, access.bytes);
   }
   return sizes;

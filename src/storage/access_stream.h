@@ -22,7 +22,7 @@ struct FileAccess {
   double bytes = 0.0;
   AccessKind kind = AccessKind::kRead;
   uint64_t job_id = 0;
-  /// Dense path id from the trace's path interner (kNoStringId when the
+  /// Dense path id from the trace's path dictionary (kNoStringId when the
   /// access was built by hand without a trace). All hot consumers key on
   /// this instead of re-hashing `path`.
   uint32_t path_id = kNoStringId;
@@ -39,12 +39,6 @@ std::vector<FileAccess> ExtractAccesses(const trace::Trace& trace);
 std::unordered_map<std::string, double, TransparentStringHash,
                    TransparentStringEq>
 ComputeFileSizes(const std::vector<FileAccess>& accesses);
-
-/// Id-keyed variant for accesses that carry interned path ids: returns a
-/// dense table indexed by path id (`path_count` == interner size; accesses
-/// without an id are skipped). Entries never accessed stay 0.
-std::vector<double> ComputeFileSizesById(
-    const std::vector<FileAccess>& accesses, size_t path_count);
 
 }  // namespace swim::storage
 

@@ -4,13 +4,16 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
-#include <memory>
+#include <functional>
+#include <iterator>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/checksum.h"
 #include "common/file_image.h"
-#include "common/flat_hash.h"
+#include "common/huge_pages.h"
+#include "common/parallel.h"
 #include "common/string_util.h"
 
 #include <unistd.h>
@@ -106,17 +109,11 @@ const char* Stf1SectionKindName(Stf1SectionKind kind) {
 // ---------------------------------------------------------------------------
 
 std::string TraceToColumnarBytes(const Trace& trace) {
-  // Touch the id accessors first: they sort the job stream and build the
-  // canonical first-appearance indexes, so everything below reads one
-  // consistent snapshot.
-  const std::vector<uint32_t>& input_ids = trace.input_path_ids();
-  const std::vector<uint32_t>& output_ids = trace.output_path_ids();
-  const std::vector<uint32_t>& name_ids = trace.name_ids();
-  const StringInterner& paths = trace.path_interner();
-  const StringInterner& names = trace.name_interner();
-  const std::vector<JobRecord>& jobs = trace.jobs();
+  const JobColumns c = trace.columns();
+  const StringInterner& names = trace.names();
+  const StringInterner& paths = trace.paths();
   const TraceMetadata& meta = trace.metadata();
-  const size_t n = jobs.size();
+  const size_t n = c.size;
 
   // Dictionary offsets: entry i's bytes live at blob[offsets[i],
   // offsets[i+1]) — (count + 1) entries bracket the whole blob.
@@ -159,33 +156,6 @@ std::string TraceToColumnarBytes(const Trace& trace) {
   std::string out(pos, '\0');
   char* const base = out.data();
 
-  // Numeric columns: one pass over the job stream, field stores compiled
-  // from memcpy (the buffer is only 16-aligned, so no typed pointers).
-  {
-    char* job_id = base + payload_offsets[0];
-    char* submit = base + payload_offsets[1];
-    char* duration = base + payload_offsets[2];
-    char* in_bytes = base + payload_offsets[3];
-    char* shuffle = base + payload_offsets[4];
-    char* out_bytes = base + payload_offsets[5];
-    char* map_tasks = base + payload_offsets[6];
-    char* reduce_tasks = base + payload_offsets[7];
-    char* map_secs = base + payload_offsets[8];
-    char* reduce_secs = base + payload_offsets[9];
-    for (size_t i = 0; i < n; ++i) {
-      const JobRecord& job = jobs[i];
-      std::memcpy(job_id + i * 8, &job.job_id, 8);
-      std::memcpy(submit + i * 8, &job.submit_time, 8);
-      std::memcpy(duration + i * 8, &job.duration, 8);
-      std::memcpy(in_bytes + i * 8, &job.input_bytes, 8);
-      std::memcpy(shuffle + i * 8, &job.shuffle_bytes, 8);
-      std::memcpy(out_bytes + i * 8, &job.output_bytes, 8);
-      std::memcpy(map_tasks + i * 8, &job.map_tasks, 8);
-      std::memcpy(reduce_tasks + i * 8, &job.reduce_tasks, 8);
-      std::memcpy(map_secs + i * 8, &job.map_task_seconds, 8);
-      std::memcpy(reduce_secs + i * 8, &job.reduce_task_seconds, 8);
-    }
-  }
   auto copy_section = [&](Stf1SectionKind kind, const void* data,
                           size_t bytes) {
     if (bytes > 0) {
@@ -193,9 +163,17 @@ std::string TraceToColumnarBytes(const Trace& trace) {
                   bytes);
     }
   };
-  copy_section(Stf1SectionKind::kNameIds, name_ids.data(), n * 4);
-  copy_section(Stf1SectionKind::kInputPathIds, input_ids.data(), n * 4);
-  copy_section(Stf1SectionKind::kOutputPathIds, output_ids.data(), n * 4);
+  // The job columns, in section order: one copy each.
+  const void* job_columns[] = {
+      c.job_id,         c.submit_time,      c.duration,
+      c.input_bytes,    c.shuffle_bytes,    c.output_bytes,
+      c.map_tasks,      c.reduce_tasks,     c.map_task_seconds,
+      c.reduce_task_seconds, c.name_id,     c.input_path_id,
+      c.output_path_id};
+  for (size_t kind = 0; kind < std::size(job_columns); ++kind) {
+    copy_section(static_cast<Stf1SectionKind>(kind), job_columns[kind],
+                 payload_bytes[kind]);
+  }
   copy_section(Stf1SectionKind::kNameDictOffsets, name_offsets.data(),
                name_offsets.size() * sizeof(uint64_t));
   copy_section(Stf1SectionKind::kPathDictOffsets, path_offsets.data(),
@@ -425,24 +403,6 @@ SWIM_COLUMN_ACCESSOR(output_path_ids, kOutputPathIds, uint32_t)
 
 #undef SWIM_COLUMN_ACCESSOR
 
-std::string_view ColumnarTraceView::NameAt(uint32_t id) const {
-  const uint64_t* offsets = reinterpret_cast<const uint64_t*>(
-      SectionData(Stf1SectionKind::kNameDictOffsets));
-  const char* blob = reinterpret_cast<const char*>(
-      SectionData(Stf1SectionKind::kNameDictBlob));
-  return std::string_view(blob + offsets[id],
-                          offsets[id + 1] - offsets[id]);
-}
-
-std::string_view ColumnarTraceView::PathAt(uint32_t id) const {
-  const uint64_t* offsets = reinterpret_cast<const uint64_t*>(
-      SectionData(Stf1SectionKind::kPathDictOffsets));
-  const char* blob = reinterpret_cast<const char*>(
-      SectionData(Stf1SectionKind::kPathDictBlob));
-  return std::string_view(blob + offsets[id],
-                          offsets[id + 1] - offsets[id]);
-}
-
 Status ColumnarTraceView::VerifyChecksums() const {
   for (size_t kind = 0; kind < kStf1SectionCount; ++kind) {
     if (Checksum64(sections_[kind], section_bytes_[kind]) !=
@@ -459,20 +419,19 @@ Status ColumnarTraceView::VerifyChecksums() const {
 JobColumns ColumnarTraceView::columns() const {
   JobColumns c;
   c.size = job_count_;
-  c.job_id = Column<uint64_t>(Stf1SectionKind::kJobId);
-  c.submit_time = Column<double>(Stf1SectionKind::kSubmitTime);
-  c.duration = Column<double>(Stf1SectionKind::kDuration);
-  c.input_bytes = Column<double>(Stf1SectionKind::kInputBytes);
-  c.shuffle_bytes = Column<double>(Stf1SectionKind::kShuffleBytes);
-  c.output_bytes = Column<double>(Stf1SectionKind::kOutputBytes);
-  c.map_tasks = Column<int64_t>(Stf1SectionKind::kMapTasks);
-  c.reduce_tasks = Column<int64_t>(Stf1SectionKind::kReduceTasks);
-  c.map_task_seconds = Column<double>(Stf1SectionKind::kMapTaskSeconds);
-  c.reduce_task_seconds =
-      Column<double>(Stf1SectionKind::kReduceTaskSeconds);
-  c.name_id = Column<uint32_t>(Stf1SectionKind::kNameIds);
-  c.input_path_id = Column<uint32_t>(Stf1SectionKind::kInputPathIds);
-  c.output_path_id = Column<uint32_t>(Stf1SectionKind::kOutputPathIds);
+  c.job_id = job_ids().data();
+  c.submit_time = submit_times().data();
+  c.duration = durations().data();
+  c.input_bytes = input_bytes().data();
+  c.shuffle_bytes = shuffle_bytes().data();
+  c.output_bytes = output_bytes().data();
+  c.map_tasks = map_tasks().data();
+  c.reduce_tasks = reduce_tasks().data();
+  c.map_task_seconds = map_task_seconds().data();
+  c.reduce_task_seconds = reduce_task_seconds().data();
+  c.name_id = name_ids().data();
+  c.input_path_id = input_path_ids().data();
+  c.output_path_id = output_path_ids().data();
   c.names = DictionaryView(
       reinterpret_cast<const uint64_t*>(
           SectionData(Stf1SectionKind::kNameDictOffsets)),
@@ -497,73 +456,81 @@ Status ColumnarTraceView::ValidateRows() const {
   return Status::Ok();
 }
 
-bool ColumnarTraceView::IsCanonical() const {
-  // The id columns can stand in for the trace's lazy indexes only when
-  // they are exactly what the lazy build would produce: the job stream
-  // sorted by submit time, ids in first-appearance order (input before
-  // output per row), every dictionary entry referenced and non-empty, and
-  // the dictionaries duplicate-free. Files we wrote always satisfy this.
-  const Span<const double> submit = submit_times();
-  const Span<const uint32_t> name_id = name_ids();
-  const Span<const uint32_t> in_id = input_path_ids();
-  const Span<const uint32_t> out_id = output_path_ids();
-  uint32_t next_path = 0;
-  uint32_t next_name = 0;
-  auto canonical = [](uint32_t id, uint32_t* next) {
-    if (id == *next) {
-      ++(*next);
-      return true;
-    }
-    return id < *next;
-  };
-  for (size_t i = 0; i < job_count_; ++i) {
-    if (i > 0 && submit[i - 1] > submit[i]) return false;
-    const uint32_t name = name_id[i];
-    const uint32_t in_path = in_id[i];
-    const uint32_t out_path = out_id[i];
-    if (name != kNoStringId && !canonical(name, &next_name)) return false;
-    if (in_path != kNoStringId && !canonical(in_path, &next_path)) {
-      return false;
-    }
-    if (out_path != kNoStringId && !canonical(out_path, &next_path)) {
-      return false;
-    }
+namespace {
+
+/// Interns `dictionary`, reserved for it, in id order. Returns true when
+/// each entry kept its id (every entry non-empty and distinct, as in every
+/// file a trace writes); otherwise `remap` takes old id -> new id,
+/// kNoStringId for an empty entry (an absent field, as in a CSV row).
+bool InternDictionary(const DictionaryView& dictionary,
+                      StringInterner& interner, std::vector<uint32_t>& remap) {
+  remap.resize(dictionary.size());
+  bool same_ids = true;
+  for (uint32_t id = 0; id < dictionary.size(); ++id) {
+    remap[id] = InternField(dictionary[id], interner);
+    same_ids = same_ids && remap[id] == id;
   }
-  if (next_path != path_count_ || next_name != name_count_) return false;
-  auto duplicate_free = [](const DictionaryView& dictionary) {
-    FlatHashSet<std::string_view> seen;
-    seen.reserve(dictionary.size());
-    for (uint32_t id = 0; id < dictionary.size(); ++id) {
-      const std::string_view entry = dictionary[id];
-      if (entry.empty() || !seen.insert(entry).second) return false;
-    }
-    return true;
-  };
-  const JobColumns c = columns();
-  return duplicate_free(c.paths) && duplicate_free(c.names);
+  return same_ids;
 }
+
+void RemapIds(const std::vector<uint32_t>& remap, std::vector<uint32_t>& ids) {
+  for (uint32_t& id : ids) {
+    if (id != kNoStringId) id = remap[id];
+  }
+}
+
+}  // namespace
 
 StatusOr<Trace> ColumnarTraceView::Materialize(int /*unused*/) const {
   SWIM_RETURN_IF_ERROR(ValidateRows());
-  Trace trace(metadata_);
-  trace.SetJobs(BuildRows(columns()));
-  return trace;
+  // The dictionaries are interned while the columns are copied; the path
+  // dictionary is the long pole. Everything is allocated here, so the
+  // workers only fill it.
+  const JobColumns view = this->columns();
+  StringInterner names;
+  StringInterner paths;
+  names.Reserve(view.names.size());
+  paths.Reserve(view.paths.size());
+  std::vector<uint32_t> name_remap;
+  std::vector<uint32_t> path_remap;
+  bool same_names = true;
+  bool same_paths = true;
+  std::vector<std::function<void()>> tasks = {
+      [&] { same_paths = InternDictionary(view.paths, paths, path_remap); },
+      [&] { same_names = InternDictionary(view.names, names, name_remap); },
+  };
+  TraceColumns columns;
+  size_t kind = 0;
+  columns.ForEach([&](auto& column) {
+    using T = typename std::remove_reference_t<decltype(column)>::value_type;
+    const T* first = reinterpret_cast<const T*>(
+        SectionData(static_cast<Stf1SectionKind>(kind++)));
+    ReserveHugePages(column, job_count_);
+    tasks.push_back([&column, first, n = job_count_] {
+      column.assign(first, first + n);
+    });
+  });
+  RunConcurrently(tasks);
+  // The file's ids are the trace's when its dictionaries are canonical;
+  // the Trace constructor checks the rest of the canonical form.
+  if (!same_names) RemapIds(name_remap, columns.name_id);
+  if (!same_paths) {
+    RemapIds(path_remap, columns.input_path_id);
+    RemapIds(path_remap, columns.output_path_id);
+  }
+  return Trace(metadata_, std::move(columns), std::move(names),
+               std::move(paths));
 }
 
 namespace {
 
-/// The lazy STF1 load: checksums, one row-validation pass, the canonical
-/// checks; then a trace over the view's own bytes, or for a non-canonical
-/// file, rows that rebuild their indexes on demand.
-StatusOr<Trace> LoadFromView(ColumnarTraceView view,
+/// The STF1 load: checksums per `options`, then the validated trace.
+StatusOr<Trace> LoadFromView(const ColumnarTraceView& view,
                              const ColumnarOptions& options) {
   if (options.verify_checksums) {
     SWIM_RETURN_IF_ERROR(view.VerifyChecksums());
   }
-  SWIM_RETURN_IF_ERROR(view.ValidateRows());
-  if (!view.IsCanonical()) return view.Materialize();
-  return Trace::FromColumns(
-      std::make_shared<const ColumnarTraceView>(std::move(view)));
+  return view.Materialize();
 }
 
 }  // namespace
@@ -572,19 +539,14 @@ StatusOr<Trace> TraceFromColumnarBytes(std::string_view bytes,
                                        const ColumnarOptions& options) {
   SWIM_ASSIGN_OR_RETURN(ColumnarTraceView view,
                         ColumnarTraceView::FromBytes(bytes));
-  return LoadFromView(std::move(view), options);
+  return LoadFromView(view, options);
 }
 
 StatusOr<Trace> LoadTraceColumnar(const std::string& path,
                                   const ColumnarOptions& options) {
-  // The trace outlives the call, so it must own its bytes: read them
-  // rather than map them, and a later truncation or rewrite of the file
-  // cannot reach the trace.
-  ColumnarOptions read_options = options;
-  read_options.allow_mmap = false;
   SWIM_ASSIGN_OR_RETURN(ColumnarTraceView view,
-                        ColumnarTraceView::Open(path, read_options));
-  return LoadFromView(std::move(view), options);
+                        ColumnarTraceView::Open(path, options));
+  return LoadFromView(view, options);
 }
 
 // ---------------------------------------------------------------------------

@@ -99,8 +99,7 @@ struct ColumnarOptions {
   /// (one streaming pass at memory bandwidth). Opening a view never pays
   /// this; it validates only the header / table / dictionary structure.
   bool verify_checksums = true;
-  /// Unused: loading and Materialize are serial. Kept so existing callers
-  /// compile.
+  /// Unused: loading is serial. Kept so the benchmark harness compiles.
   int threads = 0;
 };
 
@@ -150,12 +149,8 @@ class ColumnarTraceView {
   /// Distinct interned strings in each dictionary.
   size_t name_count() const { return name_count_; }
   size_t path_count() const { return path_count_; }
-  /// Dictionary lookup; requires id < the respective count.
-  std::string_view NameAt(uint32_t id) const;
-  std::string_view PathAt(uint32_t id) const;
 
-  /// Every column as one JobColumns view (stride = element size). Valid
-  /// while the view lives.
+  /// Every column as one JobColumns view. Valid while the view lives.
   JobColumns columns() const;
 
   /// Verifies every section checksum (one pass over the whole file).
@@ -165,17 +160,11 @@ class ColumnarTraceView {
   /// ValidateJobRecord invariants. The error names the earliest bad row.
   Status ValidateRows() const;
 
-  /// True when the id columns are exactly what a Trace's lazy index build
-  /// would produce over these rows: submit-sorted rows, ids in
-  /// first-appearance order (input before output per row), every
-  /// dictionary entry referenced, non-empty and unique. Always true for
-  /// files we wrote. Requires ValidateRows() to have passed.
-  bool IsCanonical() const;
-
-  /// Builds a row-backed Trace (ValidateRows first), serially; its id
-  /// indexes are rebuilt on demand. Does NOT verify checksums; call
+  /// Builds a Trace (ValidateRows first) that owns a copy of the columns.
+  /// A file a trace wrote keeps its ids; any other valid file is brought
+  /// into the canonical form (see Trace). Does NOT verify checksums; call
   /// VerifyChecksums() first or use LoadTraceColumnar. The argument is
-  /// unused and kept only so existing callers compile.
+  /// unused and kept so the benchmark harness compiles.
   StatusOr<Trace> Materialize(int /*unused*/ = 0) const;
 
  private:
@@ -185,11 +174,6 @@ class ColumnarTraceView {
   }
   size_t SectionBytes(Stf1SectionKind kind) const {
     return section_bytes_[static_cast<size_t>(kind)];
-  }
-  template <typename T>
-  StridedColumn<T> Column(Stf1SectionKind kind) const {
-    return StridedColumn<T>(reinterpret_cast<const T*>(SectionData(kind)),
-                            sizeof(T));
   }
 
   FileImage image_;
@@ -203,9 +187,8 @@ class ColumnarTraceView {
   std::array<uint64_t, kStf1SectionCount> section_checksums_{};
 };
 
-/// Serializes `trace` to the STF1 byte layout (the id columns and
-/// dictionaries come from the trace's interned indexes, building them if
-/// needed).
+/// Serializes `trace` to the STF1 byte layout: its columns and
+/// dictionaries as they are.
 std::string TraceToColumnarBytes(const Trace& trace);
 
 /// Decodes an in-memory STF1 image (copied) exactly as LoadTraceColumnar
@@ -218,13 +201,11 @@ StatusOr<Trace> TraceFromColumnarBytes(std::string_view bytes,
 /// a complete new one (never a torn header over valid columns).
 Status WriteTraceColumnar(const Trace& trace, const std::string& path);
 
-/// Loads an STF1 file: reads it into memory the trace owns (never a live
-/// mapping, so later changes to the file cannot reach the trace), verifies
-/// checksums per `options`, validates every row, and checks the id columns
-/// are canonical (IsCanonical). A canonical file yields a column-backed
-/// Trace: rows, interners and id vectors are built only on first use.
-/// Otherwise the rows are built now and their indexes rebuilt on demand.
-/// `options.allow_mmap` and `options.threads` do not apply here.
+/// Loads an STF1 file: opens it per `options` (mapped by default), verifies
+/// checksums per `options`, and returns Materialize()'s trace, which owns
+/// copies of the columns and dictionaries: once the call returns, later
+/// changes to the file cannot reach the trace. `options.threads` does not
+/// apply here.
 StatusOr<Trace> LoadTraceColumnar(const std::string& path,
                                   const ColumnarOptions& options = {});
 

@@ -3,38 +3,15 @@
 namespace swim::trace {
 
 Trace FilterByTimeRange(const Trace& trace, double begin, double end) {
-  return FilterByPredicate(trace, [begin, end](const JobRecord& job) {
-    return job.submit_time >= begin && job.submit_time < end;
-  });
-}
-
-Trace FilterByPredicate(
-    const Trace& trace,
-    const std::function<bool(const JobRecord&)>& predicate) {
-  Trace result(trace.metadata());
-  for (const auto& job : trace.jobs()) {
-    if (predicate(job)) result.AddJob(job);
+  const JobColumns c = trace.columns();
+  TraceColumns kept;
+  for (size_t i = 0; i < c.size; ++i) {
+    if (c.submit_time[i] >= begin && c.submit_time[i] < end) {
+      kept.AppendRow(c, i);
+    }
   }
-  return result;
-}
-
-Trace TakeFirst(const Trace& trace, size_t count) {
-  Trace result(trace.metadata());
-  for (const auto& job : trace.jobs()) {
-    if (result.size() >= count) break;
-    result.AddJob(job);
-  }
-  return result;
-}
-
-Trace RebaseToZero(const Trace& trace) {
-  Trace result(trace.metadata());
-  double start = trace.StartTime();
-  for (auto job : trace.jobs()) {
-    job.submit_time -= start;
-    result.AddJob(std::move(job));
-  }
-  return result;
+  return Trace(trace.metadata(), std::move(kept), trace.names(),
+               trace.paths());
 }
 
 }  // namespace swim::trace

@@ -1,8 +1,6 @@
 #ifndef SWIM_TRACE_FILTERS_H_
 #define SWIM_TRACE_FILTERS_H_
 
-#include <functional>
-
 #include "trace/trace.h"
 
 namespace swim::trace {
@@ -12,16 +10,6 @@ namespace swim::trace {
 /// logs"); it also exhibits the boundary effect the paper notes - jobs
 /// straddling the range end keep their full duration.
 Trace FilterByTimeRange(const Trace& trace, double begin, double end);
-
-/// Jobs for which `predicate` returns true.
-Trace FilterByPredicate(const Trace& trace,
-                        const std::function<bool(const JobRecord&)>& predicate);
-
-/// First `count` jobs by submit order.
-Trace TakeFirst(const Trace& trace, size_t count);
-
-/// Shifts all submit times so the earliest becomes zero.
-Trace RebaseToZero(const Trace& trace);
 
 }  // namespace swim::trace
 

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <initializer_list>
+#include <type_traits>
 
+#include "common/huge_pages.h"
 #include "common/logging.h"
-#include "trace/columnar.h"
 
 namespace swim::trace {
 namespace {
@@ -20,277 +22,215 @@ uint64_t SubmitKey(double t) {
   return (bits & kSign) ? ~bits : bits | kSign;
 }
 
-/// std::stable_sort by submit_time without moving records in the sort:
-/// sorts (key, index) pairs, whose index breaks ties as stability does,
-/// then moves each record once along the cycles of the permutation.
-void StableSortBySubmit(std::vector<JobRecord>& jobs) {
-  SWIM_CHECK_LE(jobs.size(), kMaxJobs);
+/// The stable submit-time order of `n` rows whose submit times
+/// `submit_at(i)` gives: row indices sorted by (SubmitKey, index), so ties
+/// keep their order. Empty when the rows are already in order.
+template <typename SubmitAt>
+std::vector<uint32_t> StableSubmitOrder(size_t n, SubmitAt submit_at) {
+  bool sorted = true;
+  for (size_t i = 1; i < n && sorted; ++i) {
+    sorted = !(submit_at(i) < submit_at(i - 1));
+  }
+  if (sorted) return {};
+  SWIM_CHECK_LE(n, kMaxJobs);
   struct Key {
     uint64_t time;
-    uint32_t index;
+    uint32_t row;
   };
-  std::vector<Key> keys(jobs.size());
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    keys[i] = {SubmitKey(jobs[i].submit_time), static_cast<uint32_t>(i)};
+  std::vector<Key> keys(n);
+  for (size_t i = 0; i < n; ++i) {
+    keys[i] = {SubmitKey(submit_at(i)), static_cast<uint32_t>(i)};
   }
   std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-    return a.time != b.time ? a.time < b.time : a.index < b.index;
+    return a.time != b.time ? a.time < b.time : a.row < b.row;
   });
-  // Slot `to` takes the record at keys[to].index; a placed slot is marked
-  // by pointing its key at itself.
-  for (size_t start = 0; start < jobs.size(); ++start) {
-    if (keys[start].index == start) continue;
-    JobRecord held = std::move(jobs[start]);
-    size_t to = start;
-    for (;;) {
-      const size_t from = keys[to].index;
-      keys[to].index = static_cast<uint32_t>(to);
-      if (from == start) {
-        jobs[to] = std::move(held);
+  std::vector<uint32_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = keys[i].row;
+  return order;
+}
+
+/// Renumbers the ids of `id_columns` (read row by row, the columns of a row
+/// in the order given) to first-appearance order, and drops the entries of
+/// `dictionary` no row references. Ids already in that order cost one pass
+/// and no allocation.
+void RenumberByFirstAppearance(std::initializer_list<std::vector<uint32_t>*>
+                                   id_columns,
+                               StringInterner& dictionary) {
+  const size_t rows = (*id_columns.begin())->size();
+  uint32_t next = 0;
+  bool canonical = true;
+  for (size_t i = 0; i < rows && canonical; ++i) {
+    for (const std::vector<uint32_t>* column : id_columns) {
+      const uint32_t id = (*column)[i];
+      if (id == kNoStringId || id < next) continue;
+      if (id != next) {
+        canonical = false;
         break;
       }
-      jobs[to] = std::move(jobs[from]);
-      to = from;
+      ++next;
     }
   }
+  if (canonical && next == dictionary.size()) return;
+
+  std::vector<uint32_t> remap(dictionary.size(), kNoStringId);
+  std::vector<uint32_t> order;  // new id -> old id
+  for (size_t i = 0; i < rows; ++i) {
+    for (std::vector<uint32_t>* column : id_columns) {
+      uint32_t& id = (*column)[i];
+      if (id == kNoStringId) continue;
+      if (remap[id] == kNoStringId) {
+        remap[id] = static_cast<uint32_t>(order.size());
+        order.push_back(id);
+      }
+      id = remap[id];
+    }
+  }
+  StringInterner renumbered;
+  renumbered.Reserve(order.size());
+  for (uint32_t old_id : order) renumbered.Intern(dictionary.NameOf(old_id));
+  dictionary = std::move(renumbered);
 }
 
 }  // namespace
 
-Trace Trace::FromColumns(std::shared_ptr<const ColumnarTraceView> view) {
-  Trace trace(view->metadata());
-  trace.column_rows_ = view->job_count();
-  trace.columnar_ = std::move(view);
-  trace.rows_built_.store(false, std::memory_order_relaxed);
-  return trace;
+void TraceColumns::Resize(size_t rows) {
+  ForEach([rows](auto& column) {
+    if (rows > column.capacity()) ReserveHugePages(column, rows);
+    column.resize(rows);
+  });
 }
 
-Trace::Trace(const Trace& other) { *this = other; }
-
-Trace& Trace::operator=(const Trace& other) {
-  if (this == &other) return *this;
-  // Lock the source so a concurrent reader-triggered lazy build on `other`
-  // cannot move jobs_ under us. A column-backed source shares its columns
-  // and its rows are rebuilt on demand; index state is never copied.
-  std::lock_guard<std::mutex> lock(other.lazy_mu_);
-  metadata_ = other.metadata_;
-  columnar_ = other.columnar_;
-  column_rows_ = other.column_rows_;
-  if (columnar_ != nullptr) {
-    jobs_.clear();
-    rows_built_.store(false, std::memory_order_relaxed);
-  } else {
-    jobs_ = other.jobs_;
-    rows_built_.store(true, std::memory_order_relaxed);
-  }
-  sorted_.store(other.sorted_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-  ClearIndexes();
-  return *this;
+void TraceColumns::SetNumbers(size_t row, const JobRecord& job) {
+  job_id[row] = job.job_id;
+  submit_time[row] = job.submit_time;
+  duration[row] = job.duration;
+  input_bytes[row] = job.input_bytes;
+  shuffle_bytes[row] = job.shuffle_bytes;
+  output_bytes[row] = job.output_bytes;
+  map_tasks[row] = job.map_tasks;
+  reduce_tasks[row] = job.reduce_tasks;
+  map_task_seconds[row] = job.map_task_seconds;
+  reduce_task_seconds[row] = job.reduce_task_seconds;
 }
 
-Trace::Trace(Trace&& other) noexcept { *this = std::move(other); }
-
-Trace& Trace::operator=(Trace&& other) noexcept {
-  if (this == &other) return *this;
-  std::lock_guard<std::mutex> lock(other.lazy_mu_);
-  metadata_ = std::move(other.metadata_);
-  jobs_ = std::move(other.jobs_);
-  columnar_ = std::move(other.columnar_);
-  column_rows_ = other.column_rows_;
-  rows_built_.store(other.rows_built_.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-  sorted_.store(other.sorted_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-  ClearIndexes();
-  other.jobs_.clear();
-  other.rows_built_.store(true, std::memory_order_relaxed);
-  other.sorted_.store(true, std::memory_order_relaxed);
-  other.ClearIndexes();
-  return *this;
+void TraceColumns::SetJob(size_t row, const JobRecord& job,
+                          StringInterner& names, StringInterner& paths) {
+  SetNumbers(row, job);
+  name_id[row] = InternField(job.name, names);
+  input_path_id[row] = InternField(job.input_path, paths);
+  output_path_id[row] = InternField(job.output_path, paths);
 }
 
-void Trace::ClearIndexes() {
-  path_indexed_.store(false, std::memory_order_relaxed);
-  name_indexed_.store(false, std::memory_order_relaxed);
-  path_interner_.Clear();
-  name_interner_.Clear();
-  input_path_ids_.clear();
-  output_path_ids_.clear();
-  name_ids_.clear();
+void TraceColumns::AppendRow(const JobColumns& from, size_t row) {
+  job_id.push_back(from.job_id[row]);
+  submit_time.push_back(from.submit_time[row]);
+  duration.push_back(from.duration[row]);
+  input_bytes.push_back(from.input_bytes[row]);
+  shuffle_bytes.push_back(from.shuffle_bytes[row]);
+  output_bytes.push_back(from.output_bytes[row]);
+  map_tasks.push_back(from.map_tasks[row]);
+  reduce_tasks.push_back(from.reduce_tasks[row]);
+  map_task_seconds.push_back(from.map_task_seconds[row]);
+  reduce_task_seconds.push_back(from.reduce_task_seconds[row]);
+  name_id.push_back(from.name_id[row]);
+  input_path_id.push_back(from.input_path_id[row]);
+  output_path_id.push_back(from.output_path_id[row]);
 }
 
-JobColumns Trace::columns() const {
-  if (columnar_ != nullptr) return columnar_->columns();
-  EnsurePathIndex();
-  EnsureNameIndex();
+JobColumns TraceColumns::View(const StringInterner& names,
+                              const StringInterner& paths) const {
   JobColumns c;
-  c.size = jobs_.size();
-  c.names = DictionaryView(name_interner_);
-  c.paths = DictionaryView(path_interner_);
-  if (jobs_.empty()) return c;
-  constexpr size_t kRow = sizeof(JobRecord);
-  const JobRecord& first = jobs_.front();
-  c.job_id = StridedColumn<uint64_t>(&first.job_id, kRow);
-  c.submit_time = StridedColumn<double>(&first.submit_time, kRow);
-  c.duration = StridedColumn<double>(&first.duration, kRow);
-  c.input_bytes = StridedColumn<double>(&first.input_bytes, kRow);
-  c.shuffle_bytes = StridedColumn<double>(&first.shuffle_bytes, kRow);
-  c.output_bytes = StridedColumn<double>(&first.output_bytes, kRow);
-  c.map_tasks = StridedColumn<int64_t>(&first.map_tasks, kRow);
-  c.reduce_tasks = StridedColumn<int64_t>(&first.reduce_tasks, kRow);
-  c.map_task_seconds = StridedColumn<double>(&first.map_task_seconds, kRow);
-  c.reduce_task_seconds =
-      StridedColumn<double>(&first.reduce_task_seconds, kRow);
-  c.name_id = StridedColumn<uint32_t>(name_ids_.data(), sizeof(uint32_t));
-  c.input_path_id =
-      StridedColumn<uint32_t>(input_path_ids_.data(), sizeof(uint32_t));
-  c.output_path_id =
-      StridedColumn<uint32_t>(output_path_ids_.data(), sizeof(uint32_t));
+  c.size = size();
+  c.job_id = job_id.data();
+  c.submit_time = submit_time.data();
+  c.duration = duration.data();
+  c.input_bytes = input_bytes.data();
+  c.shuffle_bytes = shuffle_bytes.data();
+  c.output_bytes = output_bytes.data();
+  c.map_tasks = map_tasks.data();
+  c.reduce_tasks = reduce_tasks.data();
+  c.map_task_seconds = map_task_seconds.data();
+  c.reduce_task_seconds = reduce_task_seconds.data();
+  c.name_id = name_id.data();
+  c.input_path_id = input_path_id.data();
+  c.output_path_id = output_path_id.data();
+  c.names = DictionaryView(names);
+  c.paths = DictionaryView(paths);
   return c;
 }
 
-void Trace::DetachColumns() {
-  if (columnar_ == nullptr) return;
-  EnsureRows();
-  columnar_.reset();
+Trace::Trace(TraceMetadata metadata, TraceColumns columns,
+             StringInterner names, StringInterner paths)
+    : metadata_(std::move(metadata)),
+      columns_(std::move(columns)),
+      names_(std::move(names)),
+      paths_(std::move(paths)) {
+  Canonicalize();
 }
 
-void Trace::AddJob(JobRecord job) {
-  DetachColumns();
-  if (!jobs_.empty() && job.submit_time < jobs_.back().submit_time) {
-    sorted_.store(false, std::memory_order_relaxed);
+void Trace::Canonicalize() {
+  const std::vector<double>& submit = columns_.submit_time;
+  const std::vector<uint32_t> order =
+      StableSubmitOrder(size(), [&](size_t i) { return submit[i]; });
+  if (!order.empty()) {
+    columns_.ForEach([&](auto& column) {
+      std::remove_reference_t<decltype(column)> sorted(order.size());
+      for (size_t i = 0; i < order.size(); ++i) sorted[i] = column[order[i]];
+      column.swap(sorted);
+    });
   }
-  jobs_.push_back(std::move(job));
-  path_indexed_.store(false, std::memory_order_relaxed);
-  name_indexed_.store(false, std::memory_order_relaxed);
+  RenumberByFirstAppearance({&columns_.name_id}, names_);
+  RenumberByFirstAppearance(
+      {&columns_.input_path_id, &columns_.output_path_id}, paths_);
+}
+
+JobColumns Trace::columns() const { return columns_.View(names_, paths_); }
+
+JobRecord Trace::JobAt(size_t i) const { return RowAt(columns(), i); }
+
+std::vector<JobRecord> Trace::jobs() const {
+  const JobColumns c = columns();
+  std::vector<JobRecord> rows;
+  rows.reserve(c.size);
+  for (size_t i = 0; i < c.size; ++i) rows.push_back(RowAt(c, i));
+  return rows;
+}
+
+void Trace::AddJob(const JobRecord& job) {
+  const bool in_order =
+      empty() || !(job.submit_time < columns_.submit_time.back());
+  const size_t row = size();
+  columns_.ForEach([](auto& column) { column.emplace_back(); });
+  columns_.SetJob(row, job, names_, paths_);
+  // Appended in submit order, the row's new ids come last, as first
+  // appearance wants; out of order, the trace is re-sorted.
+  if (!in_order) Canonicalize();
 }
 
 void Trace::SetJobs(std::vector<JobRecord> jobs) {
-  columnar_.reset();
-  rows_built_.store(true, std::memory_order_relaxed);
-  jobs_ = std::move(jobs);
-  sorted_.store(false, std::memory_order_relaxed);
-  path_indexed_.store(false, std::memory_order_relaxed);
-  name_indexed_.store(false, std::memory_order_relaxed);
-  EnsureSorted();
-}
-
-void Trace::MaterializeRows() const {
-  std::lock_guard<std::mutex> lock(lazy_mu_);
-  if (rows_built_.load(std::memory_order_relaxed)) return;
-  jobs_ = BuildRows(columnar_->columns());
-  rows_built_.store(true, std::memory_order_release);
-}
-
-void Trace::EnsureSorted() const {
-  if (sorted_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(lazy_mu_);
-  SortLocked();
-}
-
-void Trace::SortLocked() const {
-  if (sorted_.load(std::memory_order_relaxed)) return;
-  auto by_submit = [](const JobRecord& a, const JobRecord& b) {
-    return a.submit_time < b.submit_time;
-  };
-  if (!std::is_sorted(jobs_.begin(), jobs_.end(), by_submit)) {
-    StableSortBySubmit(jobs_);
+  // Rows go in in submit order, so interning them assigns first-appearance
+  // ids: the canonical form, with no re-sort or renumbering afterwards.
+  const std::vector<uint32_t> order = StableSubmitOrder(
+      jobs.size(), [&](size_t i) { return jobs[i].submit_time; });
+  columns_ = TraceColumns();
+  names_.Clear();
+  paths_.Clear();
+  columns_.Resize(jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    columns_.SetJob(i, jobs[order.empty() ? i : order[i]], names_, paths_);
   }
-  path_indexed_.store(false, std::memory_order_relaxed);  // ids follow order
-  name_indexed_.store(false, std::memory_order_relaxed);
-  sorted_.store(true, std::memory_order_release);
-}
-
-void Trace::EnsurePathIndex() const {
-  if (path_indexed_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(lazy_mu_);
-  if (path_indexed_.load(std::memory_order_relaxed)) return;
-  path_interner_.Clear();
-  input_path_ids_.clear();
-  output_path_ids_.clear();
-  if (columnar_ != nullptr) {
-    // Canonical columns: interning the dictionary in id order reproduces
-    // the ids, and the id columns are the index.
-    const JobColumns c = columnar_->columns();
-    path_interner_.Reserve(c.paths.size());
-    for (uint32_t id = 0; id < c.paths.size(); ++id) {
-      path_interner_.Intern(c.paths[id]);
-    }
-    input_path_ids_.resize(c.size);
-    output_path_ids_.resize(c.size);
-    for (size_t i = 0; i < c.size; ++i) {
-      input_path_ids_[i] = c.input_path_id[i];
-      output_path_ids_[i] = c.output_path_id[i];
-    }
-    path_indexed_.store(true, std::memory_order_release);
-    return;
-  }
-  SortLocked();
-  input_path_ids_.reserve(jobs_.size());
-  output_path_ids_.reserve(jobs_.size());
-  for (const auto& job : jobs_) {
-    input_path_ids_.push_back(job.input_path.empty()
-                                  ? kNoStringId
-                                  : path_interner_.Intern(job.input_path));
-    output_path_ids_.push_back(job.output_path.empty()
-                                   ? kNoStringId
-                                   : path_interner_.Intern(job.output_path));
-  }
-  path_indexed_.store(true, std::memory_order_release);
-}
-
-void Trace::EnsureNameIndex() const {
-  if (name_indexed_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(lazy_mu_);
-  if (name_indexed_.load(std::memory_order_relaxed)) return;
-  name_interner_.Clear();
-  name_ids_.clear();
-  if (columnar_ != nullptr) {
-    const JobColumns c = columnar_->columns();
-    name_interner_.Reserve(c.names.size());
-    for (uint32_t id = 0; id < c.names.size(); ++id) {
-      name_interner_.Intern(c.names[id]);
-    }
-    name_ids_.resize(c.size);
-    for (size_t i = 0; i < c.size; ++i) name_ids_[i] = c.name_id[i];
-    name_indexed_.store(true, std::memory_order_release);
-    return;
-  }
-  SortLocked();
-  name_ids_.reserve(jobs_.size());
-  for (const auto& job : jobs_) {
-    name_ids_.push_back(job.name.empty() ? kNoStringId
-                                         : name_interner_.Intern(job.name));
-  }
-  name_indexed_.store(true, std::memory_order_release);
-}
-
-Status Trace::Validate() const {
-  for (const auto& job : jobs()) {
-    std::string violation = ValidateJobRecord(job);
-    if (!violation.empty()) {
-      return InvalidArgumentError("job " + std::to_string(job.job_id) + ": " +
-                                  violation);
-    }
-  }
-  return Status::Ok();
-}
-
-double Trace::StartTime() const {
-  if (empty()) return 0.0;
-  EnsureSorted();
-  return jobs().front().submit_time;
 }
 
 double Trace::EndTime() const {
-  if (empty()) return 0.0;
-  EnsureSorted();
   double end = 0.0;
-  for (const auto& job : jobs()) end = std::max(end, job.FinishTime());
+  for (size_t i = 0; i < size(); ++i) {
+    end = std::max(end, columns_.submit_time[i] + columns_.duration[i]);
+  }
   return end;
 }
 
-double Trace::Span() const { return EndTime() - StartTime(); }
+double Trace::Span() const {
+  return empty() ? 0.0 : EndTime() - columns_.submit_time.front();
+}
 
 }  // namespace swim::trace

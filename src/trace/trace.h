@@ -1,26 +1,29 @@
 #ifndef SWIM_TRACE_TRACE_H_
 #define SWIM_TRACE_TRACE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/interner.h"
-#include "common/status.h"
 #include "trace/job_columns.h"
 #include "trace/job_record.h"
 
 namespace swim::trace {
 
-class ColumnarTraceView;
-
 /// The most jobs a trace holds: the submit-time sort keys index rows with
 /// uint32_t.
 inline constexpr size_t kMaxJobs = std::numeric_limits<uint32_t>::max();
+
+/// The trace horizon (100 years): a job whose submit or finish lies more
+/// than this many hours after the first submit (or, in a replay, after time
+/// zero) fails analysis and replay with InvalidArgumentError before any
+/// hourly series is sized. A fixed limit, not an option: past it the hourly
+/// buckets alone would take gigabytes.
+inline constexpr double kMaxTraceHours = 100 * 8766.0;
 
 /// Cluster-level metadata accompanying a trace (Table 1 columns that are
 /// not derivable from the job stream itself).
@@ -37,160 +40,141 @@ struct TraceMetadata {
   bool has_output_paths = true;
 };
 
-/// An ordered collection of jobs plus metadata. Jobs are kept sorted by
-/// submit time (the class maintains this invariant on mutation).
+/// Interns `text` into `dictionary`; the empty string (an absent field) is
+/// kNoStringId and is never interned.
+inline uint32_t InternField(std::string_view text, StringInterner& dictionary) {
+  return text.empty() ? kNoStringId : dictionary.Intern(text);
+}
+
+/// The columns a Trace owns: the ten numeric job fields and the three
+/// dictionary-id columns (kNoStringId marks an absent field), one element
+/// per job. Producers fill these directly and hand them to Trace.
+struct TraceColumns {
+  std::vector<uint64_t> job_id;
+  std::vector<double> submit_time;
+  std::vector<double> duration;
+  std::vector<double> input_bytes;
+  std::vector<double> shuffle_bytes;
+  std::vector<double> output_bytes;
+  std::vector<int64_t> map_tasks;
+  std::vector<int64_t> reduce_tasks;
+  std::vector<double> map_task_seconds;
+  std::vector<double> reduce_task_seconds;
+  std::vector<uint32_t> name_id;
+  std::vector<uint32_t> input_path_id;
+  std::vector<uint32_t> output_path_id;
+
+  size_t size() const { return job_id.size(); }
+
+  /// Resizes every column to `rows`; storage it allocates is advised onto
+  /// huge pages before the first touch.
+  void Resize(size_t rows);
+
+  /// Row `row` takes `job`'s numeric fields (its strings are ignored).
+  void SetNumbers(size_t row, const JobRecord& job);
+
+  /// Row `row` takes `job`, its strings interned into `names` and `paths`
+  /// (input path before output path).
+  void SetJob(size_t row, const JobRecord& job, StringInterner& names,
+              StringInterner& paths);
+
+  /// Appends row `row` of `from`, ids as they are.
+  void AppendRow(const JobColumns& from, size_t row);
+
+  /// A view of these columns whose ids index `names` and `paths`.
+  JobColumns View(const StringInterner& names,
+                  const StringInterner& paths) const;
+
+  /// Calls `f(column)` for every column, in STF1 section order.
+  template <typename F>
+  void ForEach(F&& f) {
+    f(job_id);
+    f(submit_time);
+    f(duration);
+    f(input_bytes);
+    f(shuffle_bytes);
+    f(output_bytes);
+    f(map_tasks);
+    f(reduce_tasks);
+    f(map_task_seconds);
+    f(reduce_task_seconds);
+    f(name_id);
+    f(input_path_id);
+    f(output_path_id);
+  }
+};
+
+/// An ordered collection of jobs plus metadata: dense columns and two
+/// dictionaries, job names and paths, in one canonical form. Jobs are
+/// sorted by submit time (stable: jobs submitted at the same time keep
+/// their order of arrival), and dictionary ids are assigned in first
+/// appearance over that order, input path before output path per job.
+/// Input and output paths share one id space, so an output later read as
+/// an input has the same id, which is what the re-access and cache
+/// analyses key on. Every dictionary entry is referenced, non-empty and
+/// unique. This is STF1's canonical form, so a file written from a trace
+/// loads back with the same ids, and ids are the same at any SWIM_THREADS.
 ///
-/// A trace is backed either by JobRecord rows or, when loaded from an STF1
-/// file, by the file's columns (see FromColumns). A column-backed trace
-/// builds its rows, interners and id vectors only on first use; columns()
-/// reads either backing without building anything.
+/// A const Trace is safe to share between threads; mutation needs
+/// exclusive access.
 class Trace {
  public:
   Trace() = default;
   explicit Trace(TraceMetadata metadata) : metadata_(std::move(metadata)) {}
 
-  /// A trace backed by a validated STF1 view that owns its bytes (not a
-  /// live mapping). The caller guarantees the view is canonical: rows
-  /// valid and sorted by submit time, dictionaries duplicate-free with
-  /// non-empty entries, ids in first-appearance order (input path before
-  /// output path per row), every entry referenced. LoadTraceColumnar checks
-  /// all of this before calling.
-  static Trace FromColumns(std::shared_ptr<const ColumnarTraceView> view);
-
-  // Copies and moves transfer the job stream (or share the column
-  // backing), metadata, and sortedness, but drop the lazy interned-id
-  // state (rebuilt on demand): the synchronization members below are not
-  // copyable, and re-interning on first use beats deep-copying arenas.
-  Trace(const Trace& other);
-  Trace& operator=(const Trace& other);
-  Trace(Trace&& other) noexcept;
-  Trace& operator=(Trace&& other) noexcept;
+  /// A trace over `columns`, whose ids index `names` and `paths`. Rows and
+  /// ids may come in any order: rows are sorted stably by submit time, ids
+  /// renumbered by first appearance and unreferenced entries dropped.
+  /// Input already in that form (what every producer emits) costs two
+  /// integer passes. Each id must be kNoStringId or index a non-empty
+  /// entry of its dictionary, and all columns must have one length.
+  Trace(TraceMetadata metadata, TraceColumns columns, StringInterner names,
+        StringInterner paths);
 
   const TraceMetadata& metadata() const { return metadata_; }
   TraceMetadata& mutable_metadata() { return metadata_; }
 
-  /// The rows; a column-backed trace builds them on first call.
-  const std::vector<JobRecord>& jobs() const {
-    EnsureRows();
-    return jobs_;
-  }
-  size_t size() const {
-    return columnar_ != nullptr ? column_rows_ : jobs_.size();
-  }
+  size_t size() const { return columns_.size(); }
   bool empty() const { return size() == 0; }
 
-  /// Column views over every job, in submit order. A row-backed trace
-  /// builds its id indexes first (the id columns are those indexes); a
-  /// column-backed one returns its retained columns. Nothing is copied.
+  /// Column views over every job, in submit order. Nothing is copied.
   JobColumns columns() const;
+  /// The job-name and path dictionaries the id columns index.
+  const StringInterner& names() const { return names_; }
+  const StringInterner& paths() const { return paths_; }
 
-  /// Appends a job; re-sorts lazily on the next read if ordering broke.
-  void AddJob(JobRecord job);
+  /// Job i as a JobRecord, its strings resolved.
+  JobRecord JobAt(size_t i) const;
 
-  /// Bulk replacement; takes ownership and sorts.
+  /// Every job as a JobRecord, built on each call: O(n) rows with their
+  /// strings. For tests and the benchmark harness; library code reads
+  /// columns() or JobAt().
+  std::vector<JobRecord> jobs() const;
+
+  /// Appends a job, interning its strings. A job submitted before the last
+  /// one re-sorts the trace and renumbers its ids (O(n log n)).
+  void AddJob(const JobRecord& job);
+
+  /// Replaces every job: orders them by submit time (stably), then interns
+  /// their strings once.
   void SetJobs(std::vector<JobRecord> jobs);
 
-  /// Validates every record; returns the first violation.
-  Status Validate() const;
+  /// A no-op kept for the benchmark harness: ids are built with the trace.
+  void WarmIndexes(int /*unused*/ = 0) const {}
 
-  /// Earliest submit time (0 when empty).
-  double StartTime() const;
-  /// Latest finish time (0 when empty).
+  /// Latest finish time (never below 0; 0 when empty).
   double EndTime() const;
-  /// EndTime - StartTime.
+  /// EndTime minus the first submit time.
   double Span() const;
 
-  // --- Interned id columns ---------------------------------------------
-  //
-  // Paths and job names are interned to dense uint32_t ids so the hot
-  // analysis/storage/replay loops can key flat tables by integer instead
-  // of re-hashing HDFS path strings. Ids are assigned in first-appearance
-  // order over the submit-sorted job stream (input path before output path
-  // per job), so they are deterministic for a given trace regardless of
-  // SWIM_THREADS. Input and output paths share one id space — an
-  // output later read as an input maps to the same id, which is what the
-  // re-access and cache analyses key on. Jobs without the field map to
-  // kNoStringId.
-  //
-  // The path and name indexes are built lazily (and independently — a
-  // popularity analysis never pays for name interning and vice versa) on
-  // first access, and invalidated by AddJob/SetJobs. Each build is one
-  // serial interning pass in submit order; a column-backed trace interns
-  // its persisted dictionary in id order and copies its id columns. The
-  // lazy builds (rows included) are thread-safe for CONCURRENT CONST
-  // READERS: the first accessor to need an index builds it under an
-  // internal mutex (double-checked against an atomic flag) and later
-  // readers see the published result, so worker threads may share a const
-  // Trace freely. Mutation (AddJob/SetJobs) is not synchronized against
-  // readers and still requires exclusivity.
-
-  /// Interner over input/output paths; ids index path-keyed tables.
-  const StringInterner& path_interner() const {
-    EnsurePathIndex();
-    return path_interner_;
-  }
-  /// Interner over job names.
-  const StringInterner& name_interner() const {
-    EnsureNameIndex();
-    return name_interner_;
-  }
-  /// Per-job id columns, parallel to jobs().
-  const std::vector<uint32_t>& input_path_ids() const {
-    EnsurePathIndex();
-    return input_path_ids_;
-  }
-  const std::vector<uint32_t>& output_path_ids() const {
-    EnsurePathIndex();
-    return output_path_ids_;
-  }
-  const std::vector<uint32_t>& name_ids() const {
-    EnsureNameIndex();
-    return name_ids_;
-  }
-
-  /// Builds both id indexes now instead of on first analytical use (a
-  /// column-backed trace interns its dictionaries). The build is serial:
-  /// the argument is unused and kept only so existing callers compile.
-  void WarmIndexes(int /*unused*/ = 0) const {
-    EnsurePathIndex();
-    EnsureNameIndex();
-  }
-
  private:
-  void EnsureRows() const {
-    if (!rows_built_.load(std::memory_order_acquire)) MaterializeRows();
-  }
-  void MaterializeRows() const;
-  void EnsureSorted() const;
-  void EnsurePathIndex() const;
-  void EnsureNameIndex() const;
-  /// Sorts with lazy_mu_ already held (Ensure* helpers compose on it).
-  void SortLocked() const;
-  /// Builds the rows and drops the column backing, before a mutation.
-  void DetachColumns();
-  /// Resets the lazy index state (callers hold exclusive access).
-  void ClearIndexes();
+  /// Brings rows and ids into the canonical form described above.
+  void Canonicalize();
 
   TraceMetadata metadata_;
-  mutable std::vector<JobRecord> jobs_;
-  /// The STF1 backing; null for a row-backed trace. Shared by copies.
-  std::shared_ptr<const ColumnarTraceView> columnar_;
-  size_t column_rows_ = 0;  // the backing's job count
-
-  /// Serializes the lazy row/sort/index builds; the atomic flags are the
-  /// double-checked fast path (acquire load outside the lock publishes the
-  /// built vectors/interners to readers).
-  mutable std::mutex lazy_mu_;
-  mutable std::atomic<bool> rows_built_{true};
-  mutable std::atomic<bool> sorted_{true};
-  mutable std::atomic<bool> path_indexed_{false};
-  mutable std::atomic<bool> name_indexed_{false};
-
-  mutable StringInterner path_interner_;
-  mutable StringInterner name_interner_;
-  mutable std::vector<uint32_t> input_path_ids_;
-  mutable std::vector<uint32_t> output_path_ids_;
-  mutable std::vector<uint32_t> name_ids_;
+  TraceColumns columns_;
+  StringInterner names_;
+  StringInterner paths_;
 };
 
 }  // namespace swim::trace

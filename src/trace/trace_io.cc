@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <string_view>
@@ -12,7 +13,7 @@
 #include <vector>
 
 #include "common/file_image.h"
-#include "common/huge_pages.h"
+#include "common/flat_hash.h"
 #include "common/parallel.h"
 #include "common/string_util.h"
 
@@ -75,43 +76,50 @@ void AppendInt(Int value, std::string* out) {
   out->append(buffer, static_cast<size_t>(result.ptr - buffer));
 }
 
-/// Appends one CSV data row (kTraceCsvHeader order, trailing newline).
-void AppendCsvRow(const JobRecord& job, std::string* out) {
-  AppendInt(job.job_id, out);
+/// Appends row `i` of `c` as one CSV data row (kTraceCsvHeader order,
+/// trailing newline).
+void AppendCsvRow(const JobColumns& c, size_t i, std::string* out) {
+  auto string_field = [](const DictionaryView& dictionary, uint32_t id) {
+    return id == kNoStringId ? std::string_view() : dictionary[id];
+  };
+  AppendInt(c.job_id[i], out);
   out->push_back(',');
-  AppendQuoted(job.name, out);
+  AppendQuoted(string_field(c.names, c.name_id[i]), out);
   out->push_back(',');
-  AppendDouble(job.submit_time, out);
+  AppendDouble(c.submit_time[i], out);
   out->push_back(',');
-  AppendDouble(job.duration, out);
+  AppendDouble(c.duration[i], out);
   out->push_back(',');
-  AppendDouble(job.input_bytes, out);
+  AppendDouble(c.input_bytes[i], out);
   out->push_back(',');
-  AppendDouble(job.shuffle_bytes, out);
+  AppendDouble(c.shuffle_bytes[i], out);
   out->push_back(',');
-  AppendDouble(job.output_bytes, out);
+  AppendDouble(c.output_bytes[i], out);
   out->push_back(',');
-  AppendInt(job.map_tasks, out);
+  AppendInt(c.map_tasks[i], out);
   out->push_back(',');
-  AppendInt(job.reduce_tasks, out);
+  AppendInt(c.reduce_tasks[i], out);
   out->push_back(',');
-  AppendDouble(job.map_task_seconds, out);
+  AppendDouble(c.map_task_seconds[i], out);
   out->push_back(',');
-  AppendDouble(job.reduce_task_seconds, out);
+  AppendDouble(c.reduce_task_seconds[i], out);
   out->push_back(',');
-  AppendQuoted(job.input_path, out);
+  AppendQuoted(string_field(c.paths, c.input_path_id[i]), out);
   out->push_back(',');
-  AppendQuoted(job.output_path, out);
+  AppendQuoted(string_field(c.paths, c.output_path_id[i]), out);
   out->push_back('\n');
 }
 
-/// The most bytes AppendCsvRow can write for `job`: three integers of at
+/// The most bytes AppendCsvRow can write for row `i`: three integers of at
 /// most 20 characters, seven shortest-round-trip doubles of at most 24,
 /// 13 separators, and each string fully quoted with every byte escaped.
-size_t CsvRowBound(const JobRecord& job) {
-  auto quoted = [](const std::string& s) { return 2 * s.size() + 2; };
-  return 3 * 20 + 7 * 24 + 13 + quoted(job.name) + quoted(job.input_path) +
-         quoted(job.output_path);
+size_t CsvRowBound(const JobColumns& c, size_t i) {
+  auto quoted = [](const DictionaryView& dictionary, uint32_t id) {
+    return id == kNoStringId ? 2 : 2 * dictionary[id].size() + 2;
+  };
+  return 3 * 20 + 7 * 24 + 13 + quoted(c.names, c.name_id[i]) +
+         quoted(c.paths, c.input_path_id[i]) +
+         quoted(c.paths, c.output_path_id[i]);
 }
 
 /// Rows per encoder chunk. Fixed (independent of thread count), and the
@@ -126,20 +134,19 @@ constexpr size_t kEncodeRoundChunks = 16;
 /// the rows in kEncodeChunkRows-row chunks, a round of chunks at a time
 /// under ParallelFor, and hands each chunk's bytes to `sink` in row order.
 /// Stops early, returning false, when `sink` returns false.
-bool EncodeCsvRows(const std::vector<JobRecord>& jobs,
+bool EncodeCsvRows(const JobColumns& c,
                    const std::function<bool(std::string_view)>& sink) {
   const size_t round_rows = kEncodeChunkRows * kEncodeRoundChunks;
-  std::vector<std::string> chunks(
-      std::min(kEncodeRoundChunks,
-               (jobs.size() + kEncodeChunkRows - 1) / kEncodeChunkRows));
-  for (size_t round = 0; round < jobs.size(); round += round_rows) {
-    const size_t round_end = std::min(jobs.size(), round + round_rows);
+  std::vector<std::string> chunks(std::min(
+      kEncodeRoundChunks, (c.size + kEncodeChunkRows - 1) / kEncodeChunkRows));
+  for (size_t round = 0; round < c.size; round += round_rows) {
+    const size_t round_end = std::min(c.size, round + round_rows);
     // Size every chunk here, so the workers never allocate: what a worker
     // allocates stays cached in its malloc arena and raised later peaks.
     for (size_t lo = round; lo < round_end; lo += kEncodeChunkRows) {
       size_t bound = 0;
       for (size_t i = lo; i < std::min(round_end, lo + kEncodeChunkRows); ++i) {
-        bound += CsvRowBound(jobs[i]);
+        bound += CsvRowBound(c, i);
       }
       chunks[(lo - round) / kEncodeChunkRows].reserve(bound);
     }
@@ -149,13 +156,13 @@ bool EncodeCsvRows(const std::vector<JobRecord>& jobs,
       std::string chunk;
       chunk.swap(chunks[(lo - round) / kEncodeChunkRows]);
       chunk.clear();
-      for (size_t i = lo; i < hi; ++i) AppendCsvRow(jobs[i], &chunk);
+      for (size_t i = lo; i < hi; ++i) AppendCsvRow(c, i, &chunk);
       chunk.swap(chunks[(lo - round) / kEncodeChunkRows]);
     });
     const size_t round_chunks =
         (round_end - round + kEncodeChunkRows - 1) / kEncodeChunkRows;
-    for (size_t c = 0; c < round_chunks; ++c) {
-      if (!sink(chunks[c])) return false;
+    for (size_t k = 0; k < round_chunks; ++k) {
+      if (!sink(chunks[k])) return false;
     }
   }
   return true;
@@ -269,14 +276,22 @@ void RepairRecord(JobRecord* job) {
   if (job->reduce_tasks == 0) job->reduce_task_seconds = 0.0;
 }
 
-/// Parses one split row under the given mode. On any flagged problem the
-/// diagnostic records the row's first problem (fields scanned left to
-/// right); kRepair additionally patches every patchable field and reports
-/// kRepaired when the row survives. job_id and the field count are
-/// identity/structure and never repairable.
+/// The three string fields of a parsed row, as views of its split fields.
+struct RowStrings {
+  std::string_view name;
+  std::string_view input_path;
+  std::string_view output_path;
+};
+
+/// Parses one split row under the given mode into `job`'s numeric fields
+/// and `strings`. On any flagged problem the diagnostic records the row's
+/// first problem (fields scanned left to right); kRepair additionally
+/// patches every patchable field and reports kRepaired when the row
+/// survives. job_id and the field count are identity/structure and never
+/// repairable.
 RowAction ParseRowLenient(const std::vector<std::string_view>& fields,
                           int line_number, ParseMode mode, JobRecord* job,
-                          ParseDiagnostic* diag) {
+                          RowStrings* strings, ParseDiagnostic* diag) {
   diag->line = line_number;
   diag->repaired = false;
   bool flagged = false;
@@ -299,7 +314,7 @@ RowAction ParseRowLenient(const std::vector<std::string_view>& fields,
     return RowAction::kSkipped;  // identity lost; unrepairable
   }
   job->job_id = static_cast<uint64_t>(id);
-  job->name = std::string(fields[1]);
+  strings->name = fields[1];
 
   auto read_double = [&](size_t index, const char* name, double* out) {
     double v = 0.0;
@@ -332,8 +347,8 @@ RowAction ParseRowLenient(const std::vector<std::string_view>& fields,
       !read_double(10, "reduce_task_seconds", &job->reduce_task_seconds)) {
     return RowAction::kSkipped;
   }
-  job->input_path = std::string(fields[11]);
-  job->output_path = std::string(fields[12]);
+  strings->input_path = fields[11];
+  strings->output_path = fields[12];
 
   std::string violation = ValidateJobRecord(*job);
   if (!violation.empty()) {
@@ -553,13 +568,16 @@ std::string ParseReport::ToString() const {
 }
 
 std::string TraceToCsv(const Trace& trace) {
-  const std::vector<JobRecord>& jobs = trace.jobs();
+  return ColumnsToCsv(trace.metadata(), trace.columns());
+}
+
+std::string ColumnsToCsv(const TraceMetadata& metadata, const JobColumns& c) {
   std::string out;
-  AppendCsvPrologue(trace.metadata(), &out);
+  AppendCsvPrologue(metadata, &out);
   const size_t prologue = out.size();
   size_t rows = 0;
-  EncodeCsvRows(jobs, [&](std::string_view chunk) {
-    rows = std::min(jobs.size(), rows + kEncodeChunkRows);
+  EncodeCsvRows(c, [&](std::string_view chunk) {
+    rows = std::min(c.size, rows + kEncodeChunkRows);
     if (out.size() + chunk.size() > out.capacity()) {
       // Reserve for every row at the mean row size so far, plus 1/8. Spare
       // capacity is never written, so it costs address space, not
@@ -569,7 +587,7 @@ std::string TraceToCsv(const Trace& trace) {
           static_cast<double>(rows);
       out.reserve(prologue + static_cast<size_t>(
                                  per_row * 1.125 *
-                                 static_cast<double>(jobs.size())) +
+                                 static_cast<double>(c.size)) +
                   chunk.size());
     }
     out.append(chunk);
@@ -581,12 +599,12 @@ std::string TraceToCsv(const Trace& trace) {
 StatusOr<Trace> TraceFromCsv(std::string_view csv_text,
                              const ParseOptions& options,
                              ParseReport* report) {
-  Trace trace;
+  TraceMetadata metadata;
   if (report) {
     *report = ParseReport{};
     report->mode = options.mode;
   }
-  const std::vector<CsvRecord> records = SplitRecords(csv_text);
+  std::vector<CsvRecord> records = SplitRecords(csv_text);
 
   // Sequential prologue: metadata comments up to and including the header.
   size_t first_data = records.size();
@@ -597,8 +615,8 @@ StatusOr<Trace> TraceFromCsv(std::string_view csv_text,
     if (line[0] == '#') {
       auto parts = Split(line.substr(1), '=');
       if (parts.size() == 2) {
-        SWIM_RETURN_IF_ERROR(ApplyMetadata(parts[0], parts[1], records[i].line,
-                                           &trace.mutable_metadata()));
+        SWIM_RETURN_IF_ERROR(
+            ApplyMetadata(parts[0], parts[1], records[i].line, &metadata));
       }
       continue;
     }
@@ -612,13 +630,21 @@ StatusOr<Trace> TraceFromCsv(std::string_view csv_text,
   }
   if (!header_seen) return InvalidArgumentError("missing CSV header");
 
-  // Data region: fixed-size record shards parsed concurrently. Each shard
-  // collects its jobs, any "#key=value" assignments, its report fragment,
-  // and (strict mode) its first error; merging in shard order reproduces
-  // the serial parser exactly, so trace AND report are byte-identical at
-  // any thread count.
+  // Data region: fixed-size record shards parsed concurrently. Record r
+  // may become row r - first_data at most, so each shard writes its rows
+  // straight into the columns from its first record's row on, with ids
+  // into its own dictionaries (first appearance within the shard, input
+  // path before output path). Each shard also collects any "#key=value"
+  // assignments, its report fragment and (strict mode) its first error.
+  // Merging in shard order reproduces the serial parser exactly, so the
+  // trace AND the report are byte-identical at any thread count.
   struct Shard {
-    std::vector<JobRecord> jobs;
+    size_t rows_written = 0;
+    std::vector<std::string_view> names;  // shard-local id -> string
+    std::vector<std::string_view> paths;
+    /// Bytes of quoted fields, unescaped, that the dictionaries point at;
+    /// a field read straight from the input needs none.
+    std::deque<std::string> unescaped;
     std::vector<MetadataLine> metadata;
     Status error = Status::Ok();
     size_t rows = 0;
@@ -628,18 +654,37 @@ StatusOr<Trace> TraceFromCsv(std::string_view csv_text,
     std::vector<ParseDiagnostic> diagnostics;  // capped at max_diagnostics
     size_t dropped_diagnostics = 0;
   };
-  const size_t shard_count =
-      (records.size() - first_data + kShardLines - 1) / kShardLines;
+  const size_t capacity = records.size() - first_data;
+  const size_t shard_count = (capacity + kShardLines - 1) / kShardLines;
   std::vector<Shard> shards(shard_count);
+  TraceColumns columns;
+  columns.Resize(capacity);
   const ParseMode mode = options.mode;
   const size_t max_diagnostics = options.max_diagnostics;
   ParallelFor(
       first_data, records.size(), kShardLines,
       [&](size_t lo, size_t hi) {
         Shard& shard = shards[(lo - first_data) / kShardLines];
+        const size_t base = lo - first_data;
         std::vector<std::string_view> fields;
         std::vector<std::string> scratch;
-        shard.jobs.reserve(hi - lo);
+        FlatHashMap<std::string_view, uint32_t> name_ids;
+        FlatHashMap<std::string_view, uint32_t> path_ids;
+        auto intern = [&](std::string_view text,
+                          FlatHashMap<std::string_view, uint32_t>& ids,
+                          std::vector<std::string_view>& dictionary) {
+          if (text.empty()) return kNoStringId;
+          auto [it, inserted] =
+              ids.TryEmplace(text, static_cast<uint32_t>(dictionary.size()));
+          if (inserted) {
+            if (text.data() < csv_text.data() ||
+                text.data() >= csv_text.data() + csv_text.size()) {
+              it->first = shard.unescaped.emplace_back(text);  // in scratch
+            }
+            dictionary.push_back(it->first);
+          }
+          return it->second;
+        };
         auto note = [&](const ParseDiagnostic& diag) {
           ++shard.error_counts[static_cast<size_t>(diag.kind)];
           if (diag.repaired) {
@@ -682,8 +727,9 @@ StatusOr<Trace> TraceFromCsv(std::string_view csv_text,
             continue;
           }
           JobRecord job;
-          RowAction action =
-              ParseRowLenient(fields, line_number, mode, &job, &diag);
+          RowStrings strings;
+          RowAction action = ParseRowLenient(fields, line_number, mode, &job,
+                                             &strings, &diag);
           if (action == RowAction::kSkipped ||
               action == RowAction::kRepaired) {
             if (mode == ParseMode::kStrict) {
@@ -693,31 +739,70 @@ StatusOr<Trace> TraceFromCsv(std::string_view csv_text,
             note(diag);
             if (action == RowAction::kSkipped) continue;
           }
-          shard.jobs.push_back(std::move(job));
+          const size_t row = base + shard.rows_written++;
+          columns.SetNumbers(row, job);
+          columns.name_id[row] = intern(strings.name, name_ids, shard.names);
+          columns.input_path_id[row] =
+              intern(strings.input_path, path_ids, shard.paths);
+          columns.output_path_id[row] =
+              intern(strings.output_path, path_ids, shard.paths);
         }
       },
       options.threads);
+  records = std::vector<CsvRecord>();
 
-  // The lowest-indexed shard with an error holds the earliest failing
-  // line; report it, like the serial parser's first-error behaviour. A
-  // shard's metadata lines all precede the row that stopped it, so they are
-  // applied (and checked) first.
+  // Merge in shard order. The lowest-indexed shard with an error holds the
+  // earliest failing line; report it, like the serial parser's first-error
+  // behaviour. A shard's metadata lines all precede the row that stopped
+  // it, so they are applied (and checked) first. Interning each shard's
+  // dictionaries in id order gives the trace's first-appearance ids; a
+  // table per shard maps its rows' ids onto them, and its rows move down
+  // over the gaps that blank, comment and dropped records left (none in a
+  // clean file).
+  StringInterner names;
+  StringInterner paths;
+  size_t shard_paths = 0;
+  for (const Shard& shard : shards) shard_paths += shard.paths.size();
+  paths.Reserve(shard_paths);
   size_t total_jobs = 0;
-  for (const Shard& shard : shards) {
+  for (size_t k = 0; k < shard_count; ++k) {
+    const Shard& shard = shards[k];
     for (const MetadataLine& meta : shard.metadata) {
-      SWIM_RETURN_IF_ERROR(ApplyMetadata(meta.key, meta.value, meta.line,
-                                         &trace.mutable_metadata()));
+      SWIM_RETURN_IF_ERROR(
+          ApplyMetadata(meta.key, meta.value, meta.line, &metadata));
     }
     if (!shard.error.ok()) return shard.error;
-    total_jobs += shard.jobs.size();
+    auto merge = [](const std::vector<std::string_view>& local,
+                    StringInterner& dictionary) {
+      std::vector<uint32_t> ids;
+      ids.reserve(local.size());
+      for (std::string_view text : local) ids.push_back(dictionary.Intern(text));
+      return ids;
+    };
+    const std::vector<uint32_t> name_ids = merge(shard.names, names);
+    const std::vector<uint32_t> path_ids = merge(shard.paths, paths);
+    auto remap = [](uint32_t& id, const std::vector<uint32_t>& ids) {
+      if (id != kNoStringId) id = ids[id];
+    };
+    const size_t base = k * kShardLines;
+    for (size_t row = base; row < base + shard.rows_written; ++row) {
+      remap(columns.name_id[row], name_ids);
+      remap(columns.input_path_id[row], path_ids);
+      remap(columns.output_path_id[row], path_ids);
+    }
+    if (base != total_jobs) {
+      columns.ForEach([&](auto& column) {
+        std::copy(column.begin() + base,
+                  column.begin() + base + shard.rows_written,
+                  column.begin() + total_jobs);
+      });
+    }
+    total_jobs += shard.rows_written;
   }
-  // Huge pages before the first touch: the merge would otherwise fault
-  // the fresh row array in 4 KiB at a time.
-  std::vector<JobRecord> jobs;
-  ReserveHugePages(jobs, total_jobs);
-  for (Shard& shard : shards) {
-    for (JobRecord& job : shard.jobs) jobs.push_back(std::move(job));
-    if (report) {
+  columns.Resize(total_jobs);
+
+  if (report) {
+    for (Shard& shard : shards) {
       report->total_rows += shard.rows;
       report->skipped += shard.skipped;
       report->repaired += shard.repaired;
@@ -733,11 +818,11 @@ StatusOr<Trace> TraceFromCsv(std::string_view csv_text,
       }
       report->dropped_diagnostics += shard.dropped_diagnostics;
     }
+    report->accepted = total_jobs;
   }
-  if (report) report->accepted = total_jobs;
-  trace.SetJobs(std::move(jobs));
-  if (options.warm_indexes) trace.WarmIndexes();
-  return trace;
+  shards.clear();
+  return Trace(std::move(metadata), std::move(columns), std::move(names),
+               std::move(paths));
 }
 
 StatusOr<Trace> TraceFromCsv(std::string_view csv_text, int threads) {
@@ -757,7 +842,7 @@ Status WriteTraceCsv(const Trace& trace, const std::string& path) {
   };
   std::string prologue;
   AppendCsvPrologue(trace.metadata(), &prologue);
-  if (!write(prologue) || !EncodeCsvRows(trace.jobs(), write) ||
+  if (!write(prologue) || !EncodeCsvRows(trace.columns(), write) ||
       std::fflush(out) != 0) {
     std::fclose(out);
     return IoError("write failed: " + path);

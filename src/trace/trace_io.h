@@ -78,10 +78,8 @@ struct ParseOptions {
   /// 1 = serial. The parsed trace and the ParseReport are byte-identical
   /// at any thread count.
   int threads = 0;
-  /// When true, the path/name id indexes are built immediately after the
-  /// parse instead of lazily on first analytical use. Ids are
-  /// byte-identical either way; this only moves the (serial) work into the
-  /// load.
+  /// Unused: a parse always builds the id columns. Kept so the benchmark
+  /// harness compiles.
   bool warm_indexes = false;
 };
 
@@ -140,6 +138,9 @@ StatusOr<Trace> ReadTraceCsv(const std::string& path, int threads = 0);
 StatusOr<Trace> TraceFromCsv(std::string_view csv_text, int threads = 0);
 
 std::string TraceToCsv(const Trace& trace);
+/// The same bytes for any columns, rows in their given order.
+std::string ColumnsToCsv(const TraceMetadata& metadata,
+                         const JobColumns& columns);
 
 }  // namespace swim::trace
 

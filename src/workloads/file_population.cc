@@ -5,60 +5,29 @@
 #include <cmath>
 #include <cstdint>
 #include <numbers>
-#include <string_view>
+
+#include "common/logging.h"
 
 namespace swim::workloads {
-namespace {
-
-/// `prefix` then `value` in decimal, zero-padded to at least `width`
-/// digits: snprintf's "%0*zu" without the format parsing.
-std::string NumberedPath(std::string_view prefix, uint64_t value,
-                         size_t width) {
-  char digits[20];
-  const size_t n = static_cast<size_t>(
-      std::to_chars(digits, digits + sizeof(digits), value).ptr - digits);
-  std::string path;
-  path.reserve(prefix.size() + std::max(n, width));
-  path.append(prefix);
-  if (n < width) path.append(width - n, '0');
-  path.append(digits, n);
-  return path;
-}
-
-std::string HotInputPath(size_t rank) { return NumberedPath("in/h", rank, 6); }
-
-// Hot universe for large scans (big warehouse tables, re-read daily).
-// Kept disjoint from the small-job universe so the size of a popular small
-// file is never inflated by one TB-scale scan of the same path.
-std::string HotLargeInputPath(size_t rank) {
-  return NumberedPath("in/H", rank, 6);
-}
-
-std::string HotOutputPath(size_t rank) {
-  return NumberedPath("out/h", rank, 6);
-}
-
-}  // namespace
 
 FilePopulationSim::AccessHistory::AccessHistory(double halflife_seconds,
                                                 size_t expected_entries)
     : rate_(std::numbers::ln2 / halflife_seconds) {
   times_.reserve(expected_entries);
-  paths_.reserve(expected_entries);
+  path_ids_.reserve(expected_entries);
 }
 
-void FilePopulationSim::AccessHistory::Record(double time,
-                                              const std::string& path) {
+void FilePopulationSim::AccessHistory::Record(double time, uint32_t path_id) {
   // Outputs become available at job *finish* time, which is not monotone in
   // submission order; clamp to keep the ascending invariant binary search
   // relies on (distortion is negligible - most jobs run for seconds).
   if (!times_.empty() && time < times_.back()) time = times_.back();
   times_.push_back(time);
-  paths_.push_back(path);
+  path_ids_.push_back(path_id);
 }
 
-const std::string& FilePopulationSim::AccessHistory::SampleRecent(
-    double now, Pcg32& rng) const {
+uint32_t FilePopulationSim::AccessHistory::SampleRecent(double now,
+                                                        Pcg32& rng) const {
   double age = rng.NextExponential(rate_);
   double target = now - age;
   auto it = std::lower_bound(times_.begin(), times_.end(), target);
@@ -67,7 +36,7 @@ const std::string& FilePopulationSim::AccessHistory::SampleRecent(
   // Avoid handing out entries "from the future" (long-running producers
   // whose clamped record time exceeds `now`).
   while (index > 0 && times_[index] > now) --index;
-  return paths_[index];
+  return path_ids_[index];
 }
 
 FilePopulationSim::FilePopulationSim(const FilePopulationSpec& spec,
@@ -85,11 +54,48 @@ FilePopulationSim::FilePopulationSim(const FilePopulationSpec& spec,
       input_history_(spec.recency_halflife_seconds,
                      columns.input_paths ? expected_jobs : 0),
       output_history_(spec.recency_halflife_seconds,
-                      columns.output_paths ? expected_jobs : 0) {}
+                      columns.output_paths ? expected_jobs : 0) {
+}
 
-void FilePopulationSim::AssignPaths(trace::JobRecord& job) {
+uint32_t FilePopulationSim::NewPath(std::string_view prefix, uint64_t number,
+                                    size_t width) {
+  // snprintf's "%0*zu" without the format parsing.
+  char digits[20];
+  const size_t n = static_cast<size_t>(
+      std::to_chars(digits, digits + sizeof(digits), number).ptr - digits);
+  std::string& path = paths_.emplace_back(prefix);
+  if (n < width) path.append(width - n, '0');
+  path.append(digits, n);
+  return static_cast<uint32_t>(paths_.size() - 1);
+}
+
+uint32_t FilePopulationSim::CachedPath(std::vector<uint32_t>& ids,
+                                       std::string_view prefix, size_t number,
+                                       size_t width) {
+  if (number >= ids.size()) ids.resize(number + 1, kNoStringId);
+  if (ids[number] == kNoStringId) ids[number] = NewPath(prefix, number, width);
+  return ids[number];
+}
+
+StringInterner FilePopulationSim::TakePaths() {
+  // One tight pass: interning as the paths were made would interleave
+  // every insert with the draws, and cost about twice as much.
+  StringInterner paths;
+  paths.Reserve(paths_.size());
+  for (const std::string& path : paths_) {
+    SWIM_CHECK_EQ(paths.Intern(path), paths.size() - 1)
+        << "duplicate path " << path << " (repeated job id?)";
+  }
+  paths_ = std::vector<std::string>();
+  return paths;
+}
+
+FilePopulationSim::PathIds FilePopulationSim::AssignPaths(
+    uint64_t job_id, double submit_time, double finish_time,
+    double input_bytes, double output_bytes) {
+  PathIds ids;
   if (columns_.input_paths) {
-    const bool is_large_scan = job.input_bytes > spec_.large_job_bytes;
+    const bool is_large_scan = input_bytes > spec_.large_job_bytes;
     double branch = rng_.NextDouble();
     // Large scans mostly hit dedicated cold files (see
     // FilePopulationSpec::large_job_bytes): shrink their re-access odds.
@@ -99,36 +105,42 @@ void FilePopulationSim::AssignPaths(trace::JobRecord& job) {
     if (is_large_scan &&
         branch < spec_.output_reaccess_fraction +
                      spec_.input_reaccess_fraction) {
-      // Re-scanned big table from the dedicated large-file universe.
-      job.input_path = HotLargeInputPath(large_input_popularity_.Sample(rng_));
+      // Re-scanned big table from the dedicated large-file universe. Kept
+      // disjoint from the small-job universe so the size of a popular
+      // small file is never inflated by one TB-scale scan of the same path.
+      ids.input = CachedPath(hot_large_input_ids_, "in/H",
+                             large_input_popularity_.Sample(rng_), 6);
     } else if (branch < spec_.output_reaccess_fraction &&
                !output_history_.empty()) {
       // Chained computation: read an earlier job's output.
-      job.input_path = output_history_.SampleRecent(job.submit_time, rng_);
+      ids.input = output_history_.SampleRecent(submit_time, rng_);
     } else if (branch < spec_.output_reaccess_fraction +
                             spec_.input_reaccess_fraction) {
       if (rng_.NextBernoulli(spec_.recency_bias) && !input_history_.empty()) {
-        job.input_path = input_history_.SampleRecent(job.submit_time, rng_);
+        ids.input = input_history_.SampleRecent(submit_time, rng_);
       } else {
-        job.input_path = HotInputPath(input_popularity_.Sample(rng_));
+        ids.input = CachedPath(hot_input_ids_, "in/h",
+                               input_popularity_.Sample(rng_), 6);
       }
     } else {
-      job.input_path = NumberedPath("in/f", fresh_inputs_++, 8);
+      ids.input = NewPath("in/f", fresh_inputs_++, 8);
     }
-    input_history_.Record(job.submit_time, job.input_path);
+    input_history_.Record(submit_time, ids.input);
   }
-  if (columns_.output_paths && job.output_bytes > 0.0) {
+  if (columns_.output_paths && output_bytes > 0.0) {
     // Large writers land in dedicated destinations (daily partition dirs),
     // never in the small-job hot-output universe - otherwise one big write
     // would inflate the recorded size of a popular small output.
-    if (job.output_bytes <= spec_.hot_output_max_bytes &&
+    if (output_bytes <= spec_.hot_output_max_bytes &&
         rng_.NextBernoulli(0.45)) {
-      job.output_path = HotOutputPath(output_popularity_.Sample(rng_));
+      ids.output = CachedPath(hot_output_ids_, "out/h",
+                              output_popularity_.Sample(rng_), 6);
     } else {
-      job.output_path = NumberedPath("out/j", job.job_id, 0);
+      ids.output = NewPath("out/j", job_id, 0);
     }
-    output_history_.Record(job.FinishTime(), job.output_path);
+    output_history_.Record(finish_time, ids.output);
   }
+  return ids;
 }
 
 }  // namespace swim::workloads

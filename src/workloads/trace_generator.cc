@@ -44,23 +44,24 @@ std::vector<double> BuildRateEnvelope(const ArrivalSpec& arrival,
 /// interactively).
 struct Dimension {
   double JobTypeSpec::*median;
-  double trace::JobRecord::*field;
+  std::vector<double> trace::TraceColumns::*column;
   double sigma_scale;
 };
 /// The dimensions in the order their dims_rng draws are made.
-constexpr std::array<Dimension, 6> kDimensions = {{
-    {&JobTypeSpec::input_bytes, &trace::JobRecord::input_bytes, 1.0},
-    {&JobTypeSpec::shuffle_bytes, &trace::JobRecord::shuffle_bytes, 1.0},
-    {&JobTypeSpec::output_bytes, &trace::JobRecord::output_bytes, 1.0},
-    {&JobTypeSpec::map_task_seconds, &trace::JobRecord::map_task_seconds, 1.0},
+const std::array<Dimension, 6> kDimensions = {{
+    {&JobTypeSpec::input_bytes, &trace::TraceColumns::input_bytes, 1.0},
+    {&JobTypeSpec::shuffle_bytes, &trace::TraceColumns::shuffle_bytes, 1.0},
+    {&JobTypeSpec::output_bytes, &trace::TraceColumns::output_bytes, 1.0},
+    {&JobTypeSpec::map_task_seconds, &trace::TraceColumns::map_task_seconds,
+     1.0},
     {&JobTypeSpec::reduce_task_seconds,
-     &trace::JobRecord::reduce_task_seconds, 1.0},
-    {&JobTypeSpec::duration_seconds, &trace::JobRecord::duration, 0.5},
+     &trace::TraceColumns::reduce_task_seconds, 1.0},
+    {&JobTypeSpec::duration_seconds, &trace::TraceColumns::duration, 0.5},
 }};
 
 /// Jobs whose dims_rng draws are buffered at once (~8 MB).
 constexpr size_t kDrawBlockJobs = size_t{1} << 16;
-/// Jobs per ParallelFor chunk of the row fill.
+/// Jobs per ParallelFor chunk of the column fill.
 constexpr size_t kFillGrain = 4096;
 
 /// What dims_rng drew for one job: the shared factor's Gaussian, the
@@ -198,14 +199,17 @@ StatusOr<trace::Trace> GenerateTrace(const WorkloadSpec& spec,
     }
   }
 
-  // --- 2-4. Rows ------------------------------------------------------------
+  // --- 2-4. Columns ---------------------------------------------------------
   // Per block of jobs: one serial pass makes every dims_rng draw, in the
   // order the draws are part of the output (the shared factor, one draw
   // per dimension with a positive median, the typical-task uniform); a
-  // ParallelFor turns them into row values, identical at any lane count;
-  // then names and paths follow serially, since each path re-access
-  // samples earlier jobs.
-  std::vector<trace::JobRecord> jobs(total_jobs);
+  // ParallelFor turns them into column values, identical at any lane
+  // count; then names and paths follow serially, since each path re-access
+  // samples earlier jobs. Jobs are made in submit order, so names and paths
+  // are interned in the trace's first-appearance order.
+  trace::TraceColumns columns;
+  columns.Resize(total_jobs);
+  StringInterner names;
   std::vector<JobDraws> draws(std::min(kDrawBlockJobs, total_jobs));
   for (size_t block = 0; block < total_jobs; block += kDrawBlockJobs) {
     const size_t block_end = std::min(total_jobs, block + kDrawBlockJobs);
@@ -224,14 +228,13 @@ StatusOr<trace::Trace> GenerateTrace(const WorkloadSpec& spec,
       for (size_t i = begin; i < end; ++i) {
         const JobTypeSpec& jt = spec.job_types[schedule[i].second];
         const JobDraws& d = draws[i - block];
-        trace::JobRecord& job = jobs[i];
-        job.job_id = i + 1;
-        job.submit_time = schedule[i].first;
+        columns.job_id[i] = i + 1;
+        columns.submit_time[i] = schedule[i].first;
         const double shared = Pcg32::GaussianFromDraw(d.shared);
         for (size_t f = 0; f < kDimensions.size(); ++f) {
           const Dimension& dim = kDimensions[f];
           const double median = jt.*dim.median;
-          job.*dim.field =
+          (columns.*dim.column)[i] =
               median > 0.0
                   ? SampleDimension(median, dim.sigma_scale * jt.log_sigma,
                                     shared, Pcg32::GaussianFromDraw(d.noise[f]))
@@ -242,23 +245,33 @@ StatusOr<trace::Trace> GenerateTrace(const WorkloadSpec& spec,
         // task - the straggler-detection hazard the paper highlights in
         // section 6.2.
         const double typical_task = 20.0 + (60.0 - 20.0) * d.typical_task_u;
-        job.map_tasks = std::max<int64_t>(
-            1, static_cast<int64_t>(job.map_task_seconds / typical_task));
-        if (jt.reduce_task_seconds > 0.0) {
-          job.reduce_tasks = std::max<int64_t>(
-              1, static_cast<int64_t>(job.reduce_task_seconds / typical_task));
-        }
+        columns.map_tasks[i] = std::max<int64_t>(
+            1, static_cast<int64_t>(columns.map_task_seconds[i] /
+                                    typical_task));
+        columns.reduce_tasks[i] =
+            jt.reduce_task_seconds > 0.0
+                ? std::max<int64_t>(
+                      1, static_cast<int64_t>(columns.reduce_task_seconds[i] /
+                                              typical_task))
+                : 0;
       }
     });
     for (size_t i = block; i < block_end; ++i) {
       const size_t type = schedule[i].second;
-      trace::JobRecord& job = jobs[i];
+      columns.name_id[i] = kNoStringId;
       if (spec.columns.names && !grammars[type]->empty()) {
         size_t pick = name_rng.NextDiscrete(name_weights[type]);
-        job.name = DecorateJobName((*grammars[type])[pick].word, job.job_id,
-                                   name_rng);
+        columns.name_id[i] = trace::InternField(
+            DecorateJobName((*grammars[type])[pick].word, columns.job_id[i],
+                            name_rng),
+            names);
       }
-      files.AssignPaths(job);
+      const FilePopulationSim::PathIds paths = files.AssignPaths(
+          columns.job_id[i], columns.submit_time[i],
+          columns.submit_time[i] + columns.duration[i],
+          columns.input_bytes[i], columns.output_bytes[i]);
+      columns.input_path_id[i] = paths.input;
+      columns.output_path_id[i] = paths.output;
     }
   }
 
@@ -266,9 +279,8 @@ StatusOr<trace::Trace> GenerateTrace(const WorkloadSpec& spec,
   metadata.has_names = spec.columns.names;
   metadata.has_input_paths = spec.columns.input_paths;
   metadata.has_output_paths = spec.columns.output_paths;
-  trace::Trace result(metadata);
-  result.SetJobs(std::move(jobs));
-  return result;
+  return trace::Trace(std::move(metadata), std::move(columns),
+                      std::move(names), files.TakePaths());
 }
 
 }  // namespace swim::workloads

@@ -176,7 +176,7 @@ struct ReferenceReaccess {
 
 ReferenceReaccess ReferenceReaccessScan(const trace::Trace& trace) {
   ReferenceReaccess result;
-  const size_t path_count = trace.path_interner().size();
+  const size_t path_count = trace.paths().size();
   std::vector<double> last_read(path_count, -1.0);
   std::vector<double> last_written(path_count, -1.0);
   std::vector<uint8_t> seen_inputs(path_count, 0);
@@ -560,7 +560,7 @@ TEST(ClassifyTest, SamplesTheLegacyReservoirRows) {
   const std::vector<std::vector<double>> legacy = LegacySample(t, options);
   ASSERT_EQ(rows.size(), legacy.size());
   for (size_t s = 0; s < rows.size(); ++s) {
-    EXPECT_EQ(LegacyFeatures(t.jobs()[rows[s]]), legacy[s]) << "slot " << s;
+    EXPECT_EQ(LegacyFeatures(t.JobAt(rows[s])), legacy[s]) << "slot " << s;
   }
 }
 

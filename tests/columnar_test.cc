@@ -12,7 +12,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/checksum.h"
@@ -23,6 +22,7 @@
 #include "trace/stf1_mutator.h"
 #include "trace/trace.h"
 #include "trace/trace_io.h"
+#include "trace_oracle.h"
 
 namespace swim::trace {
 namespace {
@@ -251,24 +251,11 @@ TEST(ColumnarTest, RoundTripPreservesIndexesAndMetadata) {
   EXPECT_EQ(loaded->metadata().year, original.metadata().year);
   ASSERT_EQ(loaded->size(), original.size());
   for (size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(loaded->jobs()[i], original.jobs()[i]) << "job " << i;
+    EXPECT_EQ(loaded->JobAt(i), original.JobAt(i)) << "job " << i;
   }
-  // The persisted id columns must equal what a lazy rebuild would produce
-  // (first-appearance order), so downstream consumers can't tell a loaded
-  // trace from a parsed one.
-  EXPECT_EQ(loaded->name_ids(), original.name_ids());
-  EXPECT_EQ(loaded->input_path_ids(), original.input_path_ids());
-  EXPECT_EQ(loaded->output_path_ids(), original.output_path_ids());
-  ASSERT_EQ(loaded->name_interner().size(), original.name_interner().size());
-  ASSERT_EQ(loaded->path_interner().size(), original.path_interner().size());
-  for (uint32_t id = 0; id < original.name_interner().size(); ++id) {
-    EXPECT_EQ(loaded->name_interner().NameOf(id),
-              original.name_interner().NameOf(id));
-  }
-  for (uint32_t id = 0; id < original.path_interner().size(); ++id) {
-    EXPECT_EQ(loaded->path_interner().NameOf(id),
-              original.path_interner().NameOf(id));
-  }
+  // The persisted id columns are the trace's (first-appearance order), so
+  // downstream consumers can't tell a loaded trace from a parsed one.
+  EXPECT_EQ(oracle::IdsOf(*loaded), oracle::IdsOf(original));
 }
 
 TEST(ColumnarTest, EmptyTraceRoundTrips) {
@@ -294,8 +281,7 @@ TEST(ColumnarTest, MmapAndReadPathsProduceIdenticalTraces) {
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(TraceToCsv(*mapped), TraceToCsv(*read));
-  EXPECT_EQ(mapped->name_ids(), read->name_ids());
-  EXPECT_EQ(mapped->input_path_ids(), read->input_path_ids());
+  EXPECT_EQ(oracle::IdsOf(*mapped), oracle::IdsOf(*read));
   std::remove(path.c_str());
 }
 
@@ -314,7 +300,7 @@ TEST(ColumnarTest, ViewExposesColumnsZeroCopy) {
     if (jobs[i].name.empty()) {
       EXPECT_EQ(names[i], kNoStringId);
     } else {
-      EXPECT_EQ(view->NameAt(names[i]), jobs[i].name);
+      EXPECT_EQ(view->columns().names[names[i]], jobs[i].name);
     }
   }
   EXPECT_TRUE(view->VerifyChecksums().ok());
@@ -393,7 +379,7 @@ TEST(ColumnarTest, SniffsFormatsAndDispatchesByExtension) {
   std::remove(stf1_path.c_str());
 }
 
-// --- The lazy load path ----------------------------------------------------
+// --- Load paths ----------------------------------------------------------
 
 TEST(ColumnarTest, ReportIsByteIdenticalAcrossLoadPaths) {
   Trace original = BaseTrace(300);
@@ -407,10 +393,8 @@ TEST(ColumnarTest, ReportIsByteIdenticalAcrossLoadPaths) {
   auto odd_view = ColumnarTraceView::Open(odd_path);
   ASSERT_TRUE(odd_view.ok()) << odd_view.status().ToString();
   ASSERT_TRUE(odd_view->ValidateRows().ok());
-  EXPECT_FALSE(odd_view->IsCanonical());
   auto view = ColumnarTraceView::Open(stf1_path);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
-  EXPECT_TRUE(view->IsCanonical());
 
   std::vector<std::string> reports;
   for (const char* threads : {"1", "4"}) {
@@ -426,6 +410,9 @@ TEST(ColumnarTest, ReportIsByteIdenticalAcrossLoadPaths) {
       reports.push_back(ReportOf(*materialized));
       reports.push_back(ReportOf(*fallback));
       EXPECT_EQ(TraceToCsv(*fallback), TraceToCsv(*from_csv));
+      // The non-canonical file loads into the canonical form.
+      EXPECT_EQ(oracle::IdsOf(*fallback), oracle::IdsOf(*from_csv));
+      EXPECT_EQ(oracle::IdsOf(*from_stf1), oracle::IdsOf(*from_csv));
     });
   }
   ASSERT_EQ(reports.size(), 8u);
@@ -436,53 +423,6 @@ TEST(ColumnarTest, ReportIsByteIdenticalAcrossLoadPaths) {
   std::remove(csv_path.c_str());
   std::remove(stf1_path.c_str());
   std::remove(odd_path.c_str());
-}
-
-TEST(ColumnarTest, LazyRowsEqualMaterializedRows) {
-  const std::string bytes = TraceToColumnarBytes(BaseTrace(200));
-  auto loaded = TraceFromColumnarBytes(bytes);
-  auto view = ColumnarTraceView::FromBytes(bytes);
-  ASSERT_TRUE(loaded.ok() && view.ok());
-  auto materialized = view->Materialize();
-  ASSERT_TRUE(materialized.ok());
-  ASSERT_EQ(loaded->size(), materialized->size());
-  for (size_t i = 0; i < loaded->size(); ++i) {
-    EXPECT_EQ(loaded->jobs()[i], materialized->jobs()[i]) << "row " << i;
-  }
-  EXPECT_EQ(loaded->input_path_ids(), materialized->input_path_ids());
-  EXPECT_EQ(loaded->output_path_ids(), materialized->output_path_ids());
-  EXPECT_EQ(loaded->name_ids(), materialized->name_ids());
-}
-
-TEST(ColumnarTest, ConcurrentFirstReadersOfALoadedTrace) {
-  // Run under TSan in CI: every lazy build (rows, path and name indexes)
-  // is first triggered by several threads at once.
-  const std::string bytes = TraceToColumnarBytes(BaseTrace(400));
-  auto reference = ColumnarTraceView::FromBytes(bytes)->Materialize();
-  ASSERT_TRUE(reference.ok());
-  for (int round = 0; round < 4; ++round) {
-    auto loaded = TraceFromColumnarBytes(bytes);
-    ASSERT_TRUE(loaded.ok());
-    const Trace& shared = *loaded;
-    std::vector<std::thread> readers;
-    std::vector<size_t> seen(8, 0);
-    for (int t = 0; t < 8; ++t) {
-      readers.emplace_back([&, t] {
-        switch ((t + round) % 4) {
-          case 0: seen[t] = shared.jobs().size(); break;
-          case 1: seen[t] = shared.path_interner().size(); break;
-          case 2: seen[t] = shared.name_ids().size(); break;
-          default: seen[t] = shared.columns().size; break;
-        }
-      });
-    }
-    for (std::thread& reader : readers) reader.join();
-    EXPECT_EQ(shared.jobs(), reference->jobs());
-    EXPECT_EQ(shared.path_interner().size(),
-              reference->path_interner().size());
-    EXPECT_EQ(shared.input_path_ids(), reference->input_path_ids());
-    EXPECT_EQ(shared.name_ids(), reference->name_ids());
-  }
 }
 
 TEST(ColumnarTest, LoadedTraceOwnsItsBytes) {
@@ -603,7 +543,7 @@ TEST(ColumnarTest, RejectsPayloadChecksumMismatch) {
 TEST(ColumnarTest, RejectsOutOfRangeDictionaryId) {
   Trace t = BaseTrace();
   const uint32_t path_count =
-      static_cast<uint32_t>(t.path_interner().size());
+      static_cast<uint32_t>(t.paths().size());
   std::string bytes = PatchSection(
       TraceToColumnarBytes(t), Stf1SectionKind::kInputPathIds,
       [&](std::string* image, const Stf1Section& section) {

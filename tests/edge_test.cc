@@ -12,6 +12,7 @@
 #include "stats/empirical_cdf.h"
 #include "trace/trace.h"
 #include "trace/trace_io.h"
+#include "trace_oracle.h"
 
 namespace swim {
 namespace {
@@ -105,7 +106,7 @@ TEST(EdgeTraceTest, SetJobsSortsBulk) {
   std::vector<trace::JobRecord> jobs;
   for (int i = 9; i >= 0; --i) jobs.push_back(TinyJob(i + 1, i * 10.0));
   t.SetJobs(std::move(jobs));
-  EXPECT_DOUBLE_EQ(t.StartTime(), 0.0);
+  EXPECT_DOUBLE_EQ(t.JobAt(0).submit_time, 0.0);
   EXPECT_EQ(t.jobs().front().job_id, 1u);   // submitted at t=0
   EXPECT_EQ(t.jobs().back().job_id, 10u);   // submitted at t=90
 }
@@ -152,7 +153,7 @@ TEST(EdgeSynthTest, SingleExemplarModelStillSynthesizes) {
   auto synth = core::SynthesizeTrace(*model, options);
   ASSERT_TRUE(synth.ok());
   EXPECT_EQ(synth->size(), 50u);
-  EXPECT_TRUE(synth->Validate().ok());
+  EXPECT_TRUE(oracle::ValidateTrace(*synth).ok());
 }
 
 TEST(EdgeSynthTest, SpanStretchExpandsArrivals) {

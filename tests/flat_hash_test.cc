@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "trace/trace.h"
 #include "trace/trace_io.h"
+#include "trace_oracle.h"
 
 namespace swim {
 namespace {
@@ -341,40 +342,36 @@ trace::Trace MakeIndexedTrace() {
 
 TEST(TraceIndexTest, IdColumnsMatchJobStrings) {
   trace::Trace trace = MakeIndexedTrace();
-  const auto& jobs = trace.jobs();  // EnsureSorted via accessor chain below
-  const auto& input_ids = trace.input_path_ids();
-  const auto& output_ids = trace.output_path_ids();
-  const auto& name_ids = trace.name_ids();
-  ASSERT_EQ(input_ids.size(), jobs.size());
-  ASSERT_EQ(output_ids.size(), jobs.size());
-  ASSERT_EQ(name_ids.size(), jobs.size());
+  const std::vector<trace::JobRecord> jobs = trace.jobs();
+  const trace::JobColumns c = trace.columns();
+  ASSERT_EQ(c.size, jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i) {
     if (jobs[i].input_path.empty()) {
-      EXPECT_EQ(input_ids[i], kNoStringId);
+      EXPECT_EQ(c.input_path_id[i], kNoStringId);
     } else {
-      EXPECT_EQ(trace.path_interner().NameOf(input_ids[i]),
-                jobs[i].input_path);
+      EXPECT_EQ(trace.paths().NameOf(c.input_path_id[i]), jobs[i].input_path);
     }
     if (jobs[i].output_path.empty()) {
-      EXPECT_EQ(output_ids[i], kNoStringId);
+      EXPECT_EQ(c.output_path_id[i], kNoStringId);
     } else {
-      EXPECT_EQ(trace.path_interner().NameOf(output_ids[i]),
+      EXPECT_EQ(trace.paths().NameOf(c.output_path_id[i]),
                 jobs[i].output_path);
     }
-    EXPECT_EQ(trace.name_interner().NameOf(name_ids[i]), jobs[i].name);
+    EXPECT_EQ(trace.names().NameOf(c.name_id[i]), jobs[i].name);
   }
+  EXPECT_EQ(oracle::IdsOf(trace), oracle::FirstAppearanceIds(jobs));
 }
 
-TEST(TraceIndexTest, IndexInvalidatedByMutation) {
+TEST(TraceIndexTest, AddJobInternsNewPaths) {
   trace::Trace trace = MakeIndexedTrace();
-  size_t paths_before = trace.path_interner().size();
+  size_t paths_before = trace.paths().size();
   trace::JobRecord job;
   job.job_id = 9999;
   job.submit_time = 1e9;  // sorts last; earlier ids unchanged
   job.input_path = "data/brand-new-path";
   trace.AddJob(std::move(job));
-  EXPECT_EQ(trace.path_interner().size(), paths_before + 1);
-  EXPECT_NE(trace.path_interner().Find("data/brand-new-path"), kNoStringId);
+  EXPECT_EQ(trace.paths().size(), paths_before + 1);
+  EXPECT_EQ(trace.paths().Find("data/brand-new-path"), paths_before);
 }
 
 // Interner determinism across CSV-parse thread counts: ids are assigned
@@ -388,15 +385,7 @@ TEST(TraceIndexTest, DeterministicAcrossCsvParseThreads) {
   ASSERT_TRUE(serial.ok()) << serial.status().message();
   auto parallel = trace::TraceFromCsv(csv, /*threads=*/8);
   ASSERT_TRUE(parallel.ok()) << parallel.status().message();
-
-  EXPECT_EQ(serial->input_path_ids(), parallel->input_path_ids());
-  EXPECT_EQ(serial->output_path_ids(), parallel->output_path_ids());
-  EXPECT_EQ(serial->name_ids(), parallel->name_ids());
-  ASSERT_EQ(serial->path_interner().size(), parallel->path_interner().size());
-  for (uint32_t id = 0; id < serial->path_interner().size(); ++id) {
-    EXPECT_EQ(serial->path_interner().NameOf(id),
-              parallel->path_interner().NameOf(id));
-  }
+  EXPECT_EQ(oracle::IdsOf(*serial), oracle::IdsOf(*parallel));
 }
 
 // Id stability round-trip: writing a trace to CSV and reading it back
@@ -404,15 +393,9 @@ TEST(TraceIndexTest, DeterministicAcrossCsvParseThreads) {
 // therefore first-appearance order is preserved by the CSV format).
 TEST(TraceIndexTest, IdsStableThroughCsvRoundTrip) {
   trace::Trace trace = MakeIndexedTrace();
-  const auto input_ids = trace.input_path_ids();  // copy before round-trip
-  const auto output_ids = trace.output_path_ids();
-  const auto name_ids = trace.name_ids();
-
   auto round_tripped = trace::TraceFromCsv(trace::TraceToCsv(trace));
   ASSERT_TRUE(round_tripped.ok()) << round_tripped.status().message();
-  EXPECT_EQ(round_tripped->input_path_ids(), input_ids);
-  EXPECT_EQ(round_tripped->output_path_ids(), output_ids);
-  EXPECT_EQ(round_tripped->name_ids(), name_ids);
+  EXPECT_EQ(oracle::IdsOf(*round_tripped), oracle::IdsOf(trace));
 }
 
 }  // namespace

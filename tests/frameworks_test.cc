@@ -7,6 +7,7 @@
 #include "frameworks/workflow.h"
 #include "gtest/gtest.h"
 #include "sim/replay.h"
+#include "trace_oracle.h"
 
 namespace swim::frameworks {
 namespace {
@@ -176,7 +177,7 @@ TEST(WorkflowGeneratorTest, ProducesTaggedDependentJobs) {
   ASSERT_TRUE(wt.ok());
   EXPECT_EQ(wt->workflow_count, 50u);
   EXPECT_GE(wt->trace.size(), 50u);
-  EXPECT_TRUE(wt->trace.Validate().ok());
+  EXPECT_TRUE(oracle::ValidateTrace(wt->trace).ok());
   // Every job carries a parsable workflow tag.
   for (const auto& job : wt->trace.jobs()) {
     uint64_t id = 0;
@@ -202,7 +203,7 @@ TEST(WorkflowGeneratorTest, Deterministic) {
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->trace.size(), b->trace.size());
   for (size_t i = 0; i < a->trace.size(); ++i) {
-    EXPECT_EQ(a->trace.jobs()[i], b->trace.jobs()[i]);
+    EXPECT_EQ(a->trace.JobAt(i), b->trace.JobAt(i));
   }
 }
 
@@ -214,8 +215,9 @@ TEST(WorkflowGeneratorTest, StagesChainThroughPaths) {
   ASSERT_TRUE(wt.ok());
   // For every dependency edge, the child's input path is the parent's
   // output path (output->input chaining).
+  const std::vector<trace::JobRecord> jobs = wt->trace.jobs();
   std::unordered_map<uint64_t, const trace::JobRecord*> by_id;
-  for (const auto& job : wt->trace.jobs()) by_id[job.job_id] = &job;
+  for (const auto& job : jobs) by_id[job.job_id] = &job;
   size_t checked = 0;
   for (const auto& [child, parents] : wt->dependencies) {
     ASSERT_EQ(parents.size(), 1u);

@@ -13,6 +13,7 @@
 #include "stats/zipf.h"
 #include "storage/cache.h"
 #include "workloads/paper_workloads.h"
+#include "trace_oracle.h"
 #include "workloads/trace_generator.h"
 
 namespace swim {
@@ -147,7 +148,7 @@ TEST_P(GeneratorPropertyTest, StructuralInvariantsHold) {
   ASSERT_TRUE(trace.ok());
 
   // Every record passes schema validation.
-  ASSERT_TRUE(trace->Validate().ok());
+  ASSERT_TRUE(oracle::ValidateTrace(*trace).ok());
   // Submit times sorted and within span.
   double previous = -1.0;
   for (const auto& job : trace->jobs()) {
@@ -201,7 +202,7 @@ TEST_P(ScaleDownPropertyTest, ByteTotalsScaleLinearly) {
   for (const auto& j : trace->jobs()) before += j.TotalBytes();
   for (const auto& j : scaled->jobs()) after += j.TotalBytes();
   EXPECT_NEAR(after, before * factor, before * factor * 1e-9);
-  EXPECT_TRUE(scaled->Validate().ok());
+  EXPECT_TRUE(oracle::ValidateTrace(*scaled).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(Factors, ScaleDownPropertyTest,

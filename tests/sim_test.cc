@@ -684,7 +684,7 @@ TEST(SchedulerTieBreakTest, EqualJobsResolveBySubmitThenIndex) {
   std::vector<trace::JobRecord> records(4);
   for (size_t i = 0; i < jobs.size(); ++i) {
     records[i] = SimpleJob(i + 1, i < 2 ? 100.0 : 50.0, 4, 40);
-    jobs[i].record = &records[i];
+    jobs[i].job_id = records[i].job_id;
     jobs[i].submit_time = records[i].submit_time;
     jobs[i].maps_total = 4;
     jobs[i].is_small = i % 2 == 0;
@@ -710,7 +710,7 @@ TEST(SchedulerTieBreakTest, FairTieOnSlotCountsPinsToSubmitThenIndex) {
   std::vector<trace::JobRecord> records(3);
   for (size_t i = 0; i < jobs.size(); ++i) {
     records[i] = SimpleJob(i + 1, 10.0, 4, 40);
-    jobs[i].record = &records[i];
+    jobs[i].job_id = records[i].job_id;
     jobs[i].submit_time = 10.0;
     jobs[i].maps_total = 4;
   }
@@ -725,7 +725,7 @@ TEST(SchedulerTieBreakTest, SrptPicksLeastRemainingWorkUnderPermutation) {
   std::vector<trace::JobRecord> records(4);
   for (size_t i = 0; i < jobs.size(); ++i) {
     records[i] = SimpleJob(i + 1, 10.0 * static_cast<double>(i), 4, 40);
-    jobs[i].record = &records[i];
+    jobs[i].job_id = records[i].job_id;
     jobs[i].submit_time = records[i].submit_time;
     jobs[i].maps_total = 4;
     // Remaining work 400, 320, 240, 160: the latest submit has the least.
@@ -746,7 +746,7 @@ TEST(SchedulerTieBreakTest, DeadlineRanksEdfAndEscalatesOverdue) {
   std::vector<trace::JobRecord> records(4);
   for (size_t i = 0; i < jobs.size(); ++i) {
     records[i] = SimpleJob(i + 1, 0.0, 4, 40);
-    jobs[i].record = &records[i];
+    jobs[i].job_id = records[i].job_id;
     jobs[i].submit_time = 0.0;
     jobs[i].maps_total = 4;
     jobs[i].map_task_duration = 10.0;
@@ -1191,7 +1191,7 @@ TEST(ReplayHorizonTest, FarFutureEventsFailFastWithoutAllocating) {
 }
 
 TEST(ReplayHorizonTest, HorizonBoundsEventsNotJustSubmits) {
-  const double horizon = kMaxReplayHours * 3600.0;
+  const double horizon = trace::kMaxTraceHours * 3600.0;
   trace::Trace inside;
   inside.AddJob(SimpleJob(1, horizon - 3600.0, 1, 1800.0));
   auto result = ReplayTrace(inside, SmallCluster());

@@ -68,7 +68,7 @@ void AppendToFile(const std::string& path, const std::string& bytes) {
 trace::Trace Prefix(const trace::Trace& full, size_t rows) {
   trace::Trace prefix;
   prefix.mutable_metadata() = full.metadata();
-  for (size_t i = 0; i < rows; ++i) prefix.AddJob(full.jobs()[i]);
+  for (size_t i = 0; i < rows; ++i) prefix.AddJob(full.JobAt(i));
   return prefix;
 }
 
@@ -229,18 +229,15 @@ TEST(StreamingTest, IncrementalMatchesOneShotExactStages) {
               0.05 * one_shot.duration.p50 + 1.0);
 }
 
-TEST(StreamingTest, JobsModeMatchesColumnarModeExactStages) {
+TEST(StreamingTest, TraceColumnsMatchStf1ColumnsExactly) {
   const trace::Trace trace = GenerateWorkload("CC-b", 8000);
   const trace::ColumnarTraceView view = ViewOf(trace);
   const StreamingReport columnar = StreamAll(view);
 
-  StreamingAnalyzer from_rows;
-  from_rows.SetMetadata(trace.metadata());
-  ASSERT_TRUE(from_rows
-                  .ObserveJobs(Span<const trace::JobRecord>(
-                      trace.jobs().data(), trace.jobs().size()))
-                  .ok());
-  auto report = from_rows.Report();
+  StreamingAnalyzer from_trace;
+  from_trace.SetMetadata(trace.metadata());
+  ASSERT_TRUE(from_trace.ObserveColumns(trace.columns(), 0, trace.size()).ok());
+  auto report = from_trace.Report(trace::DictionaryView(trace.paths()));
   ASSERT_TRUE(report.ok());
 
   EXPECT_EQ(report->summary.bytes_moved, columnar.summary.bytes_moved);
@@ -252,7 +249,7 @@ TEST(StreamingTest, JobsModeMatchesColumnarModeExactStages) {
   for (size_t i = 0; i < report->names.words.size(); ++i) {
     ASSERT_EQ(report->names.words[i].word, columnar.names.words[i].word);
   }
-  // Both modes emit identical formatted output (modulo nothing: the
+  // Both sources emit identical formatted output (modulo nothing: the
   // sketches saw the same values in the same chunk layout).
   EXPECT_EQ(FormatStreamingReport(*report), FormatStreamingReport(columnar));
 }
@@ -274,12 +271,11 @@ TEST(StreamingTest, RejectedBatchLeavesAnalyzerUntouched) {
 
   // A NaN row is caught in the validation pre-pass.
   trace::Trace bad = Prefix(trace, 0);
-  trace::JobRecord poison = trace.jobs()[999];
+  trace::JobRecord poison = trace.JobAt(999);
   poison.input_bytes = std::nan("");
   bad.AddJob(poison);
   StreamingAnalyzer fresh;
-  auto bad_status = fresh.ObserveJobs(Span<const trace::JobRecord>(
-      bad.jobs().data(), bad.jobs().size()));
+  auto bad_status = fresh.ObserveColumns(bad.columns(), 0, bad.size());
   EXPECT_FALSE(bad_status.ok());
   EXPECT_EQ(fresh.jobs_observed(), 0u);
 }
@@ -354,7 +350,7 @@ TEST(FollowTest, Stf1PrefixMutationIsAnError) {
   trace::Trace shifted;
   shifted.mutable_metadata() = full.metadata();
   for (size_t i = 0; i < full.size(); ++i) {
-    trace::JobRecord job = full.jobs()[i];
+    trace::JobRecord job = full.JobAt(i);
     job.submit_time += 1.0;
     shifted.AddJob(job);
   }
@@ -438,6 +434,20 @@ TEST(FollowTest, CsvAppendsAreConsumedIncrementally) {
   EXPECT_EQ(report->summary.bytes_moved, one_shot.summary.bytes_moved);
   EXPECT_EQ(report->reaccess_fractions.input_reaccess,
             one_shot.reaccess_fractions.input_reaccess);
+  // Each chunk's ids were mapped onto the follower's dictionaries, so the
+  // id-keyed stages see the one-shot stream's ids.
+  EXPECT_EQ(report->input_popularity.distinct_files,
+            one_shot.input_popularity.distinct_files);
+  ASSERT_EQ(report->hot_inputs.size(), one_shot.hot_inputs.size());
+  for (size_t i = 0; i < report->hot_inputs.size(); ++i) {
+    EXPECT_EQ(report->hot_inputs[i].path, one_shot.hot_inputs[i].path);
+    EXPECT_EQ(report->hot_inputs[i].count, one_shot.hot_inputs[i].count);
+  }
+  ASSERT_EQ(report->names.words.size(), one_shot.names.words.size());
+  for (size_t i = 0; i < report->names.words.size(); ++i) {
+    EXPECT_EQ(report->names.words[i].word, one_shot.names.words[i].word);
+    EXPECT_EQ(report->names.words[i].by_jobs, one_shot.names.words[i].by_jobs);
+  }
 }
 
 TEST(FollowTest, CsvHalfFlushedLineWaitsForCompletion) {
@@ -482,7 +492,7 @@ TEST(FollowTest, OutOfOrderCsvAppendIsAnError) {
   // Append a row whose submit time precedes the consumed stream.
   trace::Trace tail;
   tail.mutable_metadata() = full.metadata();
-  trace::JobRecord early = full.jobs()[0];
+  trace::JobRecord early = full.JobAt(0);
   early.job_id = 999999;
   tail.AddJob(early);
   std::string tail_csv = trace::TraceToCsv(tail);

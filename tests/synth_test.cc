@@ -17,6 +17,7 @@
 #include "workloads/paper_workloads.h"
 #include "workloads/trace_generator.h"
 #include "workloads/workload_spec.h"
+#include "trace_oracle.h"
 #include "with_threads.h"
 
 namespace swim::core {
@@ -200,7 +201,7 @@ TEST(SynthesizerTest, ProducesRequestedJobs) {
   auto synth = SynthesizeTrace(*model, options);
   ASSERT_TRUE(synth.ok());
   EXPECT_EQ(synth->size(), 1000u);
-  EXPECT_TRUE(synth->Validate().ok());
+  EXPECT_TRUE(oracle::ValidateTrace(*synth).ok());
   EXPECT_EQ(synth->metadata().name, "CC-b-synth");
 }
 
@@ -215,7 +216,7 @@ TEST(SynthesizerTest, Deterministic) {
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->size(), b->size());
   for (size_t i = 0; i < a->size(); ++i) {
-    EXPECT_EQ(a->jobs()[i], b->jobs()[i]);
+    EXPECT_EQ(a->JobAt(i), b->JobAt(i));
   }
 }
 
@@ -410,7 +411,7 @@ TEST(ScaleDownTest, TimeFactorCompresses) {
   auto scaled = ScaleDownTrace(source, options);
   ASSERT_TRUE(scaled.ok());
   EXPECT_EQ(scaled->size(), source.size());
-  EXPECT_NEAR(scaled->StartTime(), source.StartTime() * 0.5, 1e-6);
+  EXPECT_NEAR(scaled->JobAt(0).submit_time, source.JobAt(0).submit_time * 0.5, 1e-6);
 }
 
 TEST(ScaleDownTest, DataFactorShrinksBytesAndTasks) {
@@ -429,7 +430,7 @@ TEST(ScaleDownTest, DataFactorShrinksBytesAndTasks) {
       EXPECT_GE(j.reduce_tasks, 1);
     }
   }
-  EXPECT_TRUE(scaled->Validate().ok());
+  EXPECT_TRUE(oracle::ValidateTrace(*scaled).ok());
 }
 
 TEST(ScaleDownTest, RejectsBadOptions) {

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <atomic>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -10,7 +9,10 @@
 
 #include "common/checksum.h"
 #include "common/random.h"
+#include "core/synth/synthesizer.h"
+#include "core/synth/workload_model.h"
 #include "gtest/gtest.h"
+#include "trace/columnar.h"
 #include "trace/csv_mutator.h"
 #include "trace/filters.h"
 #include "trace/frameworks.h"
@@ -18,7 +20,10 @@
 #include "trace/summary.h"
 #include "trace/trace.h"
 #include "trace/trace_io.h"
+#include "trace_oracle.h"
 #include "with_threads.h"
+#include "workloads/paper_workloads.h"
+#include "workloads/trace_generator.h"
 
 namespace swim::trace {
 namespace {
@@ -75,9 +80,9 @@ TEST(TraceTest, MaintainsSubmitOrder) {
   trace.AddJob(MakeJob(2, 50));
   trace.AddJob(MakeJob(3, 75));
   ASSERT_EQ(trace.size(), 3u);
-  EXPECT_DOUBLE_EQ(trace.StartTime(), 50.0);
-  EXPECT_EQ(trace.jobs()[0].job_id, 2u);
-  EXPECT_EQ(trace.jobs()[2].job_id, 1u);
+  EXPECT_DOUBLE_EQ(trace.JobAt(0).submit_time, 50.0);
+  EXPECT_EQ(trace.JobAt(0).job_id, 2u);
+  EXPECT_EQ(trace.JobAt(2).job_id, 1u);
 }
 
 TEST(TraceTest, SpanCoversDurations) {
@@ -93,18 +98,18 @@ TEST(TraceTest, SpanCoversDurations) {
 TEST(TraceTest, EmptyTraceZeroes) {
   Trace trace;
   EXPECT_TRUE(trace.empty());
-  EXPECT_DOUBLE_EQ(trace.StartTime(), 0.0);
+  EXPECT_DOUBLE_EQ(trace.Span(), 0.0);
   EXPECT_DOUBLE_EQ(trace.EndTime(), 0.0);
 }
 
 TEST(TraceTest, ValidateFindsBadJob) {
   Trace trace;
   trace.AddJob(MakeJob(1, 0));
-  EXPECT_TRUE(trace.Validate().ok());
+  EXPECT_TRUE(oracle::ValidateTrace(trace).ok());
   JobRecord bad = MakeJob(2, 10);
   bad.duration = -1;
   trace.AddJob(bad);
-  EXPECT_FALSE(trace.Validate().ok());
+  EXPECT_FALSE(oracle::ValidateTrace(trace).ok());
 }
 
 // --- CSV I/O -----------------------------------------------------------------
@@ -123,8 +128,8 @@ TEST(TraceIoTest, RoundTripsInMemory) {
   EXPECT_EQ(parsed->metadata().machines, 42);
   EXPECT_EQ(parsed->metadata().year, 2011);
   ASSERT_EQ(parsed->size(), 2u);
-  EXPECT_EQ(parsed->jobs()[0], trace.jobs()[0]);
-  EXPECT_EQ(parsed->jobs()[1], trace.jobs()[1]);
+  EXPECT_EQ(parsed->JobAt(0), trace.JobAt(0));
+  EXPECT_EQ(parsed->JobAt(1), trace.JobAt(1));
 }
 
 TEST(TraceIoTest, QuotesCommasInNames) {
@@ -134,7 +139,7 @@ TEST(TraceIoTest, QuotesCommasInNames) {
   trace.AddJob(job);
   auto parsed = TraceFromCsv(TraceToCsv(trace));
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->jobs()[0].name, job.name);
+  EXPECT_EQ(parsed->JobAt(0).name, job.name);
 }
 
 TEST(TraceIoTest, RejectsMissingHeader) {
@@ -185,12 +190,11 @@ TEST(TraceIoTest, ExtremeDoublesRoundTripExactly) {
     job.map_task_seconds = v;
     trace.AddJob(job);
   }
-  trace.StartTime();  // settle the submit-time sort before serializing
   auto parsed = TraceFromCsv(TraceToCsv(trace));
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   ASSERT_EQ(parsed->size(), trace.size());
   for (size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_EQ(parsed->jobs()[i], trace.jobs()[i]) << "job " << i;
+    EXPECT_EQ(parsed->JobAt(i), trace.JobAt(i)) << "job " << i;
   }
 }
 
@@ -215,7 +219,7 @@ TEST(TraceIoTest, RandomDoublesRoundTripExactly) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   ASSERT_EQ(parsed->size(), trace.size());
   for (size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_EQ(parsed->jobs()[i], trace.jobs()[i]) << "job " << i;
+    EXPECT_EQ(parsed->JobAt(i), trace.JobAt(i)) << "job " << i;
   }
 }
 
@@ -242,27 +246,7 @@ TEST(FiltersTest, TimeRangeSelectsHalfOpenInterval) {
   for (int i = 0; i < 10; ++i) trace.AddJob(MakeJob(i + 1, i * 100.0));
   Trace filtered = FilterByTimeRange(trace, 200, 500);
   EXPECT_EQ(filtered.size(), 3u);
-  EXPECT_DOUBLE_EQ(filtered.StartTime(), 200.0);
-}
-
-TEST(FiltersTest, PredicateFilter) {
-  Trace trace;
-  trace.AddJob(MakeJob(1, 0, 1e3));
-  trace.AddJob(MakeJob(2, 10, 1e12));
-  Trace big = FilterByPredicate(
-      trace, [](const JobRecord& j) { return j.input_bytes > 1e9; });
-  ASSERT_EQ(big.size(), 1u);
-  EXPECT_EQ(big.jobs()[0].job_id, 2u);
-}
-
-TEST(FiltersTest, TakeFirstAndRebase) {
-  Trace trace;
-  for (int i = 0; i < 5; ++i) trace.AddJob(MakeJob(i + 1, 1000.0 + i));
-  Trace head = TakeFirst(trace, 2);
-  EXPECT_EQ(head.size(), 2u);
-  Trace rebased = RebaseToZero(head);
-  EXPECT_DOUBLE_EQ(rebased.StartTime(), 0.0);
-  EXPECT_DOUBLE_EQ(rebased.jobs()[1].submit_time, 1.0);
+  EXPECT_DOUBLE_EQ(filtered.JobAt(0).submit_time, 200.0);
 }
 
 // --- Summary -----------------------------------------------------------------
@@ -330,8 +314,8 @@ TEST(TraceIoTest, AcceptsCrlfLineEndings) {
   auto parsed = TraceFromCsv(crlf);
   ASSERT_TRUE(parsed.ok());
   ASSERT_EQ(parsed->size(), 2u);
-  EXPECT_EQ(parsed->jobs()[0], trace.jobs()[0]);
-  EXPECT_EQ(parsed->jobs()[1], trace.jobs()[1]);
+  EXPECT_EQ(parsed->JobAt(0), trace.JobAt(0));
+  EXPECT_EQ(parsed->JobAt(1), trace.JobAt(1));
 }
 
 TEST(TraceIoTest, QuotedFieldsWithNewlinesAndEscapedQuotes) {
@@ -343,8 +327,8 @@ TEST(TraceIoTest, QuotedFieldsWithNewlinesAndEscapedQuotes) {
   auto parsed = TraceFromCsv(TraceToCsv(trace));
   ASSERT_TRUE(parsed.ok());
   ASSERT_EQ(parsed->size(), 1u);
-  EXPECT_EQ(parsed->jobs()[0].name, job.name);
-  EXPECT_EQ(parsed->jobs()[0].input_path, job.input_path);
+  EXPECT_EQ(parsed->JobAt(0).name, job.name);
+  EXPECT_EQ(parsed->JobAt(0).input_path, job.input_path);
 }
 
 TEST(TraceIoTest, MetadataCommentsAfterHeader) {
@@ -602,7 +586,8 @@ TEST(TraceIoTest, RepairModePatchesValueProblems) {
   // The patched fields land on the nearest valid value: zero.
   const JobRecord* three = nullptr;
   const JobRecord* four = nullptr;
-  for (const JobRecord& job : parsed->jobs()) {
+  const std::vector<JobRecord> jobs = parsed->jobs();
+  for (const JobRecord& job : jobs) {
     if (job.job_id == 3) three = &job;
     if (job.job_id == 4) four = &job;
   }
@@ -660,7 +645,7 @@ TEST(TraceIoTest, NonFiniteNumbersAreBadNumbers) {
         TraceFromCsv(csv, ParseOptions{ParseMode::kRepair, 64, 0}, &report);
     ASSERT_TRUE(repaired.ok()) << hostile;
     ASSERT_EQ(repaired->size(), 1u) << hostile;
-    EXPECT_DOUBLE_EQ(repaired->jobs()[0].input_bytes, 0.0) << hostile;
+    EXPECT_DOUBLE_EQ(repaired->JobAt(0).input_bytes, 0.0) << hostile;
     EXPECT_EQ(
         report.error_counts[static_cast<size_t>(ParseErrorKind::kBadNumber)],
         1u)
@@ -668,53 +653,22 @@ TEST(TraceIoTest, NonFiniteNumbersAreBadNumbers) {
   }
 }
 
-// --- Lazy index thread safety (regression: data race) -------------------
-
-TEST(TraceTest, ConcurrentLazyIndexBuildIsSafe) {
-  // EnsurePathIndex/EnsureNameIndex used to mutate mutable members from
-  // const accessors with no synchronization; concurrent readers raced.
-  // Run under TSan this test fails on the old code.
-  Trace trace;
-  for (uint64_t id = 1; id <= 500; ++id) {
-    JobRecord job = MakeJob(id, static_cast<double>(500 - id));
-    job.input_path = "in/" + std::to_string(id % 17);
-    job.name = "name" + std::to_string(id % 11);
-    trace.AddJob(std::move(job));
-  }
-  const Trace& shared = trace;
-  std::vector<std::thread> readers;
-  std::atomic<int> failures{0};
-  for (int r = 0; r < 8; ++r) {
-    readers.emplace_back([&shared, &failures, r] {
-      // Mix of accessors that trigger sorting and both index builds.
-      if (shared.input_path_ids().size() != 500) ++failures;
-      if (shared.name_ids().size() != 500) ++failures;
-      if (shared.output_path_ids().size() != 500) ++failures;
-      if (shared.jobs().front().submit_time != 0.0) ++failures;
-      (void)r;
-    });
-  }
-  for (auto& t : readers) t.join();
-  EXPECT_EQ(failures.load(), 0);
-}
-
 TEST(TraceTest, CopyAndMovePreserveJobsAndMetadata) {
   Trace trace;
   trace.mutable_metadata().name = "copy-src";
   trace.AddJob(MakeJob(2, 10));
   trace.AddJob(MakeJob(1, 0));
-  (void)trace.input_path_ids();  // force lazy state before copying
 
   Trace copy = trace;
   ASSERT_EQ(copy.size(), 2u);
   EXPECT_EQ(copy.metadata().name, "copy-src");
-  EXPECT_EQ(copy.jobs()[0].job_id, 1u);  // sortedness carried
-  EXPECT_EQ(copy.input_path_ids().size(), 2u);  // indexes rebuilt on demand
+  EXPECT_EQ(copy.JobAt(0).job_id, 1u);  // sortedness carried
+  EXPECT_EQ(oracle::IdsOf(copy), oracle::IdsOf(trace));
 
   Trace moved = std::move(copy);
   ASSERT_EQ(moved.size(), 2u);
   EXPECT_EQ(moved.metadata().name, "copy-src");
-  EXPECT_EQ(moved.name_ids().size(), 2u);
+  EXPECT_EQ(oracle::IdsOf(moved), oracle::IdsOf(trace));
 }
 
 // --- Sorting and writing ------------------------------------------------
@@ -765,12 +719,9 @@ TEST(TraceTest, SetJobsMatchesStableSortOracle) {
     }
     EXPECT_EQ(mismatches, 0u);
 
-    // Already sorted: same order, same storage.
-    std::vector<JobRecord> again = sorted;
-    const JobRecord* storage = again.data();
+    // Already sorted: same order.
     Trace resorted;
-    resorted.SetJobs(std::move(again));
-    EXPECT_EQ(resorted.jobs().data(), storage);
+    resorted.SetJobs(sorted);
     EXPECT_TRUE(resorted.jobs() == sorted);
   }
 }
@@ -815,6 +766,133 @@ TEST(TraceIoTest, WriterMatchesEncoderAcrossChunkBoundaries) {
     });
   }
   std::remove(path.c_str());
+}
+
+
+// --- One representation: every producer yields the canonical columns -----
+
+/// `csv` with a blank line, a comment and a malformed row after every
+/// 997th data row: skip and repair modes drop the malformed rows, so the
+/// trace is unchanged, while the rows land in shards with gaps to close.
+std::string NoisyCsv(const std::string& csv) {
+  std::string out;
+  size_t line = 0;
+  size_t begin = 0;
+  while (begin < csv.size()) {
+    const size_t end = csv.find('\n', begin) + 1;
+    out.append(csv, begin, end - begin);
+    if (++line > 4 && line % 997 == 0) out += "\n# note\n1,2,3\n";
+    begin = end;
+  }
+  return out;
+}
+
+/// Every producer of a Trace yields the columns, ids and dictionaries of
+/// the reference: one serial first-appearance interning pass over the
+/// submit-sorted rows. The CSV parse interns per shard on worker threads
+/// and merges the shard dictionaries, so this also runs under TSan and
+/// ASan+UBSan in CI.
+TEST(TraceProducerTest, EveryProducerYieldsTheReferenceColumns) {
+  // CC-b has names, input and output paths; FB-2010 input paths only;
+  // FB-2009 no paths. 9000 jobs span three CSV parse shards.
+  for (const char* workload : {"CC-b", "FB-2010", "FB-2009"}) {
+    SCOPED_TRACE(workload);
+    auto spec = workloads::PaperWorkloadByName(workload);
+    ASSERT_TRUE(spec.ok());
+    workloads::GeneratorOptions options;
+    options.job_count_override = 9000;
+    auto generated = workloads::GenerateTrace(*spec, options);
+    ASSERT_TRUE(generated.ok());
+    auto expect_reference = [](const Trace& t, const std::string& producer) {
+      SCOPED_TRACE(producer);
+      const std::vector<JobRecord> rows = t.jobs();
+      EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end(),
+                                 [](const JobRecord& a, const JobRecord& b) {
+                                   return a.submit_time < b.submit_time;
+                                 }));
+      EXPECT_EQ(oracle::IdsOf(t), oracle::FirstAppearanceIds(rows));
+    };
+    expect_reference(*generated, "GenerateTrace");
+
+    // Some names and paths that need CSV quoting, set through SetJobs.
+    std::vector<JobRecord> rows = generated->jobs();
+    for (size_t i = 0; i < rows.size(); i += 500) {
+      if (!rows[i].name.empty()) rows[i].name = "a,\"b\" " + rows[i % 7].name;
+      if (!rows[i].input_path.empty()) rows[i].input_path += ",x";
+    }
+    Trace source(generated->metadata());
+    source.SetJobs(rows);
+    expect_reference(source, "SetJobs");
+    const oracle::TraceIds ids = oracle::IdsOf(source);
+    auto expect_source = [&](const Trace& t, const std::string& producer) {
+      SCOPED_TRACE(producer);
+      EXPECT_EQ(t.jobs(), rows);
+      EXPECT_EQ(oracle::IdsOf(t), ids);
+    };
+
+    const std::string csv = TraceToCsv(source);
+    const std::string noisy = NoisyCsv(csv);
+    for (int threads : {1, 4}) {
+      for (ParseMode mode :
+           {ParseMode::kStrict, ParseMode::kSkip, ParseMode::kRepair}) {
+        const std::string label = std::string("CSV ") + ParseModeName(mode) +
+                                  " at " + std::to_string(threads);
+        auto parsed = TraceFromCsv(csv, ParseOptions{mode, 64, threads});
+        ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+        expect_source(*parsed, label);
+        if (mode == ParseMode::kStrict) continue;
+        auto lenient = TraceFromCsv(noisy, ParseOptions{mode, 64, threads});
+        ASSERT_TRUE(lenient.ok()) << lenient.status().ToString();
+        expect_source(*lenient, label + " with noise");
+      }
+    }
+    // Rows out of submit order: the parse sorts them and renumbers ids.
+    std::string reversed;
+    {
+      std::vector<std::string> lines;
+      size_t begin = 0;
+      while (begin < csv.size()) {
+        const size_t end = csv.find('\n', begin) + 1;
+        lines.emplace_back(csv, begin, end - begin);
+        begin = end;
+      }
+      size_t header = 0;
+      while (lines[header].rfind("job_id,", 0) != 0) ++header;
+      std::reverse(lines.begin() + static_cast<long>(header) + 1,
+                   lines.end());
+      for (const std::string& line : lines) reversed += line;
+    }
+    auto unsorted = TraceFromCsv(reversed, /*threads=*/4);
+    ASSERT_TRUE(unsorted.ok()) << unsorted.status().ToString();
+    expect_reference(*unsorted, "CSV in reverse submit order");
+    EXPECT_EQ(TraceToCsv(*unsorted), csv);
+
+    auto loaded = TraceFromColumnarBytes(TraceToColumnarBytes(source));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    expect_source(*loaded, "STF1 load");
+
+    Trace added(source.metadata());
+    for (const JobRecord& row : rows) added.AddJob(row);
+    expect_source(added, "AddJob in submit order");
+    Trace backwards(source.metadata());
+    for (size_t i = 300; i-- > 0;) backwards.AddJob(rows[i]);
+    expect_reference(backwards, "AddJob out of order");
+
+    auto model = core::BuildModel(source);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    for (core::SynthesisMethod method : {core::SynthesisMethod::kEmpirical,
+                                         core::SynthesisMethod::kParametricLognormal}) {
+      core::SynthesisOptions synthesis;
+      synthesis.job_count = 9000;
+      synthesis.method = method;
+      auto synthesized = core::SynthesizeTrace(*model, synthesis);
+      ASSERT_TRUE(synthesized.ok()) << synthesized.status().ToString();
+      expect_reference(*synthesized,
+                       method == core::SynthesisMethod::kEmpirical
+                           ? "SynthesizeTrace empirical"
+                           : "SynthesizeTrace parametric");
+    }
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "workloads/paper_workloads.h"
 #include "workloads/trace_generator.h"
 #include "workloads/workload_spec.h"
+#include "trace_oracle.h"
 #include "with_threads.h"
 
 namespace swim::workloads {
@@ -107,7 +108,7 @@ TEST(TraceGeneratorTest, ProducesRequestedJobCount) {
   auto trace = GenerateTrace(TinySpec());
   ASSERT_TRUE(trace.ok());
   EXPECT_EQ(trace->size(), 500u);
-  EXPECT_TRUE(trace->Validate().ok());
+  EXPECT_TRUE(oracle::ValidateTrace(*trace).ok());
 }
 
 TEST(TraceGeneratorTest, JobCountOverride) {
@@ -285,7 +286,7 @@ TEST_P(PaperWorkloadGenerationTest, ScaledGenerationIsValid) {
   auto trace = GenerateTrace(*spec, options);
   ASSERT_TRUE(trace.ok());
   EXPECT_EQ(trace->size(), 3000u);
-  EXPECT_TRUE(trace->Validate().ok());
+  EXPECT_TRUE(oracle::ValidateTrace(*trace).ok());
   EXPECT_EQ(trace->metadata().name, GetParam());
   // Column availability must match the spec.
   bool any_name = false, any_input = false, any_output = false;

@@ -13,6 +13,9 @@
 //                                         rows) per tick
 //   swim_analyze --workload <name> [n]    analyze a generated paper
 //                                         workload (optionally n jobs)
+//
+// Numeric arguments ([n], --interval, --repeat) are parsed whole and
+// range-checked; anything else is a usage error naming it (exit 2).
 //   swim_analyze --list                   list built-in workloads
 //
 // Output: the combined data/temporal/compute report (sections 4-6).
@@ -21,10 +24,14 @@
 // With --out, each report flush is atomic (temp file + rename), so a
 // concurrent reader never sees a torn report.
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
+
+#include "common/string_util.h"
 
 #include "core/analysis/follow.h"
 #include "core/analysis/streaming.h"
@@ -96,7 +103,7 @@ struct AnalyzeFlags {
 };
 
 /// One-shot streaming analysis: the STF1 fast path consumes column spans in
-/// place; CSV parses rows and feeds them through the same analyzer.
+/// place; CSV loads the trace and feeds its columns to the same analyzer.
 int RunStream(const std::string& path, const AnalyzeFlags& flags) {
   using namespace swim;
   auto format = trace::SniffTraceFormat(path);
@@ -131,13 +138,12 @@ int RunStream(const std::string& path, const AnalyzeFlags& flags) {
       std::fprintf(stderr, "%s\n", parse_report.ToString().c_str());
     }
     analyzer.SetMetadata(loaded->metadata());
-    auto status = analyzer.ObserveJobs(Span<const trace::JobRecord>(
-        loaded->jobs().data(), loaded->jobs().size()));
+    auto status = analyzer.ObserveColumns(loaded->columns(), 0, loaded->size());
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
     }
-    report = analyzer.Report();
+    report = analyzer.Report(trace::DictionaryView(loaded->paths()));
   }
   if (!report.ok()) {
     std::fprintf(stderr, "analysis failed: %s\n",
@@ -214,8 +220,15 @@ int main(int argc, char** argv) {
     }
     workloads::GeneratorOptions options;
     if (argc > 3) {
-      options.job_count_override =
-          static_cast<size_t>(std::strtoull(argv[3], nullptr, 10));
+      int64_t jobs = 0;
+      if (!ParseInt64(argv[3], &jobs) || jobs < 1) {
+        std::fprintf(stderr,
+                     "swim_analyze: [jobs] must be a positive integer, "
+                     "got '%s'\n",
+                     argv[3]);
+        return Usage();
+      }
+      options.job_count_override = static_cast<size_t>(jobs);
     } else if (spec->total_jobs > 100000) {
       std::fprintf(stderr, "(scaling %s to 100000 jobs; pass a job count "
                            "to override)\n",
@@ -230,9 +243,6 @@ int main(int argc, char** argv) {
     trace = *std::move(generated);
   } else {
     AnalyzeFlags flags;
-    // Build the id indexes right after the parse: large traces use the
-    // concurrent in-place interner while the parse's thread budget is hot.
-    flags.parse_options.warm_indexes = true;
     for (int i = 2; i < argc; ++i) {
       std::string flag = argv[i];
       if (flag == "--stream") {
@@ -263,13 +273,26 @@ int main(int argc, char** argv) {
         }
         flags.parse_options.mode = *mode;
       } else if (flag == "--interval") {
-        flags.interval_seconds = std::strtod(value.c_str(), nullptr);
-        if (!(flags.interval_seconds > 0.0)) {
-          std::fprintf(stderr, "--interval needs a positive number\n");
+        if (!ParseDouble(value, &flags.interval_seconds) ||
+            !std::isfinite(flags.interval_seconds) ||
+            !(flags.interval_seconds > 0.0)) {
+          std::fprintf(stderr,
+                       "--interval needs a finite positive number, got "
+                       "'%s'\n",
+                       value.c_str());
           return 2;
         }
       } else if (flag == "--repeat") {
-        flags.repeat = std::strtoull(value.c_str(), nullptr, 10);
+        int64_t repeat = 0;
+        if (!ParseInt64(value, &repeat) || repeat < 0) {
+          std::fprintf(stderr,
+                       "--repeat needs an integer in [0, %lld], got '%s'\n",
+                       static_cast<long long>(
+                           std::numeric_limits<int64_t>::max()),
+                       value.c_str());
+          return 2;
+        }
+        flags.repeat = static_cast<uint64_t>(repeat);
       } else if (flag == "--out") {
         flags.out_path = value;
       } else {

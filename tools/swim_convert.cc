@@ -123,8 +123,8 @@ int main(int argc, char** argv) {
               trace::TraceFormatName(out_format), loaded->size());
   if (stats) {
     std::printf("  names: %zu distinct, paths: %zu distinct\n",
-                loaded->name_interner().size(),
-                loaded->path_interner().size());
+                loaded->names().size(),
+                loaded->paths().size());
     const std::string stf1 = trace::TraceToColumnarBytes(*loaded);
     const std::string csv = trace::TraceToCsv(*loaded);
     std::printf("  csv: %zu bytes, stf1: %zu bytes (%.2fx)\n", csv.size(),
