@@ -4,17 +4,25 @@
 //
 // Runs the deterministic CsvMutator against TraceFromCsv in all three
 // parse modes for N iterations and enforces the parser contracts (never
-// crash, report counts exact, accepted rows valid, repair >= skip), then
-// runs the Stf1Mutator against TraceFromColumnarBytes for the same N and
+// crash, report counts exact, accepted rows valid, repair >= skip). Every
+// 100th mutated CSV is also written to a temp file in two appends split at
+// a random byte and followed by a TraceFollower in skip mode (a poll after
+// the first append, a drain after the second); its accepted rows and
+// ingest counts must equal TraceFromCsv's. Then it runs the Stf1Mutator against TraceFromColumnarBytes for the same N and
 // enforces the binary-reader contract (never crash, errors are structured,
 // accepted traces validate). Any violation prints the reproducing (seed,
 // iteration) pair and exits non-zero. The CI fuzz-smoke step runs this
 // under ASan/UBSan; the gtest twin (trace_fuzz_test / columnar_test) runs
 // a short version in every test pass.
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 
+#include "common/random.h"
+#include "core/analysis/follow.h"
 #include "trace/columnar.h"
 #include "trace/csv_mutator.h"
 #include "trace/job_record.h"
@@ -83,6 +91,68 @@ bool ReportHolds(const trace::ParseReport& report, const trace::Trace& t) {
   return true;
 }
 
+bool WriteFile(const std::string& path, std::string_view bytes,
+               const char* mode) {
+  std::FILE* out = std::fopen(path.c_str(), mode);
+  if (out == nullptr) return false;
+  const bool wrote = std::fwrite(bytes.data(), 1, bytes.size(), out) ==
+                     bytes.size();
+  return std::fclose(out) == 0 && wrote;
+}
+
+/// Follows `csv` written in two appends split at `split`, in skip mode (a
+/// poll after the first, a drain after the second), and checks the
+/// follower ingested exactly what `batch` (TraceFromCsv in skip mode, with
+/// `batch_report`) did. Returns false when the analyzer rejected rows a
+/// batch load keeps (appended out of submit order, which a batch load
+/// sorts), so there is nothing to compare.
+bool FollowMatchesBatch(const std::string& path, const std::string& csv,
+                        size_t split, const StatusOr<trace::Trace>& batch,
+                        const trace::ParseReport& batch_report,
+                        uint64_t seed, uint64_t iteration) {
+  if (!WriteFile(path, std::string_view(csv).substr(0, split), "wb")) {
+    Fail(seed, iteration, "cannot write the followed file");
+  }
+  core::FollowOptions options;
+  options.csv_parse.mode = trace::ParseMode::kSkip;
+  auto follower = core::TraceFollower::Open(path, options);
+  if (!follower.ok()) Fail(seed, iteration, "cannot open the follower");
+  trace::ParseReport got;
+  bool load_failed = false;
+  for (int step = 0; step < 2; ++step) {
+    if (step == 1 &&
+        !WriteFile(path, std::string_view(csv).substr(split), "ab")) {
+      Fail(seed, iteration, "cannot append to the followed file");
+    }
+    auto poll = step == 0 ? follower->Poll() : follower->Drain();
+    if (poll.ok()) {
+      got.total_rows += poll->ingest.total_rows;
+      got.accepted += poll->ingest.accepted;
+      got.skipped += poll->ingest.skipped;
+      got.repaired += poll->ingest.repaired;
+      for (size_t i = 0; i < trace::kParseErrorKinds; ++i) {
+        got.error_counts[i] += poll->ingest.error_counts[i];
+      }
+    } else if (follower->last_ingest() == nullptr) {
+      load_failed = true;
+    } else {
+      return false;
+    }
+  }
+  if (load_failed != !batch.ok()) {
+    Fail(seed, iteration, "follower and batch load disagree on validity");
+  }
+  if (batch.ok() &&
+      (got.accepted != batch->size() ||
+       got.total_rows != batch_report.total_rows ||
+       got.skipped != batch_report.skipped ||
+       got.repaired != batch_report.repaired ||
+       got.error_counts != batch_report.error_counts)) {
+    Fail(seed, iteration, "follower ingest counts differ from the batch's");
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -103,7 +173,12 @@ int main(int argc, char** argv) {
   const trace::Trace base_trace = BaseTrace();
   const std::string base = trace::TraceToCsv(base_trace);
   const trace::CsvMutator mutator(seed);
+  const std::string follow_path =
+      (std::filesystem::temp_directory_path() /
+       ("bench_fuzz_ingest_" + std::to_string(getpid()) + ".csv"))
+          .string();
   uint64_t strict_ok = 0, skip_rows = 0, repair_rows = 0;
+  uint64_t followed = 0, follow_compared = 0;
   for (uint64_t iteration = 0; iteration < iterations; ++iteration) {
     const std::string mutated = mutator.Mutate(base, iteration);
 
@@ -125,6 +200,15 @@ int main(int argc, char** argv) {
       skip_rows += skipped->size();
     } else if (strict.ok()) {
       Fail(seed, iteration, "skip failed where strict succeeded");
+    }
+    if (iteration % 100 == 0 && mutated.size() > 1) {
+      ++followed;
+      Pcg32 rng(seed, iteration);
+      const size_t split = 1 + rng.NextBounded(mutated.size() - 1);
+      if (FollowMatchesBatch(follow_path, mutated, split, skipped,
+                             skip_report, seed, iteration)) {
+        ++follow_compared;
+      }
     }
 
     trace::ParseReport repair_report;
@@ -152,6 +236,13 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(strict_ok),
       static_cast<double>(skip_rows) / static_cast<double>(iterations),
       static_cast<double>(repair_rows) / static_cast<double>(iterations));
+  std::remove(follow_path.c_str());
+  std::printf(
+      "followed %llu of them in two appends: %llu matched the batch load, "
+      "%llu had rows the analyzer rejects (such as out of submit order)\n",
+      static_cast<unsigned long long>(followed),
+      static_cast<unsigned long long>(follow_compared),
+      static_cast<unsigned long long>(followed - follow_compared));
 
   // Phase 2: the binary reader. The pristine encoding must round-trip;
   // every mutated encoding must either load a fully valid trace or fail

@@ -5,7 +5,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <string>
 #include <utility>
 
 #include "common/huge_pages.h"
@@ -67,15 +69,17 @@ FileImage FileImage::Allocate(size_t size) {
   return image;
 }
 
-StatusOr<FileImage> FileImage::Read(const std::string& path) {
-  return Load(path, /*map=*/false);
+StatusOr<FileImage> FileImage::Read(const std::string& path, uint64_t offset,
+                                     size_t max_bytes) {
+  return Load(path, /*map=*/false, offset, max_bytes);
 }
 
 StatusOr<FileImage> FileImage::Map(const std::string& path) {
-  return Load(path, /*map=*/true);
+  return Load(path, /*map=*/true, 0, SIZE_MAX);
 }
 
-StatusOr<FileImage> FileImage::Load(const std::string& path, bool map) {
+StatusOr<FileImage> FileImage::Load(const std::string& path, bool map,
+                                    uint64_t offset, size_t max_bytes) {
   const ScopedFd in{open(path.c_str(), O_RDONLY | O_CLOEXEC)};
   if (in.fd < 0) return IoError("cannot open for reading: " + path);
   struct stat st;
@@ -83,7 +87,13 @@ StatusOr<FileImage> FileImage::Load(const std::string& path, bool map) {
   // A directory opens and stats fine but has no bytes to read; its
   // st_size is not a byte count.
   if (!S_ISREG(st.st_mode)) return IoError("not a regular file: " + path);
-  const size_t size = static_cast<size_t>(st.st_size);
+  const uint64_t file_size = static_cast<uint64_t>(st.st_size);
+  if (file_size < offset) {
+    return FailedPreconditionError(path + " is shorter than the " +
+                                   std::to_string(offset) + " bytes read");
+  }
+  const size_t size =
+      static_cast<size_t>(std::min<uint64_t>(file_size - offset, max_bytes));
   if (map && size > 0) {
     void* mapping = mmap(nullptr, size, PROT_READ, MAP_PRIVATE, in.fd, 0);
     if (mapping != MAP_FAILED) {
@@ -97,7 +107,9 @@ StatusOr<FileImage> FileImage::Load(const std::string& path, bool map) {
   FileImage image = Allocate(size);
   size_t done = 0;
   while (done < size) {
-    const ssize_t got = read(in.fd, image.data_ + done, size - done);
+    const ssize_t got =
+        pread(in.fd, image.data_ + done, size - done,
+              static_cast<off_t>(offset + done));
     if (got > 0) {
       done += static_cast<size_t>(got);
     } else if (got < 0 && errno == EINTR) {

@@ -1,68 +1,14 @@
 #include "core/analysis/follow.h"
 
-#include <cstdio>
+#include <algorithm>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/file_image.h"
+
 namespace swim::core {
-namespace {
-
-/// Reads [offset, end) of `path`. A shrink below `offset` is a structured
-/// error (the producer truncated or replaced the file under us).
-StatusOr<std::string> ReadFileTail(const std::string& path, uint64_t offset) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return IoError("cannot open trace file: " + path);
-  }
-  std::string bytes;
-  if (std::fseek(file, 0, SEEK_END) != 0) {
-    std::fclose(file);
-    return IoError("cannot seek in trace file: " + path);
-  }
-  const long size = std::ftell(file);
-  if (size < 0) {
-    std::fclose(file);
-    return IoError("cannot size trace file: " + path);
-  }
-  if (static_cast<uint64_t>(size) < offset) {
-    std::fclose(file);
-    return FailedPreconditionError(
-        "followed trace shrank from " + std::to_string(offset) + " to " +
-        std::to_string(size) + " bytes: " + path);
-  }
-  const uint64_t want = static_cast<uint64_t>(size) - offset;
-  bytes.resize(want);
-  if (want > 0) {
-    if (std::fseek(file, static_cast<long>(offset), SEEK_SET) != 0 ||
-        std::fread(bytes.data(), 1, want, file) != want) {
-      std::fclose(file);
-      return IoError("short read of trace file tail: " + path);
-    }
-  }
-  std::fclose(file);
-  return bytes;
-}
-
-/// Length of the longest prefix of `chunk` ending at a record boundary: a
-/// newline at even quote parity. A half-flushed quoted field (odd parity)
-/// is left for the next poll. Returns 0 when no complete record is
-/// available yet.
-size_t CompleteRecordPrefix(const std::string& chunk) {
-  bool in_quote = false;
-  size_t cut = 0;
-  for (size_t i = 0; i < chunk.size(); ++i) {
-    const char c = chunk[i];
-    if (c == '"') {
-      in_quote = !in_quote;
-    } else if (c == '\n' && !in_quote) {
-      cut = i + 1;
-    }
-  }
-  return cut;
-}
-
-}  // namespace
 
 TraceFollower::TraceFollower(std::string path, trace::TraceFormat format,
                              FollowOptions options)
@@ -79,13 +25,19 @@ StatusOr<TraceFollower> TraceFollower::Open(const std::string& path,
 }
 
 StatusOr<FollowPoll> TraceFollower::Poll() {
-  return format_ == trace::TraceFormat::kStf1 ? PollStf1() : PollCsv();
+  return format_ == trace::TraceFormat::kStf1 ? PollStf1() : PollCsv(false);
+}
+
+StatusOr<FollowPoll> TraceFollower::Drain() {
+  return format_ == trace::TraceFormat::kStf1 ? PollStf1() : PollCsv(true);
 }
 
 StatusOr<FollowPoll> TraceFollower::PollStf1() {
-  trace::ColumnarOptions open_options;
+  last_ingest_.reset();
   SWIM_ASSIGN_OR_RETURN(trace::ColumnarTraceView view,
-                        trace::ColumnarTraceView::Open(path_, open_options));
+                        trace::ColumnarTraceView::Open(path_));
+  last_ingest_.emplace();  // STF1 rows are taken as they are: a clean ingest
+  const trace::JobColumns columns = view.columns();
   FollowPoll poll;
   poll.total_jobs = analyzer_.jobs_observed();
   if (view.job_count() < consumed_rows_) {
@@ -105,10 +57,10 @@ StatusOr<FollowPoll> TraceFollower::PollStf1() {
     // snapshot with the old rows bit-identical in place, so the first and
     // last consumed rows pin both ends of the prefix cheaply (two column
     // elements each; no O(consumed) rescan).
-    if (view.job_ids()[0] != first_job_id_ ||
-        view.submit_times()[0] != first_submit_ ||
-        view.job_ids()[consumed_rows_ - 1] != last_job_id_ ||
-        view.submit_times()[consumed_rows_ - 1] != last_submit_) {
+    if (columns.job_id[0] != first_job_id_ ||
+        columns.submit_time[0] != first_submit_ ||
+        columns.job_id[consumed_rows_ - 1] != last_job_id_ ||
+        columns.submit_time[consumed_rows_ - 1] != last_submit_) {
       return FailedPreconditionError(
           "followed STF1 trace's consumed prefix changed (not an append): " +
           path_);
@@ -123,66 +75,72 @@ StatusOr<FollowPoll> TraceFollower::PollStf1() {
       analyzer_.ObserveColumns(view, consumed_rows_, view.job_count()));
   poll.new_jobs = view.job_count() - consumed_rows_;
   consumed_rows_ = view.job_count();
-  first_job_id_ = view.job_ids()[0];
-  first_submit_ = view.submit_times()[0];
-  last_job_id_ = view.job_ids()[consumed_rows_ - 1];
-  last_submit_ = view.submit_times()[consumed_rows_ - 1];
+  first_job_id_ = columns.job_id[0];
+  first_submit_ = columns.submit_time[0];
+  last_job_id_ = columns.job_id[consumed_rows_ - 1];
+  last_submit_ = columns.submit_time[consumed_rows_ - 1];
   seen_name_count_ = view.name_count();
   seen_path_count_ = view.path_count();
   view_ = std::move(view);
-  has_view_ = true;
   poll.total_jobs = analyzer_.jobs_observed();
   return poll;
 }
 
-StatusOr<FollowPoll> TraceFollower::PollCsv() {
-  SWIM_ASSIGN_OR_RETURN(std::string chunk,
-                        ReadFileTail(path_, consumed_bytes_));
+StatusOr<FollowPoll> TraceFollower::PollCsv(bool drain) {
+  last_ingest_.reset();
+  SWIM_ASSIGN_OR_RETURN(FileImage tail,
+                        FileImage::Read(path_, consumed_bytes_));
   FollowPoll poll;
   poll.total_jobs = analyzer_.jobs_observed();
-  const size_t cut = CompleteRecordPrefix(chunk);
-  if (cut == 0) return poll;
-  chunk.resize(cut);
-
-  // The first consumed chunk carries the "#key=value" metadata comments and
-  // the header line itself; later chunks are bare records and get the
-  // canonical header prepended so the row parser sees a complete document.
-  std::string document;
-  if (csv_header_consumed_) {
-    document.reserve(sizeof(trace::kTraceCsvHeader) + chunk.size());
-    document.append(trace::kTraceCsvHeader);
-    document.push_back('\n');
-    document.append(chunk);
-  } else {
-    document = std::move(chunk);
+  const std::string_view records = tail.view().substr(
+      0, drain ? tail.size() : trace::LastCsvRecordEnd(tail.view()));
+  // Until the header is there, a growing file holds only its comments.
+  if (records.empty() || (!drain && !csv_header_consumed_ &&
+                          !trace::CsvPrologueEnds(records))) {
+    last_ingest_.emplace();
+    return poll;
   }
-  trace::ParseReport report;
-  SWIM_ASSIGN_OR_RETURN(
-      trace::Trace parsed,
-      trace::TraceFromCsv(document, options_.csv_parse, &report));
-  if (!parsed.empty()) {
-    trace::JobColumns chunk = parsed.columns();
+
+  // Later chunks are parsed behind the metadata so far and the header, and
+  // numbered from their first file line, so they parse as the rest of one
+  // document.
+  std::string document;
+  int prologue_lines = 0;
+  if (csv_header_consumed_) {
+    trace::AppendCsvPrologue(csv_metadata_, &document);
+    prologue_lines = static_cast<int>(
+        std::count(document.begin(), document.end(), '\n'));
+    document.append(records);
+  }
+  StatusOr<trace::Trace> parsed = trace::TraceFromCsv(
+      csv_header_consumed_ ? std::string_view(document) : records,
+      options_.csv_parse, &poll.ingest, consumed_lines_ + 1 - prologue_lines);
+  if (!parsed.ok()) return parsed.status();
+  last_ingest_ = poll.ingest;
+  const uint64_t cut = records.size();
+  const int lines = static_cast<int>(poll.ingest.lines) - prologue_lines;
+  tail = FileImage();  // the bytes are parsed; free them before folding
+  document = std::string();
+
+  trace::JobColumns chunk = parsed->columns();
+  // The chunk's ids are first-appearance ids; while nothing is interned
+  // yet, its dictionaries become the follower's as they are.
+  const bool adopt = csv_names_.empty() && csv_paths_.empty();
+  if (adopt) {
+    SWIM_RETURN_IF_ERROR(analyzer_.ObserveColumns(chunk, 0, chunk.size));
+  } else {
     // Check the rows before the dictionaries grow, so a rejected chunk
-    // leaves no trace in them.
+    // leaves no trace in them. Interning the chunk's dictionaries in id
+    // order extends the follower's in first-appearance order over the whole
+    // stream; one table per dictionary maps the chunk's ids onto them.
     SWIM_RETURN_IF_ERROR(analyzer_.Validate(chunk, 0, chunk.size));
-    // The chunk's ids are first-appearance ids within the chunk, so
-    // interning its dictionaries in id order extends the follower's in
-    // first-appearance order over the whole stream; one table per
-    // dictionary maps the chunk's ids onto the follower's.
-    auto table = [](const StringInterner& from, StringInterner& to) {
-      std::vector<uint32_t> ids(from.size());
-      for (uint32_t id = 0; id < from.size(); ++id) {
-        ids[id] = to.Intern(from.NameOf(id));
-      }
-      return ids;
-    };
-    const std::vector<uint32_t> name_table = table(parsed.names(), csv_names_);
-    const std::vector<uint32_t> path_table = table(parsed.paths(), csv_paths_);
-    auto map = [&](const uint32_t* ids, const std::vector<uint32_t>& to) {
+    const std::vector<uint32_t> name_table =
+        trace::InternAll(chunk.names, csv_names_);
+    const std::vector<uint32_t> path_table =
+        trace::InternAll(chunk.paths, csv_paths_);
+    auto map = [&](const uint32_t* ids, const std::vector<uint32_t>& table) {
       std::vector<uint32_t> mapped(ids, ids + chunk.size);
-      for (uint32_t& id : mapped) {
-        if (id != kNoStringId) id = to[id];
-      }
+      trace::RemapIds(table, mapped.data(), mapped.size());
       return mapped;
     };
     const std::vector<uint32_t> name_ids = map(chunk.name_id, name_table);
@@ -199,13 +157,13 @@ StatusOr<FollowPoll> TraceFollower::PollCsv() {
   }
   // Only now that the chunk is fully folded does the consumed mark move.
   consumed_bytes_ += cut;
+  consumed_lines_ += lines;
   csv_header_consumed_ = true;
-  if (!csv_metadata_set_) {
-    analyzer_.SetMetadata(parsed.metadata());
-    csv_metadata_set_ = true;
-  }
-  poll.new_jobs = parsed.size();
+  csv_metadata_ = parsed->metadata();
+  analyzer_.SetMetadata(csv_metadata_);
+  poll.new_jobs = parsed->size();
   poll.total_jobs = analyzer_.jobs_observed();
+  if (adopt) parsed->TakeDictionaries(&csv_names_, &csv_paths_);
   return poll;
 }
 
@@ -213,7 +171,7 @@ StatusOr<StreamingReport> TraceFollower::Report() const {
   if (format_ == trace::TraceFormat::kCsv) {
     return analyzer_.Report(trace::DictionaryView(csv_paths_));
   }
-  return analyzer_.Report(has_view_ ? &view_ : nullptr);
+  return analyzer_.Report(consumed_rows_ > 0 ? &view_ : nullptr);
 }
 
 }  // namespace swim::core

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "common/interner.h"
@@ -16,9 +17,10 @@ namespace swim::core {
 // ---------------------------------------------------------------------------
 // Trace following — incremental analysis of a growing trace file.
 //
-// TraceFollower tails one trace file (STF1 or CSV, auto-sniffed) and folds
+// TraceFollower tails one trace file (STF1 or CSV, sniffed once) and folds
 // newly appended jobs into a StreamingAnalyzer, so each Poll() costs
-// O(new rows) analysis work instead of a full re-read:
+// O(new rows) analysis work instead of a full re-read. Drain() is the same
+// poll for a file that is complete; `swim_analyze --stream` is one Drain().
 //
 //  - STF1: producers grow an STF1 trace by rewriting the snapshot with more
 //    rows (the format is a single checksummed image, not a log). Poll()
@@ -29,12 +31,14 @@ namespace swim::core {
 //    mark. Section checksums are NOT re-verified per poll (that is O(file));
 //    for an integrity audit, convert the file with `swim_convert`, which
 //    verifies every section checksum on input unless given --no-verify.
-//  - CSV: Poll() reads bytes past the consumed offset and cuts at the last
-//    record boundary — a newline at even quote parity, so a half-flushed
-//    quoted field is never split — parses just that chunk (with the
-//    canonical header prepended after the first chunk), maps the chunk's
-//    dictionary ids onto the follower's own dictionaries with one integer
-//    table per dictionary, and streams the chunk's columns.
+//  - CSV: Poll() reads the bytes past the consumed offset (FileImage) and
+//    cuts them after the last whole record (trace::LastCsvRecordEnd, the
+//    batch parser's own record scanner); nothing is consumed until the
+//    header is there (trace::CsvPrologueEnds). Later chunks are parsed
+//    behind the metadata so far and the header, numbered from their first
+//    file line, so a followed file parses exactly as a batch load. The
+//    first chunk's dictionaries become the follower's; a later chunk's ids
+//    are mapped onto them with one integer table per dictionary.
 //
 // Either way a poll that observes a malformed state (shrunk file, mutated
 // prefix, corrupt header, unparseable chunk, out-of-order appends) returns
@@ -46,8 +50,8 @@ namespace swim::core {
 
 struct FollowOptions {
   StreamingOptions streaming;
-  /// Row admission for CSV chunks (strict by default; kSkip tolerates torn
-  /// producers at the cost of silently dropping rows).
+  /// Row admission for CSV chunks (strict by default; kSkip and kRepair
+  /// drop or patch malformed rows and count them in FollowPoll::ingest).
   trace::ParseOptions csv_parse;
 };
 
@@ -57,6 +61,9 @@ struct FollowPoll {
   size_t new_jobs = 0;
   /// Total rows folded since Open().
   size_t total_jobs = 0;
+  /// The ingest outcome of the CSV rows this poll consumed, diagnostics
+  /// numbered by file line. Empty for STF1, which is not repaired.
+  trace::ParseReport ingest;
 };
 
 class TraceFollower {
@@ -71,6 +78,20 @@ class TraceFollower {
   /// plus O(header + dictionaries) re-open for STF1 / O(new bytes) read
   /// for CSV. On error the consumed mark and analyzer are unchanged.
   StatusOr<FollowPoll> Poll();
+
+  /// Poll() for a file that no longer grows: the end of the file ends the
+  /// last CSV record, so a final line without '\n' is consumed and a quote
+  /// left open is flagged, as in a batch load.
+  StatusOr<FollowPoll> Drain();
+
+  /// The ingest outcome of the rows the last poll read, kept also when the
+  /// analyzer then rejected them (an empty report for STF1, whose rows are
+  /// taken as they are); nullptr when that poll could not read, open or
+  /// parse the file. Lets a caller report a failed Drain() as a batch load
+  /// reports a failed load.
+  const trace::ParseReport* last_ingest() const {
+    return last_ingest_ ? &*last_ingest_ : nullptr;
+  }
 
   /// Renders the report over everything consumed so far (error when no
   /// rows have been consumed yet). Hot-file paths resolve through the
@@ -87,17 +108,17 @@ class TraceFollower {
                 FollowOptions options);
 
   StatusOr<FollowPoll> PollStf1();
-  StatusOr<FollowPoll> PollCsv();
+  StatusOr<FollowPoll> PollCsv(bool drain);
 
   std::string path_;
   trace::TraceFormat format_ = trace::TraceFormat::kCsv;
   FollowOptions options_;
   StreamingAnalyzer analyzer_;
+  std::optional<trace::ParseReport> last_ingest_;
 
   // STF1 state: the live view (kept for Report's dictionary lookups) and
   // the consumed-prefix fingerprint checked on every re-open.
   trace::ColumnarTraceView view_;
-  bool has_view_ = false;
   size_t consumed_rows_ = 0;
   uint64_t first_job_id_ = 0;
   double first_submit_ = 0.0;
@@ -106,15 +127,14 @@ class TraceFollower {
   size_t seen_name_count_ = 0;
   size_t seen_path_count_ = 0;
 
-  // CSV state: byte offset of the first unconsumed byte (always a record
-  // boundary, so the cross-poll quote-parity state is always "outside"),
-  // and the dictionaries every consumed chunk's ids were mapped onto, in
-  // first-appearance order over the consumed rows.
+  // CSV state: bytes and lines consumed (always up to a record start), the
+  // metadata so far, and the dictionaries of the consumed rows.
   uint64_t consumed_bytes_ = 0;
+  int consumed_lines_ = 0;
+  bool csv_header_consumed_ = false;
+  trace::TraceMetadata csv_metadata_;
   StringInterner csv_names_;
   StringInterner csv_paths_;
-  bool csv_header_consumed_ = false;
-  bool csv_metadata_set_ = false;
 };
 
 }  // namespace swim::core

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/file_image.h"
 #include "common/huge_pages.h"
 #include "common/string_util.h"
 #include "core/analysis/accumulators.h"
@@ -215,11 +216,8 @@ Status SaveModel(const WorkloadModel& model, const std::string& path) {
 }
 
 StatusOr<WorkloadModel> LoadModel(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return IoError("cannot open for reading: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ModelFromText(buffer.str());
+  SWIM_ASSIGN_OR_RETURN(FileImage image, FileImage::Read(path));
+  return ModelFromText(std::string(image.view()));
 }
 
 }  // namespace swim::core

@@ -380,29 +380,6 @@ Status ColumnarTraceView::Init() {
   return Status::Ok();
 }
 
-#define SWIM_COLUMN_ACCESSOR(method, kind, type)                       \
-  Span<const type> ColumnarTraceView::method() const {                 \
-    return Span<const type>(                                           \
-        reinterpret_cast<const type*>(SectionData(Stf1SectionKind::kind)), \
-        job_count_);                                                   \
-  }
-
-SWIM_COLUMN_ACCESSOR(job_ids, kJobId, uint64_t)
-SWIM_COLUMN_ACCESSOR(submit_times, kSubmitTime, double)
-SWIM_COLUMN_ACCESSOR(durations, kDuration, double)
-SWIM_COLUMN_ACCESSOR(input_bytes, kInputBytes, double)
-SWIM_COLUMN_ACCESSOR(shuffle_bytes, kShuffleBytes, double)
-SWIM_COLUMN_ACCESSOR(output_bytes, kOutputBytes, double)
-SWIM_COLUMN_ACCESSOR(map_tasks, kMapTasks, int64_t)
-SWIM_COLUMN_ACCESSOR(reduce_tasks, kReduceTasks, int64_t)
-SWIM_COLUMN_ACCESSOR(map_task_seconds, kMapTaskSeconds, double)
-SWIM_COLUMN_ACCESSOR(reduce_task_seconds, kReduceTaskSeconds, double)
-SWIM_COLUMN_ACCESSOR(name_ids, kNameIds, uint32_t)
-SWIM_COLUMN_ACCESSOR(input_path_ids, kInputPathIds, uint32_t)
-SWIM_COLUMN_ACCESSOR(output_path_ids, kOutputPathIds, uint32_t)
-
-#undef SWIM_COLUMN_ACCESSOR
-
 Status ColumnarTraceView::VerifyChecksums() const {
   for (size_t kind = 0; kind < kStf1SectionCount; ++kind) {
     if (Checksum64(sections_[kind], section_bytes_[kind]) !=
@@ -417,21 +394,26 @@ Status ColumnarTraceView::VerifyChecksums() const {
 }
 
 JobColumns ColumnarTraceView::columns() const {
+  // Points `field` at section `kind` of the image.
+  auto point = [&](auto& field, Stf1SectionKind kind) {
+    field = reinterpret_cast<std::remove_reference_t<decltype(field)>>(
+        SectionData(kind));
+  };
   JobColumns c;
   c.size = job_count_;
-  c.job_id = job_ids().data();
-  c.submit_time = submit_times().data();
-  c.duration = durations().data();
-  c.input_bytes = input_bytes().data();
-  c.shuffle_bytes = shuffle_bytes().data();
-  c.output_bytes = output_bytes().data();
-  c.map_tasks = map_tasks().data();
-  c.reduce_tasks = reduce_tasks().data();
-  c.map_task_seconds = map_task_seconds().data();
-  c.reduce_task_seconds = reduce_task_seconds().data();
-  c.name_id = name_ids().data();
-  c.input_path_id = input_path_ids().data();
-  c.output_path_id = output_path_ids().data();
+  point(c.job_id, Stf1SectionKind::kJobId);
+  point(c.submit_time, Stf1SectionKind::kSubmitTime);
+  point(c.duration, Stf1SectionKind::kDuration);
+  point(c.input_bytes, Stf1SectionKind::kInputBytes);
+  point(c.shuffle_bytes, Stf1SectionKind::kShuffleBytes);
+  point(c.output_bytes, Stf1SectionKind::kOutputBytes);
+  point(c.map_tasks, Stf1SectionKind::kMapTasks);
+  point(c.reduce_tasks, Stf1SectionKind::kReduceTasks);
+  point(c.map_task_seconds, Stf1SectionKind::kMapTaskSeconds);
+  point(c.reduce_task_seconds, Stf1SectionKind::kReduceTaskSeconds);
+  point(c.name_id, Stf1SectionKind::kNameIds);
+  point(c.input_path_id, Stf1SectionKind::kInputPathIds);
+  point(c.output_path_id, Stf1SectionKind::kOutputPathIds);
   c.names = DictionaryView(
       reinterpret_cast<const uint64_t*>(
           SectionData(Stf1SectionKind::kNameDictOffsets)),
@@ -456,31 +438,6 @@ Status ColumnarTraceView::ValidateRows() const {
   return Status::Ok();
 }
 
-namespace {
-
-/// Interns `dictionary`, reserved for it, in id order. Returns true when
-/// each entry kept its id (every entry non-empty and distinct, as in every
-/// file a trace writes); otherwise `remap` takes old id -> new id,
-/// kNoStringId for an empty entry (an absent field, as in a CSV row).
-bool InternDictionary(const DictionaryView& dictionary,
-                      StringInterner& interner, std::vector<uint32_t>& remap) {
-  remap.resize(dictionary.size());
-  bool same_ids = true;
-  for (uint32_t id = 0; id < dictionary.size(); ++id) {
-    remap[id] = InternField(dictionary[id], interner);
-    same_ids = same_ids && remap[id] == id;
-  }
-  return same_ids;
-}
-
-void RemapIds(const std::vector<uint32_t>& remap, std::vector<uint32_t>& ids) {
-  for (uint32_t& id : ids) {
-    if (id != kNoStringId) id = remap[id];
-  }
-}
-
-}  // namespace
-
 StatusOr<Trace> ColumnarTraceView::Materialize(int /*unused*/) const {
   SWIM_RETURN_IF_ERROR(ValidateRows());
   // The dictionaries are interned while the columns are copied; the path
@@ -491,13 +448,11 @@ StatusOr<Trace> ColumnarTraceView::Materialize(int /*unused*/) const {
   StringInterner paths;
   names.Reserve(view.names.size());
   paths.Reserve(view.paths.size());
-  std::vector<uint32_t> name_remap;
-  std::vector<uint32_t> path_remap;
-  bool same_names = true;
-  bool same_paths = true;
+  std::vector<uint32_t> name_ids;
+  std::vector<uint32_t> path_ids;
   std::vector<std::function<void()>> tasks = {
-      [&] { same_paths = InternDictionary(view.paths, paths, path_remap); },
-      [&] { same_names = InternDictionary(view.names, names, name_remap); },
+      [&] { path_ids = InternAll(view.paths, paths); },
+      [&] { name_ids = InternAll(view.names, names); },
   };
   TraceColumns columns;
   size_t kind = 0;
@@ -511,13 +466,18 @@ StatusOr<Trace> ColumnarTraceView::Materialize(int /*unused*/) const {
     });
   });
   RunConcurrently(tasks);
-  // The file's ids are the trace's when its dictionaries are canonical;
+  // The file's ids are the trace's when its dictionaries are canonical
+  // (every entry non-empty and distinct, as in every file a trace writes);
   // the Trace constructor checks the rest of the canonical form.
-  if (!same_names) RemapIds(name_remap, columns.name_id);
-  if (!same_paths) {
-    RemapIds(path_remap, columns.input_path_id);
-    RemapIds(path_remap, columns.output_path_id);
-  }
+  auto remap = [](const std::vector<uint32_t>& table,
+                  std::vector<uint32_t>& ids) {
+    for (uint32_t id = 0; id < table.size(); ++id) {
+      if (table[id] != id) return RemapIds(table, ids.data(), ids.size());
+    }
+  };
+  remap(name_ids, columns.name_id);
+  remap(path_ids, columns.input_path_id);
+  remap(path_ids, columns.output_path_id);
   return Trace(metadata_, std::move(columns), std::move(names),
                std::move(paths));
 }
@@ -564,18 +524,17 @@ const char* TraceFormatName(TraceFormat format) {
 }
 
 StatusOr<TraceFormat> SniffTraceFormat(const std::string& path) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (!in) return IoError("cannot open for reading: " + path);
   uint32_t magic = 0;
-  const size_t got = std::fread(&magic, 1, sizeof(magic), in);
-  std::fclose(in);
-  if (got == 0) {
+  SWIM_ASSIGN_OR_RETURN(FileImage head,
+                        FileImage::Read(path, 0, sizeof(magic)));
+  if (head.size() == 0) {
     // An empty file is neither format; classifying it as CSV would defer
     // to the row parser's less specific "missing header" diagnostic.
     return InvalidArgumentError("empty trace file: " + path);
   }
-  if (got == sizeof(magic) && magic == kStf1Magic) return TraceFormat::kStf1;
-  return TraceFormat::kCsv;
+  if (head.size() < sizeof(magic)) return TraceFormat::kCsv;
+  std::memcpy(&magic, head.data(), sizeof(magic));
+  return magic == kStf1Magic ? TraceFormat::kStf1 : TraceFormat::kCsv;
 }
 
 StatusOr<Trace> ReadTraceAuto(const std::string& path,

@@ -8,7 +8,6 @@
 #include <string_view>
 
 #include "common/file_image.h"
-#include "common/span.h"
 #include "common/statusor.h"
 #include "trace/trace.h"
 #include "trace/trace_io.h"
@@ -22,7 +21,7 @@ namespace swim::trace {
 // a section table, then one 64-byte-aligned payload per section — ten
 // numeric job columns, three uint32 dictionary-id columns, and the interned
 // path/name dictionaries persisted as offsets + blob. Numeric columns map
-// directly into Span<const T> views with zero copy, so opening a trace is
+// directly into column pointers with zero copy, so opening a trace is
 // O(pages touched) instead of O(bytes parsed): the CSV parse tax (field
 // split + strtod per row) is paid once at conversion time, never per run.
 // Every section carries an XXH64 checksum; see DESIGN.md "Columnar trace
@@ -105,9 +104,10 @@ struct ColumnarOptions {
 
 /// A zero-copy window onto an STF1 file. Open() validates the header,
 /// section table, and dictionary structure (O(header + dictionaries), not
-/// O(file)); numeric columns are exposed as Spans straight into the mapping
-/// and fault in lazily as they are touched. The view owns the mapping:
-/// Spans and string_views obtained from it are valid only while it lives.
+/// O(file)); columns() exposes the columns straight from the mapping, and
+/// they fault in lazily as they are touched. The view owns the mapping:
+/// pointers and string_views obtained from it are valid only while it
+/// lives.
 class ColumnarTraceView {
  public:
   ColumnarTraceView() = default;
@@ -124,33 +124,14 @@ class ColumnarTraceView {
 
   const TraceMetadata& metadata() const { return metadata_; }
   size_t job_count() const { return job_count_; }
-  /// True when backed by an actual mmap (false on the read() fallback).
-  bool mapped() const { return image_.mapped(); }
-  size_t file_bytes() const { return image_.size(); }
-
-  // Numeric job columns — Spans directly into the mapping, length
-  // job_count(). No bytes are copied or faulted until an element is read.
-  Span<const uint64_t> job_ids() const;
-  Span<const double> submit_times() const;
-  Span<const double> durations() const;
-  Span<const double> input_bytes() const;
-  Span<const double> shuffle_bytes() const;
-  Span<const double> output_bytes() const;
-  Span<const int64_t> map_tasks() const;
-  Span<const int64_t> reduce_tasks() const;
-  Span<const double> map_task_seconds() const;
-  Span<const double> reduce_task_seconds() const;
-
-  // Dictionary-id columns (kNoStringId marks "field absent").
-  Span<const uint32_t> name_ids() const;
-  Span<const uint32_t> input_path_ids() const;
-  Span<const uint32_t> output_path_ids() const;
 
   /// Distinct interned strings in each dictionary.
   size_t name_count() const { return name_count_; }
   size_t path_count() const { return path_count_; }
 
-  /// Every column as one JobColumns view. Valid while the view lives.
+  /// Every column as one JobColumns view: pointers straight into the
+  /// mapping, length job_count(), faulted in only as elements are read.
+  /// Valid while the view lives.
   JobColumns columns() const;
 
   /// Verifies every section checksum (one pass over the whole file).
@@ -218,8 +199,8 @@ const char* TraceFormatName(TraceFormat format);
 
 /// Reads the first bytes of `path`: STF1 magic selects kStf1, anything else
 /// is presumed CSV and left to the CSV parser's diagnostics. A zero-length
-/// file is neither and yields InvalidArgumentError; IoError when the file
-/// cannot be opened.
+/// file is neither and yields InvalidArgumentError; IoError when the path
+/// cannot be opened or is not a regular file (FileImage's errors).
 StatusOr<TraceFormat> SniffTraceFormat(const std::string& path);
 
 /// Loads a trace in whichever format `path` holds. CSV honors

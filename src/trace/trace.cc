@@ -221,6 +221,12 @@ void Trace::SetJobs(std::vector<JobRecord> jobs) {
   }
 }
 
+void Trace::TakeDictionaries(StringInterner* names, StringInterner* paths) {
+  *names = std::move(names_);
+  *paths = std::move(paths_);
+  *this = Trace();
+}
+
 double Trace::EndTime() const {
   double end = 0.0;
   for (size_t i = 0; i < size(); ++i) {

@@ -46,6 +46,26 @@ inline uint32_t InternField(std::string_view text, StringInterner& dictionary) {
   return text.empty() ? kNoStringId : dictionary.Intern(text);
 }
 
+/// Interns the entries of `from` (a DictionaryView, or a vector of
+/// string_views) into `to` in id order, and returns the table from
+/// `from`'s ids to `to`'s.
+template <typename Dictionary>
+std::vector<uint32_t> InternAll(const Dictionary& from, StringInterner& to) {
+  std::vector<uint32_t> table(from.size());
+  for (uint32_t id = 0; id < from.size(); ++id) {
+    table[id] = InternField(from[id], to);
+  }
+  return table;
+}
+
+/// Maps each of ids[0, count) through `table`; kNoStringId stays.
+inline void RemapIds(const std::vector<uint32_t>& table, uint32_t* ids,
+                     size_t count) {
+  for (uint32_t* id = ids; id != ids + count; ++id) {
+    if (*id != kNoStringId) *id = table[*id];
+  }
+}
+
 /// The columns a Trace owns: the ten numeric job fields and the three
 /// dictionary-id columns (kNoStringId marks an absent field), one element
 /// per job. Producers fill these directly and hand them to Trace.
@@ -158,6 +178,10 @@ class Trace {
   /// Replaces every job: orders them by submit time (stably), then interns
   /// their strings once.
   void SetJobs(std::vector<JobRecord> jobs);
+
+  /// Moves the dictionaries into `names` and `paths` and leaves the trace
+  /// empty: for a caller that keeps the strings once the rows are folded.
+  void TakeDictionaries(StringInterner* names, StringInterner* paths);
 
   /// A no-op kept for the benchmark harness: ids are built with the trace.
   void WarmIndexes(int /*unused*/ = 0) const {}

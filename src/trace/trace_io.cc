@@ -168,27 +168,6 @@ bool EncodeCsvRows(const JobColumns& c,
   return true;
 }
 
-/// Appends the "#key=value" metadata comments plus the column header.
-void AppendCsvPrologue(const TraceMetadata& meta, std::string* out) {
-  if (!meta.name.empty()) {
-    out->append("#name=");
-    out->append(meta.name);
-    out->push_back('\n');
-  }
-  char buffer[48];
-  if (meta.machines > 0) {
-    out->append(buffer,
-                static_cast<size_t>(std::snprintf(
-                    buffer, sizeof(buffer), "#machines=%d\n", meta.machines)));
-  }
-  if (meta.year > 0) {
-    out->append(buffer, static_cast<size_t>(std::snprintf(
-                            buffer, sizeof(buffer), "#year=%d\n", meta.year)));
-  }
-  out->append(kTraceCsvHeader);
-  out->push_back('\n');
-}
-
 enum class CsvLineError { kNone, kUnbalancedQuote, kMidFieldQuote };
 
 /// Splits one CSV record honoring RFC 4180 quoting. Quotes are only legal
@@ -423,6 +402,14 @@ struct CsvRecord {
   int line = 0;
 };
 
+/// Blank lines and "#" comments may precede the header; the first other
+/// record is the header, or what fails in its place.
+bool IsPrologueComment(std::string_view record) {
+  return record.empty() || record[0] == '#';
+}
+
+/// The one CSV record scanner, behind TraceFromCsv, LastCsvRecordEnd and
+/// CsvPrologueEnds.
 /// Splits `text` into records with std::getline semantics ('\n' separated,
 /// no empty final record after a trailing newline, trailing '\r' stripped
 /// at each record end), extended with RFC 4180 quote continuation: a line
@@ -431,9 +418,15 @@ struct CsvRecord {
 /// lines never continue. Continuation is capped at kMaxRecordLines; an
 /// unclosed quote surfaces only its opening line (later flagged as
 /// unbalanced) and parsing resumes on the next physical line, which is what
-/// lets skip/repair modes recover from a single stray quote.
-std::vector<CsvRecord> SplitRecords(std::string_view text) {
-  std::vector<CsvRecord> records;
+/// lets skip/repair modes recover from a single stray quote. Calls
+/// `visit(record, whole, after)` per record until it returns false, lines
+/// numbered from `first_line`. `after` is the offset past the record;
+/// `whole`, whether appended bytes would leave the record as it is (its
+/// last line ends in '\n', and an open quote has run kMaxRecordLines). A
+/// record depends only on the bytes from its start on. Returns the number
+/// of the last physical line scanned.
+template <typename Visit>
+int ScanRecords(std::string_view text, int first_line, Visit&& visit) {
   // Quotes are found with memchr, not by testing every byte: `next_quote`
   // is the first quote not yet counted (npos when none is left), so a line
   // without one costs a compare and a file without quotes one scan.
@@ -450,48 +443,47 @@ std::vector<CsvRecord> SplitRecords(std::string_view text) {
     }
   };
   size_t pos = 0;
-  int line_no = 0;  // physical lines fully consumed
+  int line_no = first_line - 1;  // the last physical line consumed
   while (pos < text.size()) {
     const int record_line = line_no + 1;
     size_t nl = text.find('\n', pos);
     size_t end = (nl == std::string_view::npos) ? text.size() : nl;
     size_t after = (nl == std::string_view::npos) ? text.size() : nl + 1;
     int consumed = 1;
+    bool whole = nl != std::string_view::npos;
 
     bool in_quotes = false;
     if (text[pos] != '#') toggle_quotes(pos, end, &in_quotes);
     if (in_quotes) {
-      // Quote still open at end of line: scan continuation lines.
+      // Quote still open at end of line: scan continuation lines. Unclosed,
+      // the record keeps only its opening line (end/after/consumed).
       size_t scan = after;
       int span = 1;
-      bool closed = false;
+      bool ended = false;  // the last scanned line ends in '\n'
       while (scan < text.size() && span < kMaxRecordLines) {
         size_t cnl = text.find('\n', scan);
-        size_t cend = (cnl == std::string_view::npos) ? text.size() : cnl;
-        size_t cafter = (cnl == std::string_view::npos) ? text.size() : cnl + 1;
+        ended = cnl != std::string_view::npos;
+        size_t cend = ended ? cnl : text.size();
+        size_t cafter = ended ? cnl + 1 : text.size();
         toggle_quotes(scan, cend, &in_quotes);
         ++span;
         if (!in_quotes) {
           end = cend;
           after = cafter;
           consumed = span;
-          closed = true;
           break;
         }
         scan = cafter;
       }
-      if (!closed) {
-        // Unbalanced: keep only the opening physical line (end/after/
-        // consumed already describe it) and let the row parser flag it.
-      }
+      whole = ended && (!in_quotes || span == kMaxRecordLines);
     }
     std::string_view record = text.substr(pos, end - pos);
     if (!record.empty() && record.back() == '\r') record.remove_suffix(1);
-    records.push_back({record, record_line});
     line_no += consumed;
     pos = after;
+    if (!visit(CsvRecord{record, record_line}, whole, after)) break;
   }
-  return records;
+  return line_no;
 }
 
 }  // namespace
@@ -567,6 +559,44 @@ std::string ParseReport::ToString() const {
   return out;
 }
 
+void AppendCsvPrologue(const TraceMetadata& meta, std::string* out) {
+  if (!meta.name.empty()) {
+    out->append("#name=");
+    out->append(meta.name);
+    out->push_back('\n');
+  }
+  char buffer[48];
+  if (meta.machines > 0) {
+    out->append(buffer,
+                static_cast<size_t>(std::snprintf(
+                    buffer, sizeof(buffer), "#machines=%d\n", meta.machines)));
+  }
+  if (meta.year > 0) {
+    out->append(buffer, static_cast<size_t>(std::snprintf(
+                            buffer, sizeof(buffer), "#year=%d\n", meta.year)));
+  }
+  out->append(kTraceCsvHeader);
+  out->push_back('\n');
+}
+
+size_t LastCsvRecordEnd(std::string_view text) {
+  size_t end = 0;
+  ScanRecords(text, 1, [&](const CsvRecord&, bool whole, size_t after) {
+    if (whole) end = after;
+    return whole;
+  });
+  return end;
+}
+
+bool CsvPrologueEnds(std::string_view text) {
+  bool ends = false;
+  ScanRecords(text, 1, [&](const CsvRecord& record, bool, size_t) {
+    ends = !IsPrologueComment(record.text);
+    return !ends;
+  });
+  return ends;
+}
+
 std::string TraceToCsv(const Trace& trace) {
   return ColumnsToCsv(trace.metadata(), trace.columns());
 }
@@ -597,36 +627,41 @@ std::string ColumnsToCsv(const TraceMetadata& metadata, const JobColumns& c) {
 }
 
 StatusOr<Trace> TraceFromCsv(std::string_view csv_text,
-                             const ParseOptions& options,
-                             ParseReport* report) {
+                             const ParseOptions& options, ParseReport* report,
+                             int first_line) {
   TraceMetadata metadata;
   if (report) {
     *report = ParseReport{};
     report->mode = options.mode;
   }
-  std::vector<CsvRecord> records = SplitRecords(csv_text);
+  std::vector<CsvRecord> records;
+  const int last_line = ScanRecords(
+      csv_text, first_line, [&](const CsvRecord& record, bool, size_t) {
+        records.push_back(record);
+        return true;
+      });
+  if (report) report->lines = static_cast<size_t>(last_line - first_line + 1);
 
   // Sequential prologue: metadata comments up to and including the header.
   size_t first_data = records.size();
   bool header_seen = false;
   for (size_t i = 0; i < records.size(); ++i) {
     std::string_view line = records[i].text;
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      auto parts = Split(line.substr(1), '=');
-      if (parts.size() == 2) {
-        SWIM_RETURN_IF_ERROR(
-            ApplyMetadata(parts[0], parts[1], records[i].line, &metadata));
+    if (!IsPrologueComment(line)) {
+      if (line != kTraceCsvHeader) {
+        return InvalidArgumentError("line " + std::to_string(records[i].line) +
+                                    ": unrecognized header");
       }
-      continue;
+      header_seen = true;
+      first_data = i + 1;
+      break;
     }
-    if (line != kTraceCsvHeader) {
-      return InvalidArgumentError("line " + std::to_string(records[i].line) +
-                                  ": unrecognized header");
+    if (line.empty()) continue;
+    auto parts = Split(line.substr(1), '=');
+    if (parts.size() == 2) {
+      SWIM_RETURN_IF_ERROR(
+          ApplyMetadata(parts[0], parts[1], records[i].line, &metadata));
     }
-    header_seen = true;
-    first_data = i + 1;
-    break;
   }
   if (!header_seen) return InvalidArgumentError("missing CSV header");
 
@@ -772,24 +807,13 @@ StatusOr<Trace> TraceFromCsv(std::string_view csv_text,
           ApplyMetadata(meta.key, meta.value, meta.line, &metadata));
     }
     if (!shard.error.ok()) return shard.error;
-    auto merge = [](const std::vector<std::string_view>& local,
-                    StringInterner& dictionary) {
-      std::vector<uint32_t> ids;
-      ids.reserve(local.size());
-      for (std::string_view text : local) ids.push_back(dictionary.Intern(text));
-      return ids;
-    };
-    const std::vector<uint32_t> name_ids = merge(shard.names, names);
-    const std::vector<uint32_t> path_ids = merge(shard.paths, paths);
-    auto remap = [](uint32_t& id, const std::vector<uint32_t>& ids) {
-      if (id != kNoStringId) id = ids[id];
-    };
+    const std::vector<uint32_t> name_ids = InternAll(shard.names, names);
+    const std::vector<uint32_t> path_ids = InternAll(shard.paths, paths);
     const size_t base = k * kShardLines;
-    for (size_t row = base; row < base + shard.rows_written; ++row) {
-      remap(columns.name_id[row], name_ids);
-      remap(columns.input_path_id[row], path_ids);
-      remap(columns.output_path_id[row], path_ids);
-    }
+    const size_t rows = shard.rows_written;
+    RemapIds(name_ids, columns.name_id.data() + base, rows);
+    RemapIds(path_ids, columns.input_path_id.data() + base, rows);
+    RemapIds(path_ids, columns.output_path_id.data() + base, rows);
     if (base != total_jobs) {
       columns.ForEach([&](auto& column) {
         std::copy(column.begin() + base,

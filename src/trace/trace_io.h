@@ -103,12 +103,18 @@ struct ParseReport {
   std::vector<ParseDiagnostic> diagnostics;
   /// Flagged rows beyond max_diagnostics whose details were not retained.
   size_t dropped_diagnostics = 0;
+  /// Physical lines read: comments, blank lines and the header included.
+  size_t lines = 0;
 
   size_t flagged() const { return skipped + repaired; }
   bool clean() const { return flagged() == 0; }
   /// Multi-line human-readable summary (stable across thread counts).
   std::string ToString() const;
 };
+
+/// Appends what WriteTraceCsv writes before the rows: "#key=value" lines
+/// for the metadata set, then the header.
+void AppendCsvPrologue(const TraceMetadata& metadata, std::string* out);
 
 /// Serializes a trace to CSV. Fields containing commas, quotes, or
 /// newlines are quoted per RFC 4180. Metadata (name/machines/year) is
@@ -128,9 +134,23 @@ Status WriteTraceCsv(const Trace& trace, const std::string& path);
 StatusOr<Trace> ReadTraceCsv(const std::string& path,
                              const ParseOptions& options,
                              ParseReport* report = nullptr);
+/// The same over text in memory, whose first physical line is numbered
+/// `first_line` in diagnostics and errors.
 StatusOr<Trace> TraceFromCsv(std::string_view csv_text,
                              const ParseOptions& options,
-                             ParseReport* report = nullptr);
+                             ParseReport* report = nullptr,
+                             int first_line = 1);
+
+/// The length of the longest prefix of `text` made of records, split as
+/// ReadTraceCsv splits them, that bytes appended to `text` cannot change:
+/// each ends in '\n', and one with an open quote has all the 64 lines that
+/// decide it (the continuation cap).
+size_t LastCsvRecordEnd(std::string_view text);
+
+/// Whether `text` holds a record other than the blank lines and "#"
+/// comments ReadTraceCsv takes before the header: the header, or what fails
+/// in its place.
+bool CsvPrologueEnds(std::string_view text);
 
 /// Strict-mode conveniences (historical signatures). `threads` bounds the
 /// parallel shard parse as in ParseOptions::threads.

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/file_image.h"
 #include "common/string_util.h"
 
 namespace swim::workloads {
@@ -179,11 +180,8 @@ Status SaveSpec(const WorkloadSpec& spec, const std::string& path) {
 }
 
 StatusOr<WorkloadSpec> LoadSpec(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return IoError("cannot open for reading: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return SpecFromText(buffer.str());
+  SWIM_ASSIGN_OR_RETURN(FileImage image, FileImage::Read(path));
+  return SpecFromText(std::string(image.view()));
 }
 
 }  // namespace swim::workloads

@@ -291,16 +291,15 @@ TEST(ColumnarTest, ViewExposesColumnsZeroCopy) {
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   ASSERT_EQ(view->job_count(), original.size());
   const auto& jobs = original.jobs();
-  auto submit = view->submit_times();
-  auto maps = view->map_tasks();
-  auto names = view->name_ids();
+  const JobColumns columns = view->columns();
+  ASSERT_EQ(columns.size, jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(submit[i], jobs[i].submit_time);
-    EXPECT_EQ(maps[i], jobs[i].map_tasks);
+    EXPECT_EQ(columns.submit_time[i], jobs[i].submit_time);
+    EXPECT_EQ(columns.map_tasks[i], jobs[i].map_tasks);
     if (jobs[i].name.empty()) {
-      EXPECT_EQ(names[i], kNoStringId);
+      EXPECT_EQ(columns.name_id[i], kNoStringId);
     } else {
-      EXPECT_EQ(view->columns().names[names[i]], jobs[i].name);
+      EXPECT_EQ(columns.names[columns.name_id[i]], jobs[i].name);
     }
   }
   EXPECT_TRUE(view->VerifyChecksums().ok());

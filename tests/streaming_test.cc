@@ -2,10 +2,15 @@
 // exact-stage byte identity against the batch pipeline, GK quantiles
 // against the SortedStats oracle, thread-count determinism, incremental ==
 // one-shot, and follower resilience to truncation / mutation / garbage.
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
+
+#include "common/random.h"
+#include "common/string_util.h"
 
 #include "core/analysis/follow.h"
 #include "core/analysis/streaming.h"
@@ -13,6 +18,7 @@
 #include "gtest/gtest.h"
 #include "stats/descriptive.h"
 #include "trace/columnar.h"
+#include "trace/csv_mutator.h"
 #include "trace/stf1_mutator.h"
 #include "trace/trace_io.h"
 #include "workloads/paper_workloads.h"
@@ -171,13 +177,14 @@ TEST(StreamingTest, GkQuantilesWithinEpsilonOfOracle) {
     rank_of(got.p90, 0.90);
     rank_of(got.p99, 0.99);
   };
-  auto column = [&](Span<const double> span) {
-    return std::vector<double>(span.begin(), span.end());
+  const trace::JobColumns columns = view.columns();
+  auto column = [&](const double* values) {
+    return std::vector<double>(values, values + columns.size);
   };
-  check(streaming.input_bytes, column(view.input_bytes()));
-  check(streaming.shuffle_bytes, column(view.shuffle_bytes()));
-  check(streaming.output_bytes, column(view.output_bytes()));
-  check(streaming.duration, column(view.durations()));
+  check(streaming.input_bytes, column(columns.input_bytes));
+  check(streaming.shuffle_bytes, column(columns.shuffle_bytes));
+  check(streaming.output_bytes, column(columns.output_bytes));
+  check(streaming.duration, column(columns.duration));
 }
 
 TEST(StreamingTest, ByteIdenticalAcrossThreadCounts) {
@@ -502,6 +509,256 @@ TEST(FollowTest, OutOfOrderCsvAppendIsAnError) {
   AppendToFile(path, tail_csv.substr(header_end));
   EXPECT_FALSE(follower->Poll().ok());
   EXPECT_EQ(follower->jobs_consumed(), 500u);
+}
+
+// --- Follow mode: a followed CSV parses exactly as a batch load ----------
+
+/// Where a follower ended up, in the terms `swim_analyze --stream` shows.
+struct FollowOutcome {
+  Status status;
+  /// Report lines that do not depend on how the rows were batched (GK
+  /// quantiles, Space-Saving counts and the batch count do).
+  std::vector<std::string> exact_lines;
+  std::string name;
+  int machines = 0;
+  int year = 0;
+  size_t total_rows = 0, accepted = 0, skipped = 0, repaired = 0;
+  std::array<size_t, trace::kParseErrorKinds> error_counts{};
+  std::vector<std::string> diagnostics;
+
+  void Add(const trace::ParseReport& ingest) {
+    total_rows += ingest.total_rows;
+    accepted += ingest.accepted;
+    skipped += ingest.skipped;
+    repaired += ingest.repaired;
+    for (size_t i = 0; i < trace::kParseErrorKinds; ++i) {
+      error_counts[i] += ingest.error_counts[i];
+    }
+    for (const trace::ParseDiagnostic& diag : ingest.diagnostics) {
+      diagnostics.push_back(diag.ToString());
+    }
+  }
+
+  void Finish(const TraceFollower& follower) {
+    auto report = follower.Report();
+    if (!report.ok()) {
+      status = report.status();
+      return;
+    }
+    name = report->summary.name;
+    machines = report->summary.machines;
+    year = report->summary.year;
+    for (const std::string& line :
+         Split(FormatStreamingReport(*report), '\n')) {
+      if (line.find("p25=") == std::string::npos &&
+          line.find("batches=") == std::string::npos &&
+          line.find("hot inputs") == std::string::npos &&
+          line.find("re-accesses within") == std::string::npos) {
+        exact_lines.push_back(line);
+      }
+    }
+  }
+};
+
+void ExpectSameOutcome(const FollowOutcome& got, const FollowOutcome& want) {
+  EXPECT_EQ(got.status, want.status);
+  EXPECT_EQ(got.exact_lines, want.exact_lines);
+  EXPECT_EQ(got.name, want.name);
+  EXPECT_EQ(got.machines, want.machines);
+  EXPECT_EQ(got.year, want.year);
+  EXPECT_EQ(got.total_rows, want.total_rows);
+  EXPECT_EQ(got.accepted, want.accepted);
+  EXPECT_EQ(got.skipped, want.skipped);
+  EXPECT_EQ(got.repaired, want.repaired);
+  EXPECT_EQ(got.error_counts, want.error_counts);
+  EXPECT_EQ(got.diagnostics, want.diagnostics);
+}
+
+/// `swim_analyze --stream` over `csv`: one follower drained once.
+FollowOutcome StreamWhole(const std::string& csv, FollowOptions options) {
+  FollowOutcome out;
+  const std::string path = WriteTempFile("follow_whole.csv", csv);
+  auto follower = TraceFollower::Open(path, options);
+  EXPECT_TRUE(follower.ok()) << follower.status().ToString();
+  auto poll = follower->Drain();
+  if (!poll.ok()) {
+    out.status = poll.status();
+    return out;
+  }
+  out.Add(poll->ingest);
+  out.Finish(*follower);
+  return out;
+}
+
+/// `csv` appended to a followed file in pieces ending at `cuts` (ascending,
+/// inside the text), polling after each, then drained. `all_polls_ok` tells
+/// whether no poll failed; `drained_rows`, how many rows were left for the
+/// drain.
+FollowOutcome FollowInPieces(const std::string& csv, std::vector<size_t> cuts,
+                             FollowOptions options, bool* all_polls_ok,
+                             size_t* drained_rows) {
+  FollowOutcome out;
+  *all_polls_ok = true;
+  cuts.push_back(csv.size());
+  const std::string path =
+      WriteTempFile("follow_pieces.csv", csv.substr(0, cuts[0]));
+  auto follower = TraceFollower::Open(path, options);
+  EXPECT_TRUE(follower.ok()) << follower.status().ToString();
+  for (size_t k = 0; k <= cuts.size(); ++k) {
+    if (k > 0 && k < cuts.size()) {
+      AppendToFile(path, csv.substr(cuts[k - 1], cuts[k] - cuts[k - 1]));
+    }
+    auto poll = k < cuts.size() ? follower->Poll() : follower->Drain();
+    if (poll.ok()) {
+      out.Add(poll->ingest);
+      *drained_rows = poll->ingest.total_rows;
+    } else {
+      *all_polls_ok = false;
+      out.status = poll.status();
+    }
+  }
+  if (out.status.ok()) out.Finish(*follower);
+  return out;
+}
+
+/// Cut points for `csv`: the middle of every '#' line, just past every
+/// newline inside a quoted field, just past every quote, and `random` more
+/// drawn from `rng`.
+std::vector<size_t> CutPoints(const std::string& csv, Pcg32& rng,
+                              size_t random) {
+  std::vector<size_t> cuts;
+  bool in_quotes = false;
+  for (size_t i = 0; i < csv.size(); ++i) {
+    const bool line_start = i == 0 || csv[i - 1] == '\n';
+    if (line_start && csv[i] == '#') {
+      const size_t end = std::min(csv.find('\n', i), csv.size());
+      cuts.push_back(i + (end - i) / 2);
+      i = end;
+      continue;
+    }
+    if (csv[i] == '"') {
+      in_quotes = !in_quotes;
+      cuts.push_back(i + 1);
+    } else if (csv[i] == '\n' && in_quotes) {
+      cuts.push_back(i + 1);
+    }
+  }
+  for (size_t k = 0; k < random; ++k) {
+    cuts.push_back(1 + rng.NextBounded(csv.size() - 1));
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  while (!cuts.empty() && cuts.back() >= csv.size()) cuts.pop_back();
+  while (!cuts.empty() && cuts.front() == 0) cuts.erase(cuts.begin());
+  return cuts;
+}
+
+/// CC-b jobs; in the first half, names hold commas, quotes and newlines,
+/// so records span lines and quotes sit in every position a writer puts
+/// them. The second half holds no quote.
+std::string QuotedCsv(size_t jobs) {
+  const trace::Trace generated = GenerateWorkload("CC-b", jobs);
+  trace::Trace quoted;
+  quoted.mutable_metadata() = generated.metadata();
+  for (size_t i = 0; i < generated.size(); ++i) {
+    trace::JobRecord job = generated.JobAt(i);
+    if (i < jobs / 2 && i % 7 == 3) job.name += ",\"step\"\nline two";
+    if (i < jobs / 2 && i % 11 == 5) job.name = "say \"hi\"";
+    quoted.AddJob(job);
+  }
+  return trace::TraceToCsv(quoted);
+}
+
+/// Inserts `text` as a line of its own after the line holding the `at`
+/// byte fraction of `csv`.
+std::string InsertLine(const std::string& csv, double at,
+                       const std::string& text) {
+  const size_t pos = csv.find('\n', static_cast<size_t>(at * csv.size())) + 1;
+  return csv.substr(0, pos) + text + "\n" + csv.substr(pos);
+}
+
+/// Puts a stray quote at the start of the second field of the data line
+/// after the `at` byte fraction of `csv`.
+std::string StrayQuote(const std::string& csv, double at) {
+  const size_t line = csv.find('\n', static_cast<size_t>(at * csv.size())) + 1;
+  const size_t comma = csv.find(',', line) + 1;
+  return csv.substr(0, comma) + "\"" + csv.substr(comma);
+}
+
+FollowOptions WithMode(trace::ParseMode mode) {
+  FollowOptions options;
+  options.csv_parse.mode = mode;
+  return options;
+}
+
+TEST(FollowPropertyTest, PiecewiseFollowMatchesStream) {
+  const std::string base = QuotedCsv(600);
+  std::string hash_quote = base;
+  hash_quote.replace(0, hash_quote.find('\n'), "#name=CC-b \"x");
+  hash_quote = InsertLine(hash_quote, 0.5, "# a \"comment");
+  // Past the quoted half, so the quote stays open to the 64-line cap.
+  const std::string stray = StrayQuote(base, 0.75);
+  const std::string mid_machines = InsertLine(base, 0.6, "#machines=999");
+  std::string no_newline = mid_machines;
+  no_newline.pop_back();
+  struct Probe {
+    const char* what;
+    std::string csv;
+    trace::ParseMode mode;
+  };
+  const std::vector<Probe> probes = {
+      {"quotes in # lines", hash_quote, trace::ParseMode::kStrict},
+      {"stray quote, skip", stray, trace::ParseMode::kSkip},
+      {"stray quote, repair", stray, trace::ParseMode::kRepair},
+      {"mid-data #machines", mid_machines, trace::ParseMode::kStrict},
+      {"no final newline", no_newline, trace::ParseMode::kSkip},
+  };
+  Pcg32 rng(24);
+  for (const Probe& probe : probes) {
+    SCOPED_TRACE(probe.what);
+    const FollowOptions options = WithMode(probe.mode);
+    const FollowOutcome whole = StreamWhole(probe.csv, options);
+    ASSERT_TRUE(whole.status.ok()) << whole.status.ToString();
+    for (int round = 0; round < 3; ++round) {
+      bool all_polls_ok = false;
+      size_t drained_rows = 0;
+      const FollowOutcome pieces =
+          FollowInPieces(probe.csv, CutPoints(probe.csv, rng, 20), options,
+                         &all_polls_ok, &drained_rows);
+      EXPECT_TRUE(all_polls_ok) << pieces.status.ToString();
+      ExpectSameOutcome(pieces, whole);
+      // Polls alone consume every record that ends in '\n'.
+      EXPECT_EQ(drained_rows, probe.csv.back() == '\n' ? 0u : 1u);
+    }
+  }
+  // The probes' own effects, as a batch load shows them.
+  EXPECT_EQ(StreamWhole(hash_quote, {}).name, "CC-b \"x");
+  EXPECT_EQ(StreamWhole(mid_machines, {}).machines, 999);
+  EXPECT_EQ(StreamWhole(stray, WithMode(trace::ParseMode::kSkip)).skipped, 1u);
+}
+
+TEST(FollowPropertyTest, PiecewiseFollowOfMutatedCsvMatchesStream) {
+  const std::string base = QuotedCsv(300);
+  const trace::CsvMutator mutator(2012);
+  Pcg32 rng(7);
+  size_t compared = 0;
+  for (uint64_t iteration = 0; iteration < 60; ++iteration) {
+    SCOPED_TRACE(iteration);
+    const std::string csv = mutator.Mutate(base, iteration);
+    if (csv.empty()) continue;
+    const FollowOptions options = WithMode(trace::ParseMode::kSkip);
+    bool all_polls_ok = false;
+    size_t drained_rows = 0;
+    const FollowOutcome pieces = FollowInPieces(
+        csv, CutPoints(csv, rng, 8), options, &all_polls_ok, &drained_rows);
+    // A piece can fail where the whole file does not: rows appended out of
+    // submit order, which a batch load sorts. Every poll succeeding pins
+    // the outcome to the whole file's.
+    if (!all_polls_ok) continue;
+    ++compared;
+    ExpectSameOutcome(pieces, StreamWhole(csv, options));
+  }
+  EXPECT_GT(compared, 30u);
 }
 
 }  // namespace

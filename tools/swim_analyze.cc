@@ -3,14 +3,18 @@
 //   swim_analyze <trace.csv|trace.stf1> [--on-error strict|skip|repair]
 //                                         analyze a trace (format sniffed
 //                                         from the magic bytes)
-//   swim_analyze <trace> --stream         streaming analysis: STF1 columns
-//                                         are consumed in place (no
-//                                         materialization, no full-column
-//                                         sorts); quantiles are GK-backed
+//   swim_analyze <trace> --stream         streaming analysis: the file is
+//                                         read once by a trace follower
+//                                         drained to its end (STF1 columns
+//                                         in place, CSV parsed as in a
+//                                         batch load); quantiles are
+//                                         GK-backed
 //   swim_analyze <trace> --follow [--interval s] [--repeat n] [--out file]
-//                                         tail a growing trace, updating
-//                                         the streaming report in O(new
-//                                         rows) per tick
+//                                         tail a growing trace with the
+//                                         same follower, updating the
+//                                         streaming report in O(new rows)
+//                                         per tick; a CSV line counts once
+//                                         its '\n' is written
 //   swim_analyze --workload <name> [n]    analyze a generated paper
 //                                         workload (optionally n jobs)
 //
@@ -20,7 +24,8 @@
 //
 // Output: the combined data/temporal/compute report (sections 4-6).
 // With --on-error skip|repair, malformed CSV rows are dropped or patched
-// and an ingest report goes to stderr instead of the load aborting.
+// and an ingest report goes to stderr instead of the load aborting (under
+// --follow, one per poll that flagged rows, with file line numbers).
 // With --out, each report flush is atomic (temp file + rename), so a
 // concurrent reader never sees a torn report.
 #include <chrono>
@@ -102,49 +107,34 @@ struct AnalyzeFlags {
   std::string out_path;
 };
 
-/// One-shot streaming analysis: the STF1 fast path consumes column spans in
-/// place; CSV loads the trace and feeds its columns to the same analyzer.
-int RunStream(const std::string& path, const AnalyzeFlags& flags) {
+/// --stream: one TraceFollower drained to the end of the file. Errors read
+/// as a batch load's: a file that cannot be loaded is named, and the ingest
+/// of rows read is shown even when the analyzer then rejects them.
+int DrainAndReport(const std::string& path, const AnalyzeFlags& flags) {
   using namespace swim;
-  auto format = trace::SniffTraceFormat(path);
-  if (!format.ok()) {
-    std::fprintf(stderr, "%s\n", format.status().ToString().c_str());
+  core::FollowOptions options;
+  options.csv_parse = flags.parse_options;
+  auto follower = core::TraceFollower::Open(path, options);
+  if (!follower.ok()) {
+    std::fprintf(stderr, "%s\n", follower.status().ToString().c_str());
     return 1;
   }
-  core::StreamingAnalyzer analyzer;
-  StatusOr<core::StreamingReport> report = InvalidArgumentError("no input");
-  if (*format == trace::TraceFormat::kStf1) {
-    auto view = trace::ColumnarTraceView::Open(path);
-    if (!view.ok()) {
-      std::fprintf(stderr, "cannot open %s: %s\n", path.c_str(),
-                   view.status().ToString().c_str());
-      return 1;
-    }
-    auto status = analyzer.ObserveColumns(*view, 0, view->job_count());
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-    report = analyzer.Report(&*view);
-  } else {
-    trace::ParseReport parse_report;
-    auto loaded = trace::ReadTraceCsv(path, flags.parse_options, &parse_report);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "cannot load %s: %s\n", path.c_str(),
-                   loaded.status().ToString().c_str());
-      return 1;
-    }
-    if (!parse_report.clean()) {
-      std::fprintf(stderr, "%s\n", parse_report.ToString().c_str());
-    }
-    analyzer.SetMetadata(loaded->metadata());
-    auto status = analyzer.ObserveColumns(loaded->columns(), 0, loaded->size());
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-    report = analyzer.Report(trace::DictionaryView(loaded->paths()));
+  auto poll = follower->Drain();
+  const trace::ParseReport* ingest = follower->last_ingest();
+  if (ingest == nullptr) {
+    const bool stf1 = follower->format() == trace::TraceFormat::kStf1;
+    std::fprintf(stderr, "cannot %s %s: %s\n", stf1 ? "open" : "load",
+                 path.c_str(), poll.status().ToString().c_str());
+    return 1;
   }
+  if (!ingest->clean()) {
+    std::fprintf(stderr, "%s\n", ingest->ToString().c_str());
+  }
+  if (!poll.ok()) {
+    std::fprintf(stderr, "%s\n", poll.status().ToString().c_str());
+    return 1;
+  }
+  auto report = follower->Report();
   if (!report.ok()) {
     std::fprintf(stderr, "analysis failed: %s\n",
                  report.status().ToString().c_str());
@@ -173,7 +163,10 @@ int RunFollow(const std::string& path, const AnalyzeFlags& flags) {
       // A torn producer state (mid-rewrite, truncated tail) is transient:
       // report it and retry at the next tick with the analyzer untouched.
       std::fprintf(stderr, "poll: %s\n", poll.status().ToString().c_str());
-    } else if (poll->new_jobs > 0) {
+    } else if (!poll->ingest.clean()) {
+      std::fprintf(stderr, "%s\n", poll->ingest.ToString().c_str());
+    }
+    if (poll.ok() && poll->new_jobs > 0) {
       auto report = follower->Report();
       if (!report.ok()) {
         std::fprintf(stderr, "report: %s\n",
@@ -301,7 +294,7 @@ int main(int argc, char** argv) {
       }
     }
     if (flags.follow) return RunFollow(arg, flags);
-    if (flags.stream) return RunStream(arg, flags);
+    if (flags.stream) return DrainAndReport(arg, flags);
 
     trace::ParseReport report;
     auto loaded = trace::ReadTraceAuto(arg, flags.parse_options, &report);

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "common/string_util.h"
+#include "core/analysis/accumulators.h"
 #include "core/synth/fidelity.h"
 #include "core/synth/synthesizer.h"
 #include "core/synth/workload_model.h"
@@ -80,6 +81,13 @@ int main(int argc, char** argv) {
     if (!source.ok()) return Fail(source.status());
     auto synth = trace::ReadTraceAuto(argv[3]);
     if (!synth.ok()) return Fail(synth.status());
+    // CompareTraces sizes hourly series: past the horizon, gigabytes.
+    for (const trace::Trace* t : {&*source, &*synth}) {
+      const trace::JobColumns c = t->columns();
+      Status horizon = c.size == 0 ? Status::Ok()
+                       : core::CheckHorizon(c, 0, c.size, c.submit_time[0]);
+      if (!horizon.ok()) return Fail(horizon);
+    }
     core::FidelityReport report = core::CompareTraces(*source, *synth);
     std::printf("%s", core::FormatFidelity(report).c_str());
     return report.max_ks < 0.1 ? 0 : 1;
