@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/logging.h"
 #include "trace/trace.h"
 #include "workloads/paper_workloads.h"
@@ -138,19 +139,15 @@ class BenchJsonWriter {
   std::vector<BenchJsonRow> rows_;
 };
 
-/// Returns the value following a `--json` flag (either "--json path" or
-/// "--json=path"), or "" when absent.
-inline std::string JsonPathFromArgs(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--json") {
-      if (i + 1 < argc) return argv[i + 1];
-      std::fprintf(stderr, "--json requires a path argument\n");
-      std::exit(2);
-    }
-    if (arg.rfind("--json=", 0) == 0) return arg.substr(7);
-  }
-  return "";
+/// Parses a bench's command line: the flags `cli` declares plus
+/// `--json <file>`, whose path it returns ("" when absent). A bad argument
+/// exits 2 naming it.
+inline std::string ParseBenchFlags(int argc, char** argv,
+                                   flags::FlagSet cli = {}) {
+  std::string json_path;
+  const Status parsed = cli.Add("--json", &json_path).Parse(argc, argv);
+  if (!parsed.ok()) std::exit(flags::UsageError(parsed));
+  return json_path;
 }
 
 /// "paper=X measured=Y" comparison row.

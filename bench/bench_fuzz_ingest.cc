@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <string>
 
+#include "common/flags.h"
 #include "common/random.h"
 #include "core/analysis/follow.h"
 #include "trace/columnar.h"
@@ -158,17 +159,11 @@ bool FollowMatchesBatch(const std::string& path, const std::string& csv,
 int main(int argc, char** argv) {
   uint64_t iterations = 100000;
   uint64_t seed = 2012;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    std::string flag = argv[i];
-    if (flag == "--iterations") {
-      iterations = std::strtoull(argv[i + 1], nullptr, 10);
-    } else if (flag == "--seed") {
-      seed = std::strtoull(argv[i + 1], nullptr, 10);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-      return 2;
-    }
-  }
+  const Status parsed = flags::FlagSet()
+                            .Add("--iterations", &iterations, 1)
+                            .Add("--seed", &seed)
+                            .Parse(argc, argv);
+  if (!parsed.ok()) return flags::UsageError(parsed);
 
   const trace::Trace base_trace = BaseTrace();
   const std::string base = trace::TraceToCsv(base_trace);

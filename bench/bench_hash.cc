@@ -71,7 +71,7 @@ double checksum_sink = 0.0;  // defeats dead-code elimination
 
 int main(int argc, char** argv) {
   using namespace swim;
-  std::string json_path = bench::JsonPathFromArgs(argc, argv);
+  std::string json_path = bench::ParseBenchFlags(argc, argv);
   bench::BenchJsonWriter json;
 
   constexpr size_t kDistinct = 50000;

@@ -20,7 +20,6 @@
 // tax on every run.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "bench_common.h"
@@ -42,13 +41,9 @@ std::string TempPath(const char* name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = bench::JsonPathFromArgs(argc, argv);
   size_t jobs = 1000000;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    if (std::strcmp(argv[i], "--jobs") == 0) {
-      jobs = std::strtoull(argv[i + 1], nullptr, 10);
-    }
-  }
+  const std::string json_path = bench::ParseBenchFlags(
+      argc, argv, flags::FlagSet().Add("--jobs", &jobs, 1));
 
   bench::Banner("Ingest: generating FB-2010 at " + std::to_string(jobs) +
                 " jobs");

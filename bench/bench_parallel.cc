@@ -62,7 +62,7 @@ void Report(const char* name, size_t items, double serial_sec,
 }
 
 int Run(int argc, char** argv) {
-  const std::string json_path = JsonPathFromArgs(argc, argv);
+  const std::string json_path = ParseBenchFlags(argc, argv);
   BenchJsonWriter json;
   const int threads = DefaultParallelism();
   bool deterministic = true;

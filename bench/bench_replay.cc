@@ -126,7 +126,7 @@ bool SameResult(const swim::sim::ReplayResult& a,
 
 int main(int argc, char** argv) {
   using namespace swim;
-  std::string json_path = bench::JsonPathFromArgs(argc, argv);
+  std::string json_path = bench::ParseBenchFlags(argc, argv);
   bench::BenchJsonWriter json;
 
   // -- 1M-task single replay: pinned digest, then timing --

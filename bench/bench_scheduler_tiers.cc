@@ -23,7 +23,7 @@
 
 int main(int argc, char** argv) {
   using namespace swim;
-  const std::string json_path = bench::JsonPathFromArgs(argc, argv);
+  const std::string json_path = bench::ParseBenchFlags(argc, argv);
   bench::BenchJsonWriter json;
   bench::Banner("Scheduler ablation: protecting interactive jobs (sec. 6.2)");
   for (const auto& name : {"FB-2009", "CC-c"}) {

@@ -54,7 +54,7 @@ std::vector<double> NoisySeries(size_t n, swim::Pcg32& rng) {
 
 int main(int argc, char** argv) {
   using namespace swim;
-  std::string json_path = bench::JsonPathFromArgs(argc, argv);
+  std::string json_path = bench::ParseBenchFlags(argc, argv);
   bench::BenchJsonWriter json;
   Pcg32 rng(bench::kBenchSeed, /*stream=*/0x57a7);
 

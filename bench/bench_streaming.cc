@@ -23,7 +23,6 @@
 //   - follow_tick >= 10x faster than full_reanalysis.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -55,13 +54,9 @@ void WriteFile(const std::string& path, const std::string& bytes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = bench::JsonPathFromArgs(argc, argv);
   size_t jobs = 1000000;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    if (std::strcmp(argv[i], "--jobs") == 0) {
-      jobs = std::strtoull(argv[i + 1], nullptr, 10);
-    }
-  }
+  const std::string json_path = bench::ParseBenchFlags(
+      argc, argv, flags::FlagSet().Add("--jobs", &jobs, 1));
   // The follow tick consumes the last 1% of the trace (at least one job).
   const size_t growth = std::max<size_t>(1, jobs / 100);
   const size_t prefix_jobs = jobs - growth;

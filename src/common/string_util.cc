@@ -20,16 +20,6 @@ std::vector<std::string> Split(std::string_view text, char delimiter) {
   return parts;
 }
 
-std::string Join(const std::vector<std::string>& parts,
-                 std::string_view delimiter) {
-  std::string result;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) result.append(delimiter);
-    result.append(parts[i]);
-  }
-  return result;
-}
-
 std::string_view StripWhitespace(std::string_view text) {
   size_t begin = 0;
   while (begin < text.size() &&

@@ -12,10 +12,6 @@ namespace swim {
 /// entries.
 std::vector<std::string> Split(std::string_view text, char delimiter);
 
-/// Joins `parts` with `delimiter` between consecutive elements.
-std::string Join(const std::vector<std::string>& parts,
-                 std::string_view delimiter);
-
 /// Removes ASCII whitespace from both ends.
 std::string_view StripWhitespace(std::string_view text);
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/checksum.h"
+#include "common/flags.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/statusor.h"
@@ -323,12 +324,6 @@ TEST(StringUtilTest, SplitEmptyString) {
   EXPECT_EQ(parts[0], "");
 }
 
-TEST(StringUtilTest, JoinRoundTrip) {
-  std::vector<std::string> parts = {"x", "y", "z"};
-  EXPECT_EQ(Join(parts, ", "), "x, y, z");
-  EXPECT_EQ(Join({}, ","), "");
-}
-
 TEST(StringUtilTest, StripWhitespace) {
   EXPECT_EQ(StripWhitespace("  hi \t\n"), "hi");
   EXPECT_EQ(StripWhitespace("\t \n"), "");
@@ -514,6 +509,157 @@ TEST(StringUtilTest, NumberParsersMatchStrtodOnRandomStrings) {
     check(buffer);
   }
   EXPECT_EQ(mismatches, 0u) << first_mismatch;
+}
+
+// --- Command-line flags --------------------------------------------------
+
+// Parses `args` (after a program name) with a tool-shaped flag set and
+// returns the error message, "" on success.
+std::string ParseFlags(const std::vector<std::string>& args) {
+  std::string trace;
+  size_t jobs = 0;
+  uint64_t seed = 0;
+  int nodes = 100;
+  double interval = 1.0;
+  bool stream = false;
+  std::string out;
+  std::vector<int> list;
+  flags::FlagSet cli;
+  cli.Add("<trace>", &trace)
+      .Add("[jobs]", &jobs, 1)
+      .Add("[seed]", &seed)
+      .Add("--nodes", &nodes, 1)
+      .Add("--interval", &interval)
+      .Add("--stream", &stream)
+      .Add("--out", &out)
+      .Add("--list", flags::CommaList([&](std::string_view e) {
+             return flags::ParseInt(e, &list.emplace_back());
+           }));
+  std::vector<const char*> argv = {"tool"};
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
+  const Status parsed = cli.Parse(static_cast<int>(argv.size()), argv.data());
+  return parsed.ok() ? "" : parsed.message();
+}
+
+TEST(FlagsTest, GrammarTable) {
+  const struct {
+    std::vector<std::string> args;
+    std::string error;
+  } kCases[] = {
+      {{"t"}, ""},
+      {{"t", "--nodes", "5", "--out", "o", "--stream"}, ""},
+      {{"--nodes=5", "--out=o", "t", "7", "9"}, ""},
+      {{"t", "--out", "--stream"}, ""},  // a value may start with "--"
+      {{"t", "--out="}, ""},
+      {{"t", "--nodes"}, "--nodes needs a value"},
+      {{"t", "--bogus", "1"}, "--bogus is not a flag here"},
+      {{"t", "--bogus=1"}, "--bogus is not a flag here"},
+      {{"t", "--stream=x"}, "--stream takes no value, got 'x'"},
+      {{"t", "--nodes", "12abc"},
+       "--nodes needs an integer in [1, 2147483647], got '12abc'"},
+      {{"t", "--nodes=0"}, "--nodes needs an integer in [1, 2147483647], got '0'"},
+      {{"t", "--interval", "nan"}, "--interval needs a finite number, got 'nan'"},
+      {{"t", "--interval", "-inf"},
+       "--interval needs a finite number, got '-inf'"},
+      {{"t", "--interval", "1e999"},
+       "--interval needs a finite number, got '1e999'"},
+      {{"t", "--list", "1,2"}, ""},
+      {{"t", "--list", "1,,2"}, "--list has an empty list element in '1,,2'"},
+      {{"t", "--list", "1,"}, "--list has an empty list element in '1,'"},
+      {{"t", "--list", ""}, "--list has an empty list element in ''"},
+      {{"t", "--list", "1,x"},
+       "--list needs an integer in [-2147483648, 2147483647], got 'x'"},
+      {{}, "<trace> is missing"},
+      {{"--stream"}, "<trace> is missing"},
+      {{"t", "-5"},
+       "[jobs] needs an integer in [1, 18446744073709551615], got '-5'"},
+      {{"t", "1", "18446744073709551616"},
+       "[seed] needs an integer in [0, 18446744073709551615], got "
+       "'18446744073709551616'"},
+      {{"t", "1", "2", "extra"}, "unexpected argument 'extra'"},
+  };
+  for (const auto& c : kCases) {
+    std::string line;
+    for (const std::string& arg : c.args) line += " " + arg;
+    EXPECT_EQ(ParseFlags(c.args), c.error) << "args:" << line;
+  }
+}
+
+TEST(FlagsTest, BothValueFormsSetTheSameValues) {
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{
+           {"--nodes", "7", "--interval", "0.5", "--stream", "t", "3"},
+           {"--nodes=7", "--interval=0.5", "--stream", "t", "3"}}) {
+    std::string trace;
+    size_t jobs = 0;
+    int nodes = 0;
+    double interval = 0;
+    bool stream = false;
+    flags::FlagSet cli;
+    cli.Add("<trace>", &trace)
+        .Add("[jobs]", &jobs, 1)
+        .Add("--nodes", &nodes, 1)
+        .Add("--interval", &interval)
+        .Add("--stream", &stream);
+    std::vector<const char*> argv = {"tool"};
+    for (const std::string& arg : args) argv.push_back(arg.c_str());
+    ASSERT_TRUE(cli.Parse(static_cast<int>(argv.size()), argv.data()).ok());
+    EXPECT_EQ(trace, "t");
+    EXPECT_EQ(jobs, 3u);
+    EXPECT_EQ(nodes, 7);
+    EXPECT_EQ(interval, 0.5);
+    EXPECT_TRUE(stream);
+  }
+}
+
+template <typename Int>
+bool IntAccepts(std::string_view text, Int expected) {
+  Int value{};
+  return flags::ParseInt(text, &value).ok() && value == expected;
+}
+
+template <typename Int>
+bool IntRejects(std::string_view text) {
+  Int value = 7;
+  return !flags::ParseInt(text, &value).ok() && value == 7;
+}
+
+TEST(FlagsTest, IntegerBoundsAtEachTypesEdges) {
+  EXPECT_TRUE(IntAccepts<int>("2147483647", INT32_MAX));
+  EXPECT_TRUE(IntAccepts<int>("-2147483648", INT32_MIN));
+  EXPECT_TRUE(IntRejects<int>("2147483648"));
+  EXPECT_TRUE(IntRejects<int>("-2147483649"));
+  EXPECT_TRUE(IntAccepts<int64_t>("9223372036854775807", INT64_MAX));
+  EXPECT_TRUE(IntAccepts<int64_t>("-9223372036854775808", INT64_MIN));
+  EXPECT_TRUE(IntRejects<int64_t>("9223372036854775808"));
+  EXPECT_TRUE(IntRejects<int64_t>("-9223372036854775809"));
+  EXPECT_TRUE(IntAccepts<uint32_t>("4294967295", UINT32_MAX));
+  EXPECT_TRUE(IntRejects<uint32_t>("4294967296"));
+  EXPECT_TRUE(IntAccepts<uint64_t>("0", 0));
+  EXPECT_TRUE(IntAccepts<uint64_t>("18446744073709551615", UINT64_MAX));
+  EXPECT_TRUE(IntRejects<uint64_t>("18446744073709551616"));
+  EXPECT_TRUE(IntRejects<uint64_t>("-1"));
+  EXPECT_TRUE(IntRejects<uint64_t>("-0"));
+  // Whole-string base 10 only.
+  for (const char* text : {"", "+1", " 1", "1 ", "1e3", "0x10", "1.0"}) {
+    EXPECT_TRUE(IntRejects<int64_t>(text)) << "'" << text << "'";
+  }
+  int64_t value = 0;
+  EXPECT_FALSE(flags::ParseInt(std::string_view("4"), &value, 5).ok());
+  EXPECT_TRUE(flags::ParseInt(std::string_view("5"), &value, 5).ok());
+}
+
+TEST(FlagsTest, FiniteDoublesOnly) {
+  double value = 0;
+  for (const char* text : {"nan", "-nan", "inf", "-inf", "infinity", "1e999",
+                           "-1e999", "", "1,5", "0.1x"}) {
+    EXPECT_FALSE(flags::ParseFinite(text, &value).ok()) << text;
+  }
+  EXPECT_TRUE(flags::ParseFinite("1.5e3", &value).ok());
+  EXPECT_EQ(value, 1500.0);
+  EXPECT_TRUE(flags::ParseFinite("-0.25", &value).ok());
+  EXPECT_EQ(value, -0.25);
+  EXPECT_TRUE(flags::ParseFinite("5e-324", &value).ok());  // subnormal
 }
 
 }  // namespace

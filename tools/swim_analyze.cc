@@ -15,12 +15,13 @@
 //                                         streaming report in O(new rows)
 //                                         per tick; a CSV line counts once
 //                                         its '\n' is written
-//   swim_analyze --workload <name> [n]    analyze a generated paper
-//                                         workload (optionally n jobs)
-//
-// Numeric arguments ([n], --interval, --repeat) are parsed whole and
-// range-checked; anything else is a usage error naming it (exit 2).
+//   swim_analyze --workload <name> [jobs] analyze a generated paper
+//                                         workload, optionally at [jobs]
 //   swim_analyze --list                   list built-in workloads
+//
+// Arguments follow the common/flags grammar: numeric ones ([jobs],
+// --interval, --repeat) are parsed whole and range-checked, and any bad or
+// extra argument is a usage error naming it (exit 2).
 //
 // Output: the combined data/temporal/compute report (sections 4-6).
 // With --on-error skip|repair, malformed CSV rows are dropped or patched
@@ -29,14 +30,13 @@
 // With --out, each report flush is atomic (temp file + rename), so a
 // concurrent reader never sees a torn report.
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <string>
+#include <string_view>
 #include <thread>
 
-#include "common/string_util.h"
+#include "common/flags.h"
 
 #include "core/analysis/follow.h"
 #include "core/analysis/streaming.h"
@@ -48,16 +48,13 @@
 
 namespace {
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: swim_analyze <trace.csv|trace.stf1> "
-               "[--on-error strict|skip|repair] [--stream]\n"
-               "       swim_analyze <trace> --follow [--interval seconds] "
-               "[--repeat n] [--out file]\n"
-               "       swim_analyze --workload <name> [jobs]\n"
-               "       swim_analyze --list\n");
-  return 2;
-}
+constexpr char kUsage[] =
+    "usage: swim_analyze <trace.csv|trace.stf1> "
+    "[--on-error strict|skip|repair] [--stream]\n"
+    "       swim_analyze <trace> --follow [--interval seconds] "
+    "[--repeat n] [--out file]\n"
+    "       swim_analyze --workload <name> [jobs]\n"
+    "       swim_analyze --list\n";
 
 /// Writes `text` to `path` atomically: the bytes land in a sibling temp
 /// file which is renamed over the target, so readers see either the old
@@ -190,10 +187,40 @@ int RunFollow(const std::string& path, const AnalyzeFlags& flags) {
 
 int main(int argc, char** argv) {
   using namespace swim;
-  if (argc < 2) return Usage();
-  std::string arg = argv[1];
+  // The first argument picks the grammar: --list, --workload or a trace.
+  const std::string mode = argc > 1 ? argv[1] : "";
+  const bool list = mode == "--list";
+  const bool workload = mode == "--workload";
+  std::string workload_name;
+  workloads::GeneratorOptions options;
+  std::string path;
+  AnalyzeFlags settings;
+  flags::FlagSet cli;
+  if (workload) {
+    cli.Add("<name>", &workload_name)
+        .Add("[jobs]", &options.job_count_override, 1);
+  } else if (!list) {
+    cli.Add("<trace>", &path)
+        .Add("--on-error", &settings.parse_options.mode,
+             trace::ParseModeFromName)
+        .Add("--stream", &settings.stream)
+        .Add("--follow", &settings.follow)
+        .Add("--interval",
+             [&](std::string_view value) -> Status {
+               SWIM_RETURN_IF_ERROR(
+                   flags::ParseFinite(value, &settings.interval_seconds));
+               if (settings.interval_seconds > 0.0) return Status::Ok();
+               return InvalidArgumentError("needs a positive number, got '" +
+                                           std::string(value) + "'");
+             })
+        .Add("--repeat", &settings.repeat)
+        .Add("--out", &settings.out_path);
+  }
+  const int shift = list || workload ? 1 : 0;
+  Status parsed = cli.Parse(argc - shift, argv + shift);
+  if (!parsed.ok()) return flags::UsageError(parsed, kUsage);
 
-  if (arg == "--list") {
+  if (list) {
     for (const auto& name : workloads::PaperWorkloadNames()) {
       auto spec = workloads::PaperWorkloadByName(name);
       std::printf("%-9s %8zu jobs, %4d machines, %d\n", name.c_str(),
@@ -204,28 +231,16 @@ int main(int argc, char** argv) {
   }
 
   trace::Trace trace;
-  if (arg == "--workload") {
-    if (argc < 3) return Usage();
-    auto spec = workloads::PaperWorkloadByName(argv[2]);
+  if (workload) {
+    auto spec = workloads::PaperWorkloadByName(workload_name);
     if (!spec.ok()) {
       std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
       return 1;
     }
-    workloads::GeneratorOptions options;
-    if (argc > 3) {
-      int64_t jobs = 0;
-      if (!ParseInt64(argv[3], &jobs) || jobs < 1) {
-        std::fprintf(stderr,
-                     "swim_analyze: [jobs] must be a positive integer, "
-                     "got '%s'\n",
-                     argv[3]);
-        return Usage();
-      }
-      options.job_count_override = static_cast<size_t>(jobs);
-    } else if (spec->total_jobs > 100000) {
+    if (options.job_count_override == 0 && spec->total_jobs > 100000) {
       std::fprintf(stderr, "(scaling %s to 100000 jobs; pass a job count "
                            "to override)\n",
-                   argv[2]);
+                   workload_name.c_str());
       options.job_count_override = 100000;
     }
     auto generated = workloads::GenerateTrace(*spec, options);
@@ -235,71 +250,13 @@ int main(int argc, char** argv) {
     }
     trace = *std::move(generated);
   } else {
-    AnalyzeFlags flags;
-    for (int i = 2; i < argc; ++i) {
-      std::string flag = argv[i];
-      if (flag == "--stream") {
-        flags.stream = true;
-        continue;
-      }
-      if (flag == "--follow") {
-        flags.follow = true;
-        continue;
-      }
-      std::string value;
-      size_t eq = flag.find('=');
-      if (eq != std::string::npos) {
-        value = flag.substr(eq + 1);
-        flag.resize(eq);
-      } else {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "flag %s needs a value\n", flag.c_str());
-          return 2;
-        }
-        value = argv[++i];
-      }
-      if (flag == "--on-error") {
-        auto mode = trace::ParseModeFromName(value);
-        if (!mode.ok()) {
-          std::fprintf(stderr, "%s\n", mode.status().ToString().c_str());
-          return 2;
-        }
-        flags.parse_options.mode = *mode;
-      } else if (flag == "--interval") {
-        if (!ParseDouble(value, &flags.interval_seconds) ||
-            !std::isfinite(flags.interval_seconds) ||
-            !(flags.interval_seconds > 0.0)) {
-          std::fprintf(stderr,
-                       "--interval needs a finite positive number, got "
-                       "'%s'\n",
-                       value.c_str());
-          return 2;
-        }
-      } else if (flag == "--repeat") {
-        int64_t repeat = 0;
-        if (!ParseInt64(value, &repeat) || repeat < 0) {
-          std::fprintf(stderr,
-                       "--repeat needs an integer in [0, %lld], got '%s'\n",
-                       static_cast<long long>(
-                           std::numeric_limits<int64_t>::max()),
-                       value.c_str());
-          return 2;
-        }
-        flags.repeat = static_cast<uint64_t>(repeat);
-      } else if (flag == "--out") {
-        flags.out_path = value;
-      } else {
-        std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-        return 2;
-      }
-    }
-    if (flags.follow) return RunFollow(arg, flags);
-    if (flags.stream) return DrainAndReport(arg, flags);
+    if (settings.follow) return RunFollow(path, settings);
+    if (settings.stream) return DrainAndReport(path, settings);
 
     trace::ParseReport report;
-    auto loaded = trace::ReadTraceAuto(arg, flags.parse_options, &report);
+    auto loaded = trace::ReadTraceAuto(path, settings.parse_options, &report);
     if (!loaded.ok()) {
-      std::fprintf(stderr, "cannot load %s: %s\n", arg.c_str(),
+      std::fprintf(stderr, "cannot load %s: %s\n", path.c_str(),
                    loaded.status().ToString().c_str());
       return 1;
     }

@@ -9,23 +9,20 @@
 // it. --on-error applies to CSV inputs only (STF1 is checksummed, not
 // repaired); --no-verify skips STF1 checksum verification on input;
 // --stats prints job/dictionary/byte counts for the conversion.
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <string_view>
 
+#include "common/flags.h"
 #include "trace/columnar.h"
 #include "trace/trace_io.h"
 
 namespace {
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: swim_convert <in> <out> [--to csv|stf1]\n"
-               "                    [--on-error strict|skip|repair] "
-               "[--no-verify] [--stats]\n");
-  return 2;
-}
+constexpr char kUsage[] =
+    "usage: swim_convert <in> <out> [--to csv|stf1]\n"
+    "                    [--on-error strict|skip|repair] "
+    "[--no-verify] [--stats]\n";
 
 int Fail(const swim::Status& status) {
   std::fprintf(stderr, "%s\n", status.ToString().c_str());
@@ -36,58 +33,33 @@ int Fail(const swim::Status& status) {
 
 int main(int argc, char** argv) {
   using namespace swim;
-  if (argc < 3) return Usage();
-  const std::string in_path = argv[1];
-  const std::string out_path = argv[2];
-
+  std::string in_path;
+  std::string out_path;
   trace::ParseOptions parse_options;
-  parse_options.warm_indexes = true;  // STF1 output needs the id indexes
   trace::ColumnarOptions columnar_options;
+  bool no_verify = false;
   bool stats = false;
   bool forced_format = false;
   trace::TraceFormat out_format = trace::TraceFormat::kCsv;
-  for (int i = 3; i < argc; ++i) {
-    std::string flag = argv[i];
-    if (flag == "--no-verify") {
-      columnar_options.verify_checksums = false;
-      continue;
-    }
-    if (flag == "--stats") {
-      stats = true;
-      continue;
-    }
-    std::string value;
-    size_t eq = flag.find('=');
-    if (eq != std::string::npos) {
-      value = flag.substr(eq + 1);
-      flag.resize(eq);
-    } else {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "flag %s needs a value\n", flag.c_str());
-        return 2;
-      }
-      value = argv[++i];
-    }
-    if (flag == "--to") {
-      if (value == "csv") {
-        out_format = trace::TraceFormat::kCsv;
-      } else if (value == "stf1") {
-        out_format = trace::TraceFormat::kStf1;
-      } else {
-        std::fprintf(stderr, "--to wants csv or stf1, got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-      forced_format = true;
-    } else if (flag == "--on-error") {
-      auto mode = trace::ParseModeFromName(value);
-      if (!mode.ok()) return Fail(mode.status());
-      parse_options.mode = *mode;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-      return 2;
-    }
-  }
+  flags::FlagSet cli;
+  cli.Add("<in>", &in_path)
+      .Add("<out>", &out_path)
+      .Add("--to",
+           [&](std::string_view value) {
+             forced_format = true;
+             out_format = value == "stf1" ? trace::TraceFormat::kStf1
+                                          : trace::TraceFormat::kCsv;
+             return value == "csv" || value == "stf1"
+                        ? Status::Ok()
+                        : InvalidArgumentError("wants csv or stf1, got '" +
+                                               std::string(value) + "'");
+           })
+      .Add("--on-error", &parse_options.mode, trace::ParseModeFromName)
+      .Add("--no-verify", &no_verify)
+      .Add("--stats", &stats);
+  Status parsed = cli.Parse(argc, argv);
+  if (!parsed.ok()) return flags::UsageError(parsed, kUsage);
+  columnar_options.verify_checksums = !no_verify;
 
   auto in_format = trace::SniffTraceFormat(in_path);
   if (!in_format.ok()) return Fail(in_format.status());

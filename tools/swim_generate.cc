@@ -5,11 +5,10 @@
 // Workload names are Table 1's: CC-a..CC-e, FB-2009, FB-2010
 // (swim_analyze --list shows details). Output is STF1 when <out> ends in
 // .stf/.stf1, CSV otherwise.
-#include <charconv>
-#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <string>
 
+#include "common/flags.h"
 #include "trace/columnar.h"
 #include "trace/trace_io.h"
 #include "workloads/paper_workloads.h"
@@ -18,56 +17,34 @@
 
 namespace {
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: swim_generate <workload-or-spec-file> <out> "
-               "[jobs] [seed]\n");
-  return 2;
-}
-
-/// Parses the whole of `text` as a base-10 unsigned integer: no sign, no
-/// whitespace, no suffix, and no wrap-around past 2^64 - 1.
-bool ParseUnsigned(const char* text, uint64_t* value) {
-  const char* end = text + std::strlen(text);
-  const auto [ptr, error] = std::from_chars(text, end, *value);
-  return error == std::errc() && ptr == end;
-}
+constexpr char kUsage[] =
+    "usage: swim_generate <workload-or-spec-file> <out> [jobs] [seed]\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace swim;
-  if (argc < 3 || argc > 5) return Usage();
+  std::string workload;
+  std::string out_path;
   workloads::GeneratorOptions options;
-  if (argc > 3) {
-    uint64_t jobs = 0;
-    if (!ParseUnsigned(argv[3], &jobs) || jobs == 0) {
-      std::fprintf(stderr,
-                   "swim_generate: [jobs] must be a positive integer, "
-                   "got '%s'\n",
-                   argv[3]);
-      return Usage();
-    }
-    options.job_count_override = static_cast<size_t>(jobs);
-  }
-  if (argc > 4 && !ParseUnsigned(argv[4], &options.seed)) {
-    std::fprintf(stderr,
-                 "swim_generate: [seed] must be an unsigned integer, "
-                 "got '%s'\n",
-                 argv[4]);
-    return Usage();
-  }
+  flags::FlagSet cli;
+  cli.Add("<workload-or-spec-file>", &workload)
+      .Add("<out>", &out_path)
+      .Add("[jobs]", &options.job_count_override, 1)
+      .Add("[seed]", &options.seed);
+  Status parsed = cli.Parse(argc, argv);
+  if (!parsed.ok()) return flags::UsageError(parsed, kUsage);
   // The first argument is either a built-in paper workload name or a path
   // to a .spec file (see workloads/spec_io.h for the format).
-  auto spec = workloads::PaperWorkloadByName(argv[1]);
+  auto spec = workloads::PaperWorkloadByName(workload);
   if (!spec.ok()) {
-    spec = workloads::LoadSpec(argv[1]);
+    spec = workloads::LoadSpec(workload);
   }
   if (!spec.ok()) {
     std::fprintf(stderr,
                  "'%s' is neither a built-in workload nor a loadable spec "
                  "file: %s\n",
-                 argv[1], spec.status().ToString().c_str());
+                 workload.c_str(), spec.status().ToString().c_str());
     return 1;
   }
   auto trace = workloads::GenerateTrace(*spec, options);
@@ -75,12 +52,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", trace.status().ToString().c_str());
     return 1;
   }
-  Status written = trace::WriteTraceAuto(*trace, argv[2]);
+  Status written = trace::WriteTraceAuto(*trace, out_path);
   if (!written.ok()) {
     std::fprintf(stderr, "%s\n", written.ToString().c_str());
     return 1;
   }
   std::printf("wrote %zu jobs shaped like %s to %s\n", trace->size(),
-              argv[1], argv[2]);
+              workload.c_str(), out_path.c_str());
   return 0;
 }

@@ -33,17 +33,17 @@
 // redirection) so a 10k-configuration what-if sweep is observable while
 // it runs.
 //
-// Every numeric flag and list element is parsed whole and range-checked
-// into its type; anything else is a usage error naming the flag (exit 2).
+// Every numeric flag and list element is parsed whole, finite and
+// range-checked into its type (common/flags.h); anything else is a usage
+// error naming the flag (exit 2). Value ranges are the engine's to check.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/string_util.h"
+#include "common/flags.h"
 #include "common/units.h"
 #include "sim/replay.h"
 #include "sim/sweep.h"
@@ -52,183 +52,87 @@
 
 namespace {
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: swim_replay <trace.csv|trace.stf1> [--nodes N] "
-      "[--scheduler fifo|fair|two-tier|srpt|deadline] [--stragglers P]\n"
-      "                   [--on-error strict|skip|repair] "
-      "[--task-failures P] [--node-loss R]\n"
-      "                   [--max-attempts N] [--retry-backoff S] "
-      "[--failure-point F] [--seed S]\n"
-      "                   [--sla-multiplier S[,L]] [--preemption-budget N] "
-      "[--tenants N] [--tenant-cap N]\n"
-      "                   [--sweep fifo,fair,...] "
-      "[--sweep-nodes N1,N2,...] [--sweep-seeds S1,S2,...]\n"
-      "                   [--sweep-lanes N] [--sweep-progress]\n");
-  return 2;
-}
-
-/// Parses `value` whole as an integer in [lo, the largest `Int`] (seeds:
-/// [0, INT64_MAX]); on failure prints a usage error naming `flag`.
-template <typename Int>
-bool IntFlag(const std::string& flag, const std::string& value, Int* out,
-             int64_t lo = std::numeric_limits<Int>::min()) {
-  constexpr int64_t hi = static_cast<int64_t>(std::min<uint64_t>(
-      std::numeric_limits<Int>::max(), std::numeric_limits<int64_t>::max()));
-  int64_t parsed = 0;
-  if (!swim::ParseInt64(value, &parsed) || parsed < lo || parsed > hi) {
-    std::fprintf(stderr, "%s needs an integer in [%lld, %lld], got '%s'\n",
-                 flag.c_str(), static_cast<long long>(lo),
-                 static_cast<long long>(hi), value.c_str());
-    return false;
-  }
-  *out = static_cast<Int>(parsed);
-  return true;
-}
-
-bool DoubleFlag(const std::string& flag, const std::string& value,
-                double* out) {
-  if (!swim::ParseDouble(value, out)) {
-    std::fprintf(stderr, "%s needs a number, got '%s'\n", flag.c_str(),
-                 value.c_str());
-    return false;
-  }
-  return true;
-}
-
-/// Parses a comma-separated list of integers into `out`, appending.
-template <typename Int>
-bool IntListFlag(const std::string& flag, const std::string& value,
-                 std::vector<Int>* out,
-                 int64_t lo = std::numeric_limits<Int>::min()) {
-  for (const std::string& element : swim::Split(value, ',')) {
-    if (!IntFlag(flag, element, &out->emplace_back(), lo)) return false;
-  }
-  return true;
-}
+constexpr char kUsage[] =
+    "usage: swim_replay <trace.csv|trace.stf1> [--nodes N] "
+    "[--scheduler fifo|fair|two-tier|srpt|deadline] [--stragglers P]\n"
+    "                   [--on-error strict|skip|repair] "
+    "[--task-failures P] [--node-loss R]\n"
+    "                   [--max-attempts N] [--retry-backoff S] "
+    "[--failure-point F] [--seed S]\n"
+    "                   [--sla-multiplier S[,L]] [--preemption-budget N] "
+    "[--tenants N] [--tenant-cap N]\n"
+    "                   [--sweep fifo,fair,...] "
+    "[--sweep-nodes N1,N2,...] [--sweep-seeds S1,S2,...]\n"
+    "                   [--sweep-lanes N] [--sweep-progress]\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace swim;
-  if (argc < 2) return Usage();
-
+  std::string path;
   sim::ReplayOptions options;
   trace::ParseOptions parse_options;
-  bool sweep = false;
   bool sweep_progress = false;
   int sweep_lanes = 0;
   std::vector<std::string> sweep_policies;
   std::vector<int> sweep_nodes;
   std::vector<uint64_t> sweep_seeds;
-  for (int i = 2; i < argc; ++i) {
-    std::string flag = argv[i];
-    if (flag == "--sweep-progress") {  // the one valueless flag
-      sweep = true;
-      sweep_progress = true;
-      continue;
-    }
-    std::string value;
-    // Accept both `--flag value` and `--flag=value`.
-    size_t eq = flag.find('=');
-    if (eq != std::string::npos) {
-      value = flag.substr(eq + 1);
-      flag.resize(eq);
-    } else {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "flag %s needs a value\n", flag.c_str());
-        return 2;
-      }
-      value = argv[++i];
-    }
-    bool parsed = true;
-    if (flag == "--nodes") {
-      parsed = IntFlag(flag, value, &options.cluster.nodes, 1);
-    } else if (flag == "--scheduler") {
-      options.scheduler = value;
-    } else if (flag == "--stragglers") {
-      parsed = DoubleFlag(flag, value, &options.straggler_probability);
-    } else if (flag == "--on-error") {
-      auto mode = trace::ParseModeFromName(value);
-      if (!mode.ok()) {
-        std::fprintf(stderr, "%s\n", mode.status().ToString().c_str());
-        return 2;
-      }
-      parse_options.mode = *mode;
-    } else if (flag == "--task-failures") {
-      parsed = DoubleFlag(flag, value,
-                          &options.failures.task_failure_probability);
-    } else if (flag == "--node-loss") {
-      parsed = DoubleFlag(flag, value, &options.failures.node_loss_per_hour);
-    } else if (flag == "--max-attempts") {
-      parsed = IntFlag(flag, value, &options.failures.max_attempts, 1);
-    } else if (flag == "--retry-backoff") {
-      parsed =
-          DoubleFlag(flag, value, &options.failures.retry_backoff_seconds);
-    } else if (flag == "--failure-point") {
-      parsed = DoubleFlag(flag, value, &options.failures.failure_point);
-    } else if (flag == "--seed") {
-      parsed = IntFlag(flag, value, &options.seed);
-    } else if (flag == "--sla-multiplier") {
-      // One value sets the small (interactive) multiplier; "S,L" sets
-      // both classes.
-      std::vector<std::string> parts = Split(value, ',');
-      if (parts.empty() || parts[0].empty() || parts.size() > 2) {
-        std::fprintf(stderr, "--sla-multiplier needs S or S,L\n");
-        return 2;
-      }
-      parsed = DoubleFlag(flag, parts[0], &options.sla.small_multiplier);
-      if (parsed && parts.size() > 1 && !parts[1].empty()) {
-        parsed = DoubleFlag(flag, parts[1], &options.sla.large_multiplier);
-      }
-    } else if (flag == "--preemption-budget") {
-      parsed = IntFlag(flag, value, &options.sla.preemption_budget);
-    } else if (flag == "--tenants") {
-      parsed = IntFlag(flag, value, &options.sla.tenants);
-    } else if (flag == "--tenant-cap") {
-      parsed = IntFlag(flag, value, &options.sla.tenant_max_running);
-    } else if (flag == "--sweep") {
-      sweep = true;
-      for (const std::string& policy : Split(value, ',')) {
-        if (!policy.empty()) sweep_policies.push_back(policy);
-      }
-    } else if (flag == "--sweep-nodes") {
-      sweep = true;
-      parsed = IntListFlag(flag, value, &sweep_nodes, 1);
-    } else if (flag == "--sweep-seeds") {
-      sweep = true;
-      parsed = IntListFlag(flag, value, &sweep_seeds);
-    } else if (flag == "--sweep-lanes") {
-      sweep = true;
-      parsed = IntFlag(flag, value, &sweep_lanes, 1);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-      return 2;
-    }
-    if (!parsed) return 2;
-  }
-
-  // Validate every policy name up front: a typo'd --sweep=fare must die
-  // here with the valid names, not after loading a month-long trace (and
-  // never, as before the MakeScheduler fix, by silently replaying the
-  // whole grid as FIFO).
-  {
-    std::vector<std::string> policies = sweep_policies;
-    policies.push_back(options.scheduler);
-    for (const std::string& policy : policies) {
-      auto scheduler = sim::MakeScheduler(policy);
-      if (!scheduler.ok()) {
-        std::fprintf(stderr, "%s\n", scheduler.status().ToString().c_str());
-        return 2;
-      }
-    }
-  }
+  // A typo'd --sweep=fare dies here with the valid names, not after
+  // loading a month-long trace.
+  const auto policy = [](std::string_view value, std::string* out) {
+    out->assign(value);
+    return sim::MakeScheduler(*out).status();
+  };
+  flags::FlagSet cli;
+  cli.Add("<trace>", &path)
+      .Add("--nodes", &options.cluster.nodes, 1)
+      .Add("--scheduler",
+           [&](std::string_view value) {
+             return policy(value, &options.scheduler);
+           })
+      .Add("--stragglers", &options.straggler_probability)
+      .Add("--on-error", &parse_options.mode, trace::ParseModeFromName)
+      .Add("--task-failures", &options.failures.task_failure_probability)
+      .Add("--node-loss", &options.failures.node_loss_per_hour)
+      .Add("--max-attempts", &options.failures.max_attempts, 1)
+      .Add("--retry-backoff", &options.failures.retry_backoff_seconds)
+      .Add("--failure-point", &options.failures.failure_point)
+      .Add("--seed", &options.seed)
+      // One value sets the small (interactive) multiplier; "S,L" sets both.
+      .Add("--sla-multiplier",
+           [&](std::string_view value) {
+             double* next[] = {&options.sla.small_multiplier,
+                               &options.sla.large_multiplier};
+             size_t count = 0;
+             return flags::CommaList([&](std::string_view element) {
+               return count < 2 ? flags::ParseFinite(element, next[count++])
+                                : InvalidArgumentError("needs S or S,L");
+             })(value);
+           })
+      .Add("--preemption-budget", &options.sla.preemption_budget)
+      .Add("--tenants", &options.sla.tenants)
+      .Add("--tenant-cap", &options.sla.tenant_max_running)
+      .Add("--sweep", flags::CommaList([&](std::string_view element) {
+             return policy(element, &sweep_policies.emplace_back());
+           }))
+      .Add("--sweep-nodes", flags::CommaList([&](std::string_view element) {
+             return flags::ParseInt(element, &sweep_nodes.emplace_back(), 1);
+           }))
+      .Add("--sweep-seeds", flags::CommaList([&](std::string_view element) {
+             return flags::ParseInt(element, &sweep_seeds.emplace_back());
+           }))
+      .Add("--sweep-lanes", &sweep_lanes, 1)
+      .Add("--sweep-progress", &sweep_progress);
+  Status parsed = cli.Parse(argc, argv);
+  if (!parsed.ok()) return flags::UsageError(parsed, kUsage);
+  const bool sweep = sweep_progress || sweep_lanes > 0 ||
+                     !sweep_policies.empty() || !sweep_nodes.empty() ||
+                     !sweep_seeds.empty();
 
   trace::ParseReport report;
-  auto trace = trace::ReadTraceAuto(argv[1], parse_options, &report);
+  auto trace = trace::ReadTraceAuto(path, parse_options, &report);
   if (!trace.ok()) {
-    std::fprintf(stderr, "cannot load %s: %s\n", argv[1],
+    std::fprintf(stderr, "cannot load %s: %s\n", path.c_str(),
                  trace.status().ToString().c_str());
     return 1;
   }
