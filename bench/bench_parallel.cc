@@ -110,12 +110,11 @@ int Run(int argc, char** argv) {
 
   // --- k-means: parallel assignment + concurrent restarts ---------------
   Pcg32 rng(kBenchSeed);
-  std::vector<std::vector<double>> points;
-  points.reserve(60000);
-  for (size_t i = 0; i < 60000; ++i) {
-    points.push_back({rng.NextGaussian(), rng.NextGaussian(),
-                      rng.NextGaussian(), rng.NextGaussian(),
-                      rng.NextGaussian(), rng.NextGaussian()});
+  stats::PointMatrix points;
+  points.dims = 6;
+  points.values.reserve(60000 * points.dims);
+  for (size_t i = 0; i < 60000 * points.dims; ++i) {
+    points.values.push_back(rng.NextGaussian());
   }
   stats::KMeansOptions km_serial;
   km_serial.seed = kBenchSeed;
@@ -133,12 +132,18 @@ int Run(int argc, char** argv) {
   SWIM_CHECK_OK(parallel_fit.status());
   if (serial_fit->centroids != parallel_fit->centroids ||
       serial_fit->assignments != parallel_fit->assignments ||
-      serial_fit->residual_variance != parallel_fit->residual_variance) {
+      serial_fit->residual_variance != parallel_fit->residual_variance ||
+      serial_fit->distance_evaluations !=
+          parallel_fit->distance_evaluations) {
     std::printf("  !! kmeans: serial and parallel fits DIFFER\n");
     deterministic = false;
   }
-  Report("kmeans", points.size(), kmeans_serial, kmeans_parallel, threads,
+  Report("kmeans", points.rows(), kmeans_serial, kmeans_parallel, threads,
          &json);
+  std::printf("  %-10s %llu point-centroid distances (%d iterations)\n", "",
+              static_cast<unsigned long long>(
+                  parallel_fit->distance_evaluations),
+              parallel_fit->iterations);
 
   // --- Trace generation: serial draws + parallel row fill ---------------
   StatusOr<trace::Trace> serial_trace = InvalidArgumentError("pending");

@@ -130,11 +130,13 @@ StatusOr<JobClassification> ClassifyJobs(const trace::JobColumns& jobs,
 
   // Subsample row indices for fitting; features only for the sample.
   const std::vector<size_t> rows = ClassificationSampleRows(jobs.size, options);
-  std::vector<std::vector<double>> sample;
-  sample.reserve(rows.size());
+  stats::PointMatrix sample;
+  sample.dims = kDims;
+  sample.values.reserve(rows.size() * kDims);
   for (size_t row : rows) {
     const Features features = JobFeatures(jobs, row);
-    sample.emplace_back(features.begin(), features.end());
+    sample.values.insert(sample.values.end(), features.begin(),
+                         features.end());
   }
 
   stats::ColumnScaling scaling = stats::StandardizeColumns(sample);

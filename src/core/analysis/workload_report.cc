@@ -50,8 +50,19 @@ StatusOr<WorkloadReport> AnalyzeWorkload(const trace::Trace& trace,
   const trace::JobColumns columns = trace.columns();
   SWIM_RETURN_IF_ERROR(
       CheckHorizon(columns, 0, columns.size, columns.submit_time[0]));
+  ClassificationOptions classification = options.classification;
+  if (classification.threads == 0) classification.threads = options.threads;
+  Status classified;
   // Each stage writes disjoint report fields and only reads the columns.
+  // Classification is the longest stage, so it goes first: the other five
+  // run beside it instead of after it.
   std::vector<std::function<void()>> stages = {
+      [&]() {
+        StatusOr<JobClassification> classes =
+            ClassifyJobs(columns, classification);
+        classified = classes.status();
+        if (classes.ok()) report.classes = *std::move(classes);
+      },
       [&]() { ObserveExact(columns, &report); },
       [&]() {
         report.data_sizes.input = ColumnCdf(columns.input_bytes, columns.size);
@@ -67,9 +78,7 @@ StatusOr<WorkloadReport> AnalyzeWorkload(const trace::Trace& trace,
       [&]() { report.summary = trace::Summarize(trace.metadata(), columns); },
   };
   RunConcurrently(stages, options.threads);
-  ClassificationOptions classification = options.classification;
-  if (classification.threads == 0) classification.threads = options.threads;
-  SWIM_ASSIGN_OR_RETURN(report.classes, ClassifyJobs(columns, classification));
+  SWIM_RETURN_IF_ERROR(classified);
   return report;
 }
 

@@ -37,12 +37,12 @@ struct AnalysisOptions {
 };
 
 /// Runs the full analysis pipeline over the trace's columns (no rows are
-/// built for an STF1-backed trace). One serial pass feeds the exact-stage
-/// accumulators (popularity, re-access, hourly series, names; see
-/// accumulators.h) while the batch-only stages (one data-size CDF per
-/// dimension and the Table 1 summary) run beside it on the shared pool;
-/// then job classification (which parallelizes internally) runs on the
-/// caller.
+/// built for an STF1-backed trace) as six concurrent stages on the shared
+/// pool: job classification (the longest; it parallelizes internally), one
+/// serial pass feeding the exact-stage accumulators (popularity, re-access,
+/// hourly series, names; see accumulators.h), one data-size CDF per
+/// dimension and the Table 1 summary. A classification error is returned
+/// after all six have finished.
 StatusOr<WorkloadReport> AnalyzeWorkload(const trace::Trace& trace,
                                          const AnalysisOptions& options = {});
 

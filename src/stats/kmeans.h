@@ -10,6 +10,17 @@
 
 namespace swim::stats {
 
+/// Points of `dims` coordinates each, stored row-major in one array: point
+/// i occupies values[i * dims, (i + 1) * dims).
+struct PointMatrix {
+  size_t dims = 0;
+  std::vector<double> values;
+
+  size_t rows() const { return dims == 0 ? 0 : values.size() / dims; }
+  const double* row(size_t i) const { return values.data() + i * dims; }
+  double* row(size_t i) { return values.data() + i * dims; }
+};
+
 /// Result of one k-means fit.
 struct KMeansResult {
   /// Cluster centroids, k rows of `dims` columns, in the (possibly
@@ -23,9 +34,16 @@ struct KMeansResult {
   double residual_variance = 0.0;
   int iterations = 0;
   bool converged = false;
+  /// Work counter, not part of the fit: every point-centroid squared
+  /// distance computed, over all restarts, in seeding, the Lloyd
+  /// iterations and the residual pass. Plain Lloyd computes
+  /// n * (k - 1) + n * k * iterations + n per restart; the bounds skip part
+  /// of the middle term.
+  uint64_t distance_evaluations = 0;
 };
 
 struct KMeansOptions {
+  /// Lloyd iterations per restart; must be >= 1.
   int max_iterations = 100;
   /// Lloyd restarts; the best (lowest residual, ties to the lowest restart
   /// index) run wins. Restarts run concurrently, each on an independent
@@ -41,10 +59,14 @@ struct KMeansOptions {
 
 /// Lloyd's algorithm with k-means++ seeding, the clustering method the paper
 /// uses (section 6.2) to derive Table 2's job categories. Points must be
-/// non-empty rows of equal dimension; k must satisfy 1 <= k <= points.
-StatusOr<KMeansResult> KMeansFit(
-    const std::vector<std::vector<double>>& points, int k,
-    const KMeansOptions& options = {});
+/// non-empty with dims > 0 and a value count that is a multiple of dims;
+/// k must satisfy 1 <= k <= points.rows().
+///
+/// Hamerly bounds let a point skip its k distance computations when they
+/// prove its cluster cannot change; the fit is bit-identical to plain
+/// Lloyd (see DESIGN.md, "k-means without per-job vectors").
+StatusOr<KMeansResult> KMeansFit(const PointMatrix& points, int k,
+                                 const KMeansOptions& options = {});
 
 struct ChooseKResult {
   int k = 0;
@@ -63,22 +85,18 @@ struct ChooseKResult {
 /// (rather than the previous residual) makes the rule scale-aware: once
 /// the real cluster structure is captured, splitting a single dense blob
 /// gains only a sliver of total variance and the search stops.
-StatusOr<ChooseKResult> ChooseKByElbow(
-    const std::vector<std::vector<double>>& points, int max_k,
-    double min_improvement = 0.1, const KMeansOptions& options = {});
+StatusOr<ChooseKResult> ChooseKByElbow(const PointMatrix& points, int max_k,
+                                       double min_improvement = 0.1,
+                                       const KMeansOptions& options = {});
 
 /// Standardizes columns to zero mean / unit variance in place. Columns with
 /// zero variance are left centered. Returns per-column (mean, stddev) so
-/// centroids can be mapped back.
+/// points outside the matrix can be mapped the same way.
 struct ColumnScaling {
   std::vector<double> mean;
   std::vector<double> stddev;
 };
-ColumnScaling StandardizeColumns(std::vector<std::vector<double>>& points);
-
-/// Inverse of StandardizeColumns for a single row.
-std::vector<double> UnstandardizeRow(const std::vector<double>& row,
-                                     const ColumnScaling& scaling);
+ColumnScaling StandardizeColumns(PointMatrix& points);
 
 }  // namespace swim::stats
 

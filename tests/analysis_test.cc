@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/units.h"
 #include "common/random.h"
 #include "core/analysis/compute.h"
@@ -17,6 +18,7 @@
 #include "trace/trace.h"
 #include "workloads/paper_workloads.h"
 #include "workloads/trace_generator.h"
+#include "with_threads.h"
 
 namespace swim::core {
 namespace {
@@ -465,7 +467,11 @@ std::vector<std::vector<double>> LegacySample(
 
 JobClassification LegacyClassify(const trace::Trace& trace,
                                  const ClassificationOptions& options) {
-  std::vector<std::vector<double>> sample = LegacySample(trace, options);
+  stats::PointMatrix sample;
+  sample.dims = 6;
+  for (const std::vector<double>& row : LegacySample(trace, options)) {
+    sample.values.insert(sample.values.end(), row.begin(), row.end());
+  }
   stats::ColumnScaling scaling = stats::StandardizeColumns(sample);
   stats::KMeansOptions kmeans_options;
   kmeans_options.seed = options.seed;
@@ -656,6 +662,39 @@ TEST(WorkloadReportTest, RunsFullPipeline) {
 TEST(WorkloadReportTest, EmptyTraceFails) {
   trace::Trace t;
   EXPECT_FALSE(AnalyzeWorkload(t).ok());
+}
+
+// XXH64 of the batch report text for generated paper workloads. FB-2010
+// at 200k jobs is perfbench's saturated-replay input; CC-b and CC-e run at
+// their native sizes. The classification's k-means is the stage most
+// likely to drift under a rewrite, and the class table prints its
+// centroids, so these digests pin the kernel as well as every other stage.
+// The values must hold at every lane count.
+TEST(AnalysisGoldenTest, ReportDigestsArePinnedAtAnyLaneCount) {
+  struct Golden {
+    const char* workload;
+    size_t jobs;
+    uint64_t digest;
+  };
+  const std::vector<Golden> golden = {
+      {"FB-2010", 200000, 0x477d5b5abd380c6bull},
+      {"CC-b", 22974, 0x70cb3bb10a2ee575ull},
+      {"FB-2009", 50000, 0x779227b30582c92bull},
+      {"CC-e", 10790, 0xdb049e6622857258ull},
+  };
+  for (const Golden& g : golden) {
+    const trace::Trace t = GeneratedTrace(g.workload, g.jobs);
+    for (const char* threads : {"1", "4"}) {
+      SCOPED_TRACE(std::string(g.workload) + " SWIM_THREADS=" + threads);
+      WithThreads(threads, [&] {
+        auto report = AnalyzeWorkload(t);
+        ASSERT_TRUE(report.ok()) << report.status();
+        const std::string text = FormatReport(*report);
+        const uint64_t digest = Checksum64(text.data(), text.size());
+        EXPECT_EQ(digest, g.digest) << std::hex << "0x" << digest;
+      });
+    }
+  }
 }
 
 }  // namespace

@@ -199,14 +199,15 @@ TEST(ParallelDeterminismTest, AnalyzeWorkloadMatchesSerial) {
 TEST(ParallelDeterminismTest, KMeansFitMatchesSerial) {
   // > kPointGrain points so the assignment pass really chunks.
   Pcg32 rng(7);
-  std::vector<std::vector<double>> points;
+  stats::PointMatrix points;
+  points.dims = 3;
   const double centers[4][3] = {
       {0, 0, 0}, {10, 0, 5}, {0, 12, -4}, {-8, -8, 8}};
   for (int blob = 0; blob < 4; ++blob) {
     for (int i = 0; i < 1500; ++i) {
-      points.push_back({centers[blob][0] + rng.NextGaussian(),
-                        centers[blob][1] + rng.NextGaussian(),
-                        centers[blob][2] + rng.NextGaussian()});
+      for (int d = 0; d < 3; ++d) {
+        points.values.push_back(centers[blob][d] + rng.NextGaussian());
+      }
     }
   }
   stats::KMeansOptions serial;
@@ -226,6 +227,7 @@ TEST(ParallelDeterminismTest, KMeansFitMatchesSerial) {
     EXPECT_EQ(a->residual_variance, b->residual_variance);
     EXPECT_EQ(a->iterations, b->iterations);
     EXPECT_EQ(a->converged, b->converged);
+    EXPECT_EQ(a->distance_evaluations, b->distance_evaluations);
   }
 }
 
